@@ -4,6 +4,7 @@ from .core import (
     Configuration,
     DIRECTIONS,
     FlavorReport,
+    InvariantViolation,
     LEFT,
     LEFT_ENDMARKER,
     MalformedAutomaton,
@@ -19,7 +20,6 @@ from .core import (
     alternating_accepts_oracle,
     classify,
     segment_exists_oracle,
-    segment_matrix,
     step,
     symbol_at,
 )
@@ -58,10 +58,12 @@ from .normalform import (
 from .reach import (
     ControllerState,
     ReachController,
+    ReturnTable,
     TraceUnderflow,
     build_controller,
     n_reach,
     reach,
+    return_table,
     segment_reach,
     t_reach,
 )

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 LEFT_ENDMARKER = "<"
@@ -38,6 +39,14 @@ class MalformedAutomaton(ValueError):
 
 class NotApplicable(ValueError):
     """The operation does not apply to this kind of automaton."""
+
+
+class InvariantViolation(AssertionError):
+    """A bound or property the constructions guarantee failed to hold.
+
+    Raised explicitly, so the check survives `python -O`; it subclasses
+    AssertionError so handlers written for failed assertions still catch it.
+    """
 
 
 class Verdict(Enum):
@@ -70,11 +79,11 @@ class TwoWayAutomaton:
     """A two-way automaton over an endmarked tape.
 
     `delta` maps (state id, symbol) to an iterable of (state id, direction)
-    pairs; symbols are the single-character alphabet letters plus the two
-    endmarker tokens.  Optional `rejecting` states make the machine
-    self-verifying, optional `universal` states make it alternating.
-    Instances are treated as immutable after construction and may be shared
-    freely across threads.
+    pairs and is exposed as a read-only view; symbols are the
+    single-character alphabet letters plus the two endmarker tokens.
+    Optional `rejecting` states make the machine self-verifying, optional
+    `universal` states make it alternating.  Instances are treated as
+    immutable after construction and may be shared freely across threads.
     """
 
     def __init__(
@@ -95,20 +104,26 @@ class TwoWayAutomaton:
         self.rejecting = frozenset(rejecting)
         self.universal = frozenset(universal)
         self.declared_flavor = declared_flavor
-        self.delta = {
+        self._delta = {
             key: tuple(sorted(set(succs)))
             for key, succs in delta.items()
             if succs
         }
         self._validate()
+        self._form_flags: list = [None, None]  # normal-form flags, by `alternating`
 
     @property
     def n(self) -> int:
         return len(self.state_names)
 
+    @property
+    def delta(self) -> Mapping[tuple[int, str], tuple[tuple[int, int], ...]]:
+        """Read-only view of the transition table; copy it with dict() to derive a variant."""
+        return MappingProxyType(self._delta)
+
     def successors(self, state: int, symbol: str) -> tuple[tuple[int, int], ...]:
         """All (state, direction) pairs defined for (state, symbol)."""
-        return self.delta.get((state, symbol), ())
+        return self._delta.get((state, symbol), ())
 
     def symbols(self) -> tuple[str, ...]:
         return self.alphabet + (LEFT_ENDMARKER, RIGHT_ENDMARKER)
@@ -137,7 +152,7 @@ class TwoWayAutomaton:
         if self.accepting & self.rejecting:
             raise MalformedAutomaton("accepting and rejecting state sets overlap")
         valid_symbols = set(self.symbols())
-        for (q, sym), succs in self.delta.items():
+        for (q, sym), succs in self._delta.items():
             if not 0 <= q < n:
                 raise MalformedAutomaton(f"transition from unknown state {q}")
             if sym not in valid_symbols:
@@ -159,7 +174,7 @@ class TwoWayAutomaton:
             return NotImplemented
         return (self.state_names == other.state_names
                 and self.alphabet == other.alphabet
-                and self.delta == other.delta
+                and self._delta == other._delta
                 and self.initial == other.initial
                 and self.accepting == other.accepting
                 and self.rejecting == other.rejecting
@@ -170,7 +185,7 @@ class TwoWayAutomaton:
 
     def __repr__(self) -> str:
         return (f"TwoWayAutomaton(n={self.n}, alphabet={''.join(self.alphabet)!r}, "
-                f"transitions={sum(len(v) for v in self.delta.values())}, "
+                f"transitions={sum(len(v) for v in self._delta.values())}, "
                 f"flavor={self.declared_flavor!r})")
 
 
@@ -209,7 +224,12 @@ def _normal_form_flags(automaton: TwoWayAutomaton, alternating: bool) -> tuple[b
     3. that state entered only at the left endmarker by stationary moves;
     4. stationary moves only at the left endmarker (and, unless
        `alternating`, only into the unique accepting state).
+
+    Machines are immutable, so each one computes its flags once per variant.
     """
+    flags = automaton._form_flags[alternating]
+    if flags is not None:
+        return flags
     interior = automaton.alphabet + (RIGHT_ENDMARKER,)
     prop1 = all(
         len(automaton.successors(q, sym)) <= 1
@@ -235,7 +255,8 @@ def _normal_form_flags(automaton: TwoWayAutomaton, alternating: bool) -> tuple[b
                     prop4 = False
                 elif not alternating and p != q_final:
                     prop4 = False
-    return prop1, prop2, prop3, prop4
+    flags = automaton._form_flags[alternating] = (prop1, prop2, prop3, prop4)
+    return flags
 
 
 def classify(automaton: TwoWayAutomaton) -> FlavorReport:
@@ -350,15 +371,6 @@ def segment_exists_oracle(automaton: TwoWayAutomaton, word: str,
                 seen.add(succ)
                 frontier.append(succ)
     return False
-
-
-def segment_matrix(automaton: TwoWayAutomaton, word: str) -> list[list[bool]]:
-    """segment_exists_oracle for all state pairs, as a dense matrix."""
-    n = automaton.n
-    return [
-        [segment_exists_oracle(automaton, word, p, q) for q in range(n)]
-        for p in range(n)
-    ]
 
 
 def alternating_accepts_oracle(automaton: TwoWayAutomaton, word: str) -> bool:

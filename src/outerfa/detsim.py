@@ -18,6 +18,7 @@ from .core import (
     LEFT_ENDMARKER,
     RIGHT,
     STAY,
+    InvariantViolation,
     TwoWayAutomaton,
     _normal_form_flags,
 )
@@ -28,8 +29,9 @@ from .reach import (
     DONE_LEFT,
     SCAN_LEFT,
     build_controller,
-    reach,
+    return_table,
 )
+from .reach import reach  # noqa: F401  (perfbench/tracing.py wraps it here by name)
 
 
 class TooLarge(ValueError):
@@ -81,27 +83,22 @@ def reachable(automaton: TwoWayAutomaton, word: str, q: int, p: int, t: int,
     midpoint with two ceil(t/2) sub-questions.  The evaluation runs over an
     explicit stack of (endpoint, endpoint, midpoint, phase) frames with the
     base cases folded into their parent, so the observed stack height never
-    exceeds ceil(log2(t)).  Repeated base cases hit a per-call cache rather
-    than rerunning the backward search.
+    exceeds ceil(log2(t)).  Base cases look the segment up in the word's
+    return table, computed once per call.
     """
     if t < 1:
         raise ValueError("the segment budget t must be at least 1")
     _require_det_form(automaton)
     n = automaton.n
-    controller = build_controller(automaton)
-    cache: dict[tuple[int, int], bool] = {}
+    table = return_table(automaton, word)
+    targets = [frozenset(table.outcomes(a)) for a in range(n)]
 
     def base(a: int, b: int) -> bool:
         if stats is not None:
             stats.base_calls += 1
-        if (a, b) not in cache:
-            cache[(a, b)] = a == b or reach(automaton, word, a, b, controller)
-        return cache[(a, b)]
+        return a == b or b in targets[a]
 
-    levels = [t]
-    while levels[-1] > 1:
-        levels.append((levels[-1] + 1) // 2)
-    height = len(levels) - 1
+    height = _ceil_log2(t)  # halvings of t down to single segments
     if height == 0:
         return base(q, p)
 
@@ -174,11 +171,7 @@ class _Materializer:
         self.n = automaton.n
         self.controller = build_controller(automaton)
         self.q_final = self.controller.final_state
-        t_root = self.n - 1
-        levels = [t_root]
-        while levels[-1] > 1:
-            levels.append((levels[-1] + 1) // 2)
-        self.height = len(levels) - 1
+        self.height = _ceil_log2(self.n - 1)
 
     def _derive(self, cfg: list[tuple[int, int]]) -> tuple[int, int]:
         q, p = self.automaton.initial, self.q_final
@@ -312,5 +305,7 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = 10**6) -> TwoW
         accepting=[accept_id],
         declared_flavor="dfa",
     )
-    assert result.n <= bound, "materialized machine exceeded its state bound"
+    if result.n > bound:
+        raise InvariantViolation(
+            f"materialized machine has {result.n} states, over its bound {bound}")
     return result

@@ -7,13 +7,13 @@ machines with a universal/existential partition it becomes alternating
 reachability, evaluated as the least fixpoint of the usual and-or path
 predicate.
 
-Plain graphs omit self-loops: they cannot change reachability.  Partitioned
-graphs are built per choice instead of per state pair, because a universal
-state with a choice whose run never comes back to the left endmarker can
-never be part of an accepting tree, yet that dead branch is invisible in
-the bare segment relation.  Such a state gets a self-loop, which under the
-least fixpoint pins its and-clause to false; states whose choices all
-return get exactly their outcome edges.
+Both kinds of graph are read off the word's return table, one edge per
+left-endmarker choice.  Plain graphs omit self-loops: they cannot change
+reachability.  Partitioned graphs need more than the bare segment
+relation, because a universal state with a choice whose run never comes
+back to the left endmarker can never be part of an accepting tree.  Such a
+state gets a self-loop, which under the least fixpoint pins its and-clause
+to false; states whose choices all return get exactly their outcome edges.
 """
 
 from __future__ import annotations
@@ -21,16 +21,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import (
-    Configuration,
-    LEFT_ENDMARKER,
-    STAY,
-    TwoWayAutomaton,
-    _normal_form_flags,
-    step,
-)
-from .normalform import NotNormalForm
-from .reach import ReachController, build_controller, reach
+from .core import TwoWayAutomaton
+from .reach import return_table
+from .reach import build_controller, reach  # noqa: F401  (perfbench/tracing.py wraps them here)
 
 
 @dataclass(frozen=True)
@@ -47,73 +40,31 @@ class SegmentGraph:
     def n(self) -> int:
         return len(self.state_names)
 
-    def successors(self, v: int) -> list[int]:
-        return sorted(q for (p, q) in self.edges if p == v)
-
-
-def _require_relaxed_normal_form(automaton: TwoWayAutomaton) -> None:
-    if not all(_normal_form_flags(automaton, alternating=True)):
-        raise NotNormalForm("segment graphs require the structured normal form")
-
-
-def _choice_outcome(automaton: TwoWayAutomaton, word: str, start: int) -> int | None:
-    """Endpoint of the deterministic run from (start, 1), or None if it never returns."""
-    config = Configuration(start, 1)
-    seen = set()
-    while True:
-        if config.head == 0:
-            return config.state
-        if config in seen:
-            return None
-        seen.add(config)
-        succs = step(automaton, config, word)
-        if not succs:
-            return None
-        (config,) = succs
-    # unreachable
-
 
 def build_segment_graph(automaton: TwoWayAutomaton, word: str,
-                        alternating: bool | None = None,
-                        controller: ReachController | None = None) -> SegmentGraph:
-    """Segment edges of the machine on `word`.
+                        alternating: bool | None = None) -> SegmentGraph:
+    """Segment edges of the machine on `word`, one per left-endmarker choice.
 
-    Plain mode fills the off-diagonal pairs with one backward-search call
-    each.  Partitioned mode follows every left-endmarker choice to the state
-    it returns in, and marks universal states owning a dead or absent
-    choice with a self-loop.
+    Each choice of p adds the edge from p to the state its segment ends in,
+    as read off the word's return table.  Plain mode drops self-loops.
+    Partitioned mode keeps them and marks universal states owning a dead or
+    absent choice with a self-loop.  The machine must be in the relaxed
+    normal form.
     """
-    _require_relaxed_normal_form(automaton)
     if alternating is None:
         alternating = bool(automaton.universal)
-    n = automaton.n
+    table = return_table(automaton, word)
     edges: set[tuple[int, int]] = set()
-    if not alternating:
-        if controller is None:
-            controller = build_controller(automaton)
-        for p in range(n):
-            for q in range(n):
-                if p != q and reach(automaton, word, p, q, controller):
-                    edges.add((p, q))
-        universal = None
-    else:
-        for p in range(n):
-            choices = automaton.successors(p, LEFT_ENDMARKER)
-            broken = not choices
-            for (x, d) in choices:
-                out = x if d == STAY else _choice_outcome(automaton, word, x)
-                if out is None:
-                    broken = True
-                else:
-                    edges.add((p, out))
-            if broken and p in automaton.universal:
-                edges.add((p, p))
-        universal = automaton.universal
+    for p in range(automaton.n):
+        outcomes = table.outcomes(p)
+        edges.update((p, q) for q in outcomes if q is not None and (alternating or q != p))
+        if alternating and p in automaton.universal and (not outcomes or None in outcomes):
+            edges.add((p, p))
     q_final = next(iter(automaton.accepting))
     return SegmentGraph(
         state_names=tuple(automaton.state_names),
         edges=frozenset(edges),
-        universal=universal,
+        universal=automaton.universal if alternating else None,
         source=automaton.initial,
         target=q_final,
     )
@@ -172,7 +123,6 @@ def agap_decide(graph: SegmentGraph) -> bool:
 
 def oafa_decide(automaton: TwoWayAutomaton, word: str) -> bool:
     """Acceptance of a partitioned outer-choice machine via its segment graph."""
-    _require_relaxed_normal_form(automaton)
     return agap_decide(build_segment_graph(automaton, word, alternating=True))
 
 

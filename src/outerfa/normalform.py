@@ -24,6 +24,7 @@ from .core import (
     RIGHT,
     RIGHT_ENDMARKER,
     STAY,
+    InvariantViolation,
     TwoWayAutomaton,
     NotApplicable,
     _normal_form_flags,
@@ -232,7 +233,8 @@ def _normalize(automaton: TwoWayAutomaton, alternating: bool) -> TwoWayAutomaton
         universal=universal,
         declared_flavor=flavor,
     )
-    assert result.n <= 3 * n, "normal form exceeded the 3n state budget"
+    if result.n > 3 * n:
+        raise InvariantViolation(f"normal form has {result.n} states, above the 3n budget {3 * n}")
     return result
 
 

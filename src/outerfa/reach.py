@@ -19,6 +19,11 @@ On top of the controller sit a guessing variant (`n_reach`) that emits some
 state with a segment into q_to, and its iterated form (`t_reach`) checking
 a chain of exactly t segments out of the initial state.  Both are driven by
 explicit choice traces so that callers can replay or exhaust them.
+
+The controller is the paper's constant-memory device.  The deciders, which
+may spend memory linear in the tape, instead read the whole segment
+relation of one word off `return_table`: the same backward-search argument
+read forward, one memoized pass over the configurations.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .core import (
     RIGHT,
     RIGHT_ENDMARKER,
     STAY,
+    InvariantViolation,
     TwoWayAutomaton,
     Verdict,
     symbol_at,
@@ -135,10 +141,10 @@ class ReachController:
 
 
 def _require_normal_form(automaton: TwoWayAutomaton) -> int:
-    # The relaxed variant suffices: the search only needs determinism away
+    # The relaxed variant suffices: segments only need determinism away
     # from the left endmarker plus the halting accepting-state shape.
     if not all(_normal_form_flags(automaton, alternating=True)):
-        raise NotNormalForm("backward search requires the structured normal form")
+        raise NotNormalForm("segment detection requires the structured normal form")
     return next(iter(automaton.accepting))
 
 
@@ -153,7 +159,8 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
     for kind in (SCAN_LEFT, DONE_LEFT, SCAN_RIGHT, DONE_RIGHT):
         states.extend(ControllerState(kind, q) for q in searchable)
     states.append(ACCEPT_STATE)
-    assert len(states) == 4 * n - 3
+    if len(states) != 4 * n - 3:
+        raise InvariantViolation(f"controller has {len(states)} states, not 4n - 3 = {4 * n - 3}")
 
     def row(p: int, sym: str) -> tuple[tuple[int, int], ...]:
         return automaton.successors(p, sym)
@@ -199,7 +206,8 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
             if not succs:
                 continue  # never reached backward; left undefined
             (r, d) = succs[0]
-            assert d != STAY, "stationary move away from the left endmarker"
+            if d == STAY:
+                raise InvariantViolation("stationary move away from the left endmarker")
             siblings = [p for p in range(q + 1, n) if row(p, sym) == ((r, d),)]
             if siblings:
                 table[(done_right, sym)] = (ControllerState(SCAN_LEFT, min(siblings)), LEFT)
@@ -245,7 +253,7 @@ def _run_controller(controller: ReachController, word: str, q_from: int, q_to: i
             return False
         cs, d = entry
         pos += d
-    raise AssertionError(
+    raise InvariantViolation(
         f"backward search exceeded its {bound}-step termination bound on {automaton!r}")
 
 
@@ -277,7 +285,13 @@ def _choice_script(controller: ReachController, word: str, q_to: int) -> tuple[t
             return tuple(script)
         cs, d = entry
         pos += d
-    raise AssertionError("backward search exceeded its termination bound")
+    raise InvariantViolation("backward search exceeded its termination bound")
+
+
+def _check_states(automaton: TwoWayAutomaton, *states: int) -> None:
+    for q in states:
+        if not 0 <= q < automaton.n:
+            raise ValueError(f"unknown state id {q}: the machine has states 0 to {automaton.n - 1}")
 
 
 def reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
@@ -288,8 +302,10 @@ def reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
     endmarker into q_to is the shortest real segment and also answers yes;
     this covers every segment into the accepting state.  A state with no
     way off the left endmarker starts no segment.  Everything else runs the
-    backward controller, which always halts.
+    backward controller, which always halts.  State ids outside range(n)
+    raise ValueError.
     """
+    _check_states(automaton, q_from, q_to)
     if q_from == q_to:
         return True
     return segment_reach(automaton, word, q_from, q_to, controller)
@@ -298,6 +314,7 @@ def reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
 def segment_reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
                   controller: ReachController | None = None) -> bool:
     """Like `reach` but without the equal-endpoints shortcut: a real segment must exist."""
+    _check_states(automaton, q_from, q_to)
     if controller is None:
         controller = build_controller(automaton)
     launches = automaton.successors(q_from, LEFT_ENDMARKER)
@@ -308,6 +325,62 @@ def segment_reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
     if q_to == controller.final_state:
         return False
     return _run_controller(controller, word, q_from, q_to)
+
+
+_UNSEEN = -1
+
+
+@dataclass(frozen=True)
+class ReturnTable:
+    """`returns[x]`: the state in which the run from (x, 1) first reaches position 0, on one word.
+
+    None if that run halts or loops first, or if no choice launches x rightward.
+    """
+
+    automaton: TwoWayAutomaton
+    returns: tuple[int | None, ...]
+
+    def outcomes(self, p: int) -> tuple[int | None, ...]:
+        """End state of each left-endmarker choice of p, or None; p -> q iff q is one."""
+        _check_states(self.automaton, p)
+        return tuple(x if d == STAY else self.returns[x]
+                     for (x, d) in self.automaton.successors(p, LEFT_ENDMARKER))
+
+
+def return_table(automaton: TwoWayAutomaton, word: str) -> ReturnTable:
+    """The segment relation of one word, by one memoized forward pass.
+
+    Away from the left endmarker the machine is deterministic, so each
+    configuration at position >= 1 has one fate.  A launch walks forward
+    until it meets a configuration whose fate is known, or one on its own
+    path (a loop), then records the fate along its path.  No configuration
+    is walked twice: O(n * |w|) steps and n * (|w| + 2) memo slots.
+    """
+    _require_normal_form(automaton)
+    n = automaton.n
+    tape = word + RIGHT_ENDMARKER
+    get = automaton.delta.get  # the table stores no empty successor tuples
+    moves = {sym: [get((q, sym), (None,))[0] for q in range(n)] for sym in set(tape)}
+    rows = [None] + [moves[sym] for sym in tape]  # position 0 is never read
+    fate: list[int | None] = [_UNSEEN] * (n * len(rows))
+    fate[:n] = range(n)  # back at position 0, in the current state
+    returns: list[int | None] = [None] * n
+    for x in {x for p in range(n)
+              for (x, d) in automaton.successors(p, LEFT_ENDMARKER) if d == RIGHT}:
+        path, q, pos, key = [], x, 1, n + x
+        while fate[key] == _UNSEEN:
+            fate[key] = None  # met again on this walk: a loop
+            path.append(key)
+            if rows[pos][q] is None:
+                break  # the run halts
+            q, d = rows[pos][q]
+            pos += d
+            key = pos * n + q
+        out = fate[key]
+        for key in path:
+            fate[key] = out
+        returns[x] = out
+    return ReturnTable(automaton, tuple(returns))
 
 
 def _scripts_for(automaton: TwoWayAutomaton, controller: ReachController,
@@ -344,6 +417,7 @@ def n_reach(automaton: TwoWayAutomaton, word: str, q_to: int, trace: Sequence[in
     backward tree, or demanding a candidate that does not exist, yields
     Verdict.DONT_KNOW.  A too-short trace raises TraceUnderflow.
     """
+    _check_states(automaton, q_to)
     if controller is None:
         controller = build_controller(automaton)
     scripts = _scripts_for(automaton, controller, word)
@@ -375,6 +449,7 @@ def t_reach(automaton: TwoWayAutomaton, word: str, q: int, t: int, trace: Sequen
     don't-know, not a refusal.  With t = 0 the answer is simply whether q
     is the initial state.
     """
+    _check_states(automaton, q)
     if t == 0:
         return q == automaton.initial
     if controller is None:

@@ -25,15 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import TwoWayAutomaton, Verdict, _normal_form_flags
+from .core import InvariantViolation, TwoWayAutomaton, Verdict, _normal_form_flags
 from .normalform import NotNormalForm
 from .reach import (
     ReachController,
     TraceUnderflow,
     _scripts_for,
     build_controller,
-    segment_reach,
+    return_table,
 )
+from .reach import segment_reach  # noqa: F401  (perfbench/tracing.py wraps it here by name)
 
 
 class BudgetExceeded(Exception):
@@ -76,21 +77,23 @@ class SvfaStateAccounting:
 
 
 class _SimContext:
-    """Per-(machine, word) tables shared by every replayed branch."""
+    """Per-(machine, word) tables shared by every replayed branch.
+
+    `segment[p]` holds the states one segment away from p, from the word's
+    return table.  `scripts`, the guessing search's choice points, come from
+    the controller walk, whose order fixes how a trace replays them.
+    """
 
     def __init__(self, automaton: TwoWayAutomaton, word: str,
                  controller: ReachController | None = None):
         if controller is None:
             controller = build_controller(automaton)
-        self.automaton = automaton
         self.n = automaton.n
         self.initial = automaton.initial
         self.final = controller.final_state
         self.scripts = _scripts_for(automaton, controller, word)
-        self.segment = [
-            [segment_reach(automaton, word, p, q, controller) for q in range(automaton.n)]
-            for p in range(automaton.n)
-        ]
+        table = return_table(automaton, word)
+        self.segment = [frozenset(table.outcomes(p)) for p in range(automaton.n)]
 
 
 def _require_svfa_form(automaton: TwoWayAutomaton) -> None:
@@ -140,7 +143,7 @@ def _drive(ctx: _SimContext, t: int, m: int, m_new: int, q_target: int,
         if cur != ctx.initial:
             return ("done", Verdict.DONT_KNOW)
         # the guessed state survived the filter; is the target one segment away?
-        if ctx.segment[q_prev][q_target]:
+        if q_target in ctx.segment[q_prev]:
             if q_target == ctx.final:
                 return ("done", Verdict.ACCEPT)
             return _next_cell(ctx, t, m, m_new + 1, q_target + 1)
@@ -166,8 +169,7 @@ def _advance(ctx: _SimContext, snapshot, choice: int):
     return _drive(ctx, t, m, m_new, q_target, i, q_prev, k - 1, candidates[choice - 1], 0)
 
 
-def svfa_run(automaton: TwoWayAutomaton, word: str, trace: Sequence[int],
-             _ctx: _SimContext | None = None) -> Verdict:
+def svfa_run(automaton: TwoWayAutomaton, word: str, trace: Sequence[int]) -> Verdict:
     """Replay one branch of the self-verifying simulation under `trace`.
 
     Choice points are the state guesses of the counting loop and the
@@ -176,10 +178,9 @@ def svfa_run(automaton: TwoWayAutomaton, word: str, trace: Sequence[int],
     an out-of-range selector aborts in don't-know and a trace shorter than
     the branch raises TraceUnderflow.
     """
-    if _ctx is None:
-        _require_svfa_form(automaton)
-        _ctx = _SimContext(automaton, word)
-    state = _start(_ctx)
+    _require_svfa_form(automaton)
+    ctx = _SimContext(automaton, word)
+    state = _start(ctx)
     position = 0
     while state[0] == "choice":
         _, snapshot, options = state
@@ -189,7 +190,7 @@ def svfa_run(automaton: TwoWayAutomaton, word: str, trace: Sequence[int],
         position += 1
         if not 0 <= pick < options:
             return Verdict.DONT_KNOW
-        state = _advance(_ctx, snapshot, pick)
+        state = _advance(ctx, snapshot, pick)
     return state[1]
 
 
@@ -204,35 +205,32 @@ def svfa_decide(automaton: TwoWayAutomaton, word: str, budget: int = 10**6,
     _require_svfa_form(automaton)
     ctx = _SimContext(automaton, word, controller)
     tally = {Verdict.ACCEPT: 0, Verdict.REJECT: 0, Verdict.DONT_KNOW: 0}
+
+    def report(complete: bool) -> DecisionReport:
+        return DecisionReport(
+            verdict_exists_yes=tally[Verdict.ACCEPT] > 0,
+            verdict_exists_no=tally[Verdict.REJECT] > 0,
+            dont_know_count=tally[Verdict.DONT_KNOW],
+            branches_explored=sum(tally.values()),
+            all_halting=complete,
+            complete=complete,
+        )
+
     nodes = 0
     stack = [_start(ctx)]
     while stack:
         state = stack.pop()
         nodes += 1
         if nodes > budget:
-            raise BudgetExceeded(DecisionReport(
-                verdict_exists_yes=tally[Verdict.ACCEPT] > 0,
-                verdict_exists_no=tally[Verdict.REJECT] > 0,
-                dont_know_count=tally[Verdict.DONT_KNOW],
-                branches_explored=sum(tally.values()),
-                all_halting=False,
-                complete=False,
-            ))
+            raise BudgetExceeded(report(complete=False))
         if state[0] == "done":
             tally[state[1]] += 1
             continue
         _, snapshot, options = state
         stack.extend(_advance(ctx, snapshot, pick) for pick in reversed(range(options)))
-    assert not (tally[Verdict.ACCEPT] and tally[Verdict.REJECT]), \
-        "self-verification violated: both definite verdicts realizable"
-    return DecisionReport(
-        verdict_exists_yes=tally[Verdict.ACCEPT] > 0,
-        verdict_exists_no=tally[Verdict.REJECT] > 0,
-        dont_know_count=tally[Verdict.DONT_KNOW],
-        branches_explored=sum(tally.values()),
-        all_halting=True,
-        complete=True,
-    )
+    if tally[Verdict.ACCEPT] and tally[Verdict.REJECT]:
+        raise InvariantViolation("self-verification violated: both definite verdicts realizable")
+    return report(complete=True)
 
 
 def complement_decide(automaton: TwoWayAutomaton, word: str, budget: int = 10**6) -> bool:

@@ -70,6 +70,23 @@ def test_classify_e1():
     assert not report.is_alternating
 
 
+def test_delta_is_read_only():
+    with pytest.raises(TypeError):
+        E1.delta[(P_A, "b")] = ((P_A, 1),)
+    with pytest.raises(TypeError):
+        del E1.delta[(P_A, "a")]
+    with pytest.raises(AttributeError):
+        E1.delta = {}
+    assert (P_A, "b") not in E1.delta
+    # a dict() copy is an ordinary mutable table that builds a mutant
+    delta = dict(E1.delta)
+    delta[(P_A, "b")] = [(P_B, 1)]
+    mutant = TwoWayAutomaton(E1.state_names, E1.alphabet, delta, E1.initial, E1.accepting)
+    assert mutant.successors(P_A, "b") == ((P_B, 1),)
+    assert E1.successors(P_A, "b") == ()
+    assert mutant != E1
+
+
 def test_classify_empty_table_is_deterministic():
     report = classify(build_trivial_empty())
     assert report.is_deterministic

@@ -3,14 +3,21 @@
 import pytest
 
 from outerfa import (
+    LEFT,
+    RIGHT,
+    STAY,
     TraceUnderflow,
+    TwoWayAutomaton,
     Verdict,
     all_words,
     build_controller,
     n_reach,
+    normalize_oafa,
     normalize_onfa,
     reach,
+    return_table,
     segment_exists_oracle,
+    segment_reach,
     t_reach,
 )
 from outerfa.normalform import NotNormalForm
@@ -159,3 +166,96 @@ def test_runs_stay_within_the_step_bound(nf_corpus):
             for p in range(machine.n):
                 for q in range(machine.n):
                     reach(machine, word, p, q)
+
+
+@pytest.mark.parametrize("call", [
+    lambda bad: reach(E1, "aa", 0, bad),
+    lambda bad: reach(E1, "aa", bad, 1),
+    lambda bad: segment_reach(E1, "aa", 0, bad),
+    lambda bad: segment_reach(E1, "aa", bad, 1),
+    lambda bad: n_reach(E1, "aa", bad, [0, 1]),
+    lambda bad: t_reach(E1, "aa", bad, 0, []),
+    lambda bad: t_reach(E1, "aa", bad, 1, [0, 1]),
+    lambda bad: return_table(E1, "aa").outcomes(bad),
+], ids=["reach_to", "reach_from", "segment_reach_to", "segment_reach_from",
+        "n_reach", "t_reach_zero", "t_reach", "return_table"])
+def test_unknown_state_ids_raise(call):
+    for bad in (99, E1.n, -1):
+        with pytest.raises(ValueError, match="unknown state id"):
+            call(bad)
+
+
+def assert_table_matches(machine, words):
+    """The return table's relation equals the controller's and the path oracle's."""
+    controller = build_controller(machine)
+    for word in words:
+        table = return_table(machine, word)
+        for p in range(machine.n):
+            outcomes = table.outcomes(p)
+            for q in range(machine.n):
+                expected = segment_exists_oracle(machine, word, p, q)
+                assert (q in outcomes) == expected, (machine, word, p, q)
+                assert segment_reach(machine, word, p, q, controller) == expected
+
+
+def test_return_table_on_normal_form_corpora(nf_corpus, alt_nf_corpus):
+    for machine in list(nf_corpus) + list(alt_nf_corpus) + [E1]:
+        assert_table_matches(machine, all_words(machine.alphabet, 5))
+
+
+def test_return_table_on_normalized_raw_machines(raw_corpus, raw_alt_corpus):
+    machines = [normalize_onfa(m) for m in raw_corpus[:15]]
+    machines += [normalize_oafa(m) for m in raw_alt_corpus[:10]]
+    for machine in machines:
+        assert_table_matches(machine, all_words(machine.alphabet, 4))
+
+
+def test_return_table_marks_loops_with_none():
+    # p sweeps right, r steps back one cell and relaunches p: on a nonempty
+    # word the two bounce forever at the right end and never return
+    q_i, p, r, b, q_f = range(5)
+    machine = TwoWayAutomaton(
+        ["qI", "p", "r", "b", "qF"], "a",
+        {
+            (q_i, "<"): [(p, RIGHT), (b, RIGHT)],
+            (p, "a"): [(p, RIGHT)],
+            (p, ">"): [(r, LEFT)],
+            (r, "a"): [(p, RIGHT)],
+            (r, "<"): [(q_f, STAY)],
+            (b, "a"): [(b, LEFT)],
+            (b, "<"): [(q_f, STAY)],
+        },
+        q_i, [q_f],
+    )
+    assert return_table(machine, "").returns[p] == r
+    for word in ("a", "aa", "aaa"):
+        table = return_table(machine, word)
+        assert table.returns[p] is None
+        assert table.returns[b] == b
+        assert table.outcomes(q_i) == (None, b)
+    assert_table_matches(machine, all_words("a", 4))
+
+
+def test_return_table_on_long_mod3_sweeper():
+    # c0, c1, c2 count letters mod 3 going right; only c0 turns at the right
+    # endmarker, and `back` returns to accept or to relaunch the count at c1
+    q_i, c0, c1, c2, back, q_f = range(6)
+    machine = TwoWayAutomaton(
+        ["qI", "c0", "c1", "c2", "back", "qF"], "a",
+        {
+            (q_i, "<"): [(c0, RIGHT)],
+            (c0, "a"): [(c1, RIGHT)],
+            (c1, "a"): [(c2, RIGHT)],
+            (c2, "a"): [(c0, RIGHT)],
+            (c0, ">"): [(back, LEFT)],
+            (back, "a"): [(back, LEFT)],
+            (back, "<"): [(c1, RIGHT), (q_f, STAY)],
+        },
+        q_i, [q_f],
+    )
+    words = ["a" * k for k in (498, 499, 500)]
+    for word in words:
+        table = return_table(machine, word)
+        assert table.returns[c0] == (back if len(word) % 3 == 0 else None)
+        assert table.returns[c1] == (back if len(word) % 3 == 2 else None)
+    assert_table_matches(machine, words)

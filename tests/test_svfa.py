@@ -4,6 +4,7 @@ import pytest
 
 from outerfa import (
     BudgetExceeded,
+    InvariantViolation,
     TraceUnderflow,
     Verdict,
     accepts_oracle,
@@ -144,3 +145,41 @@ def test_accounting_growth_is_degree_eight():
     # asymptotically the ratio settles at 2**8
     big = svfa_state_accounting(2**20).total / svfa_state_accounting(2**19).total
     assert abs(big - 2**8) < 1.0
+
+
+def _both_verdicts(ctx, snapshot, choice):
+    # the first choice point splits into one accepting and one rejecting branch
+    return ("done", Verdict.ACCEPT if choice == 0 else Verdict.REJECT)
+
+
+def test_both_verdicts_raise_invariant_violation(monkeypatch):
+    from outerfa import svfa
+
+    monkeypatch.setattr(svfa, "_advance", _both_verdicts)
+    with pytest.raises(InvariantViolation, match="both definite verdicts"):
+        svfa_decide(E1, "aa")
+
+
+def test_both_verdicts_check_survives_optimize_flag():
+    # `python -O` strips assert statements; the typed check must still fire
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import outerfa
+
+    script = "\n".join([
+        "import pytest",
+        "from outerfa import InvariantViolation, svfa",
+        "from outerfa.fixtures import build_e1",
+        "from test_svfa import _both_verdicts",
+        "svfa._advance = _both_verdicts",
+        "with pytest.raises(InvariantViolation):",
+        "    svfa.svfa_decide(build_e1(), 'aa')",
+    ])
+    path = os.pathsep.join([str(Path(outerfa.__file__).parents[1]), str(Path(__file__).parent)])
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
