@@ -18,6 +18,8 @@ from .core import (
     accepts_oracle,
     all_words,
     alternating_accepts_oracle,
+    and_or_reach,
+    check_word,
     classify,
     segment_exists_oracle,
     step,

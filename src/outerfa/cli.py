@@ -4,7 +4,9 @@ Every subcommand reads machines in the text format of `fileformat`, runs
 one library operation, and emits a line-oriented `key: value` report (or
 JSON with --json).  Exit codes classify failures: 2 for unparseable input,
 3 for violated preconditions, 4 for exhausted budgets or size ceilings,
-and 5 when `equiv` finds a counterexample.
+5 when `equiv` finds a counterexample, and 6 when a bound or property the
+constructions guarantee fails to hold (an `InvariantViolation`, which
+signals a defect in the library rather than in the input).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import time
 from dataclasses import asdict
 
 from .core import (
+    InvariantViolation,
     MalformedAutomaton,
     NotApplicable,
     TwoWayAutomaton,
@@ -37,6 +40,7 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 EXIT_MISMATCH = 5
+EXIT_INVARIANT = 6
 
 METHODS = ("oracle", "svfa", "divide", "gap", "agap")
 
@@ -44,13 +48,6 @@ METHODS = ("oracle", "svfa", "divide", "gap", "agap")
 def _load(path: str) -> TwoWayAutomaton:
     with open(path, "r", encoding="utf-8") as handle:
         return parse(handle.read())
-
-
-def _check_word(automaton: TwoWayAutomaton, word: str) -> str:
-    for letter in word:
-        if letter not in automaton.alphabet:
-            raise NotApplicable(f"letter {letter!r} is not in the machine's alphabet")
-    return word
 
 
 def _emit(pairs: dict, as_json: bool) -> None:
@@ -110,9 +107,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_run(args) -> int:
     automaton = _load(args.file)
-    word = _check_word(automaton, args.word)
     started = time.perf_counter()
-    result, extras = _decide(automaton, word, args.method, args.budget)
+    result, extras = _decide(automaton, args.word, args.method, args.budget)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     _emit({"result": result, **extras, "elapsed_ms": round(elapsed_ms, 3)}, args.json)
     return EXIT_OK
@@ -144,9 +140,8 @@ def _state_id(automaton: TwoWayAutomaton, name: str) -> int:
 
 def _cmd_reach(args) -> int:
     automaton = _load(args.file)
-    word = _check_word(automaton, args.word)
     controller = build_controller(automaton)
-    result = reach(automaton, word, _state_id(automaton, args.from_state),
+    result = reach(automaton, args.word, _state_id(automaton, args.from_state),
                    _state_id(automaton, args.to_state), controller)
     payload = {"result": result, "controller_states": controller.state_count}
     if args.dump_controller and args.json:
@@ -159,8 +154,7 @@ def _cmd_reach(args) -> int:
 
 def _cmd_segment_graph(args) -> int:
     automaton = _load(args.file)
-    word = _check_word(automaton, args.word)
-    graph = build_segment_graph(automaton, word)
+    graph = build_segment_graph(automaton, args.word)
     dot = segment_graph_to_dot(graph)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
@@ -179,9 +173,8 @@ def _cmd_segment_graph(args) -> int:
 
 def _cmd_complement(args) -> int:
     automaton = _load(args.file)
-    word = _check_word(automaton, args.word)
     machine = _ensure_nondet_normal_form(automaton)
-    report = svfa_decide(machine, word, budget=args.budget)
+    report = svfa_decide(machine, args.word, budget=args.budget)
     _emit({"result": report.verdict_exists_no}, args.json)
     return EXIT_OK
 
@@ -298,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NotOuter, NotNormalForm, NotApplicable, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except InvariantViolation as exc:
+        print(f"error: invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

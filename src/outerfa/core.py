@@ -10,9 +10,16 @@ entry simply halts that computation path.
 Besides the data model, this module holds the executable ground truth the
 rest of the package is checked against: breadth-first acceptance oracles
 over the (finite) configuration graph, a visit-bounded variant, an and-or
-fixpoint oracle for machines with universal states, and a restricted-path
-oracle for computation segments (left endmarker to left endmarker, with no
+oracle for machines with universal states, and a restricted-path oracle for
+computation segments (left endmarker to left endmarker, with no
 left-endmarker visit in between; the right endmarker may be crossed freely).
+Every oracle rejects a word with a letter outside the machine's alphabet
+(`check_word`).
+
+`and_or_reach` is the package's one and-or reachability solver: the least
+fixpoint of the and-or path predicate by a worklist over reverse edges, in
+time linear in nodes plus edges.  The alternating oracle runs it over
+configurations and `graphred.agap_decide` over segment graphs.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Collection, Hashable, Iterable, Mapping, NamedTuple, TypeVar
 
 LEFT_ENDMARKER = "<"
 RIGHT_ENDMARKER = ">"
@@ -111,6 +118,7 @@ class TwoWayAutomaton:
         }
         self._validate()
         self._form_flags: list = [None, None]  # normal-form flags, by `alternating`
+        self._letters = "".join(self.alphabet)  # for check_word; a set per machine slowed set-up
 
     @property
     def n(self) -> int:
@@ -187,6 +195,14 @@ class TwoWayAutomaton:
         return (f"TwoWayAutomaton(n={self.n}, alphabet={''.join(self.alphabet)!r}, "
                 f"transitions={sum(len(v) for v in self._delta.values())}, "
                 f"flavor={self.declared_flavor!r})")
+
+
+def check_word(automaton: TwoWayAutomaton, word: str) -> str:
+    """Return `word` if all its letters are in the machine's alphabet, else raise NotApplicable."""
+    if word.strip(automaton._letters):  # one C pass; empty iff every letter is in the alphabet
+        letter = next(c for c in word if c not in automaton._letters)
+        raise NotApplicable(f"letter {letter!r} is not in the machine's alphabet")
+    return word
 
 
 def symbol_at(word: str, position: int) -> str:
@@ -291,6 +307,7 @@ def accepts_oracle(automaton: TwoWayAutomaton, word: str) -> bool:
     """BFS ground truth: is some accepting state reachable from (initial, 0)?"""
     if automaton.universal:
         raise NotApplicable("machine has universal states; use alternating_accepts_oracle")
+    check_word(automaton, word)
     start = Configuration(automaton.initial, 0)
     if start.state in automaton.accepting:
         return True
@@ -317,6 +334,7 @@ def accepts_bounded_visits(automaton: TwoWayAutomaton, word: str, k: int) -> boo
     """
     if automaton.universal:
         raise NotApplicable("machine has universal states; use alternating_accepts_oracle")
+    check_word(automaton, word)
     if k <= 0:
         return False
     start = (automaton.initial, 0, 1)
@@ -350,6 +368,7 @@ def segment_exists_oracle(automaton: TwoWayAutomaton, word: str,
     stationary move at the left endmarker is the shortest possible segment.
     The existential/universal partition is ignored; only delta matters.
     """
+    check_word(automaton, word)
     end = Configuration(q, 0)
     frontier = deque()
     seen = set()
@@ -373,6 +392,43 @@ def segment_exists_oracle(automaton: TwoWayAutomaton, word: str,
     return False
 
 
+Node = TypeVar("Node", bound=Hashable)
+
+
+def and_or_reach(succs: Mapping[Node, Collection[Node]], goals: Iterable[Node],
+                 is_universal: Callable[[Node], bool]) -> set[Node]:
+    """Least fixpoint of the and-or path predicate: the nodes that can force `goals`.
+
+    A goal is good.  Any other node is good if it is existential and some
+    successor is good, or universal and it has successors, all of them
+    good; so a dead node that is not a goal is bad, and so is a node that
+    can only loop.  `succs` has every node as a key, successors included.
+
+    One worklist pass over reverse edges, with a count of successors not yet
+    good per node: O(nodes + edges), as in linear-time Horn satisfiability.
+    """
+    preds: dict[Node, list[Node]] = {v: [] for v in succs}
+    pending = {}
+    for v, out in succs.items():
+        pending[v] = len(out)
+        for u in out:
+            preds[u].append(v)
+    good = set(goals)
+    queue = deque(good)
+    while queue:
+        v = queue.popleft()
+        for u in preds[v]:
+            if u in good:
+                continue
+            if is_universal(u):
+                pending[u] -= 1
+                if pending[u]:
+                    continue
+            good.add(u)
+            queue.append(u)
+    return good
+
+
 def alternating_accepts_oracle(automaton: TwoWayAutomaton, word: str) -> bool:
     """Least-fixpoint acceptance for machines with universal states.
 
@@ -380,27 +436,17 @@ def alternating_accepts_oracle(automaton: TwoWayAutomaton, word: str) -> bool:
     outright.  Otherwise an existential configuration needs one accepted
     successor and a universal configuration needs at least one successor
     with all of them accepted; in particular a dead non-accepting
-    configuration of either kind is rejecting, and so is any loop.
+    configuration of either kind is rejecting, and so is any loop.  The
+    fixpoint is `and_or_reach` over all n * (|w| + 2) configurations, so
+    the cost is linear in the configuration graph.
     """
-    length = len(word) + 2
-    configs = [Configuration(s, h) for s in range(automaton.n) for h in range(length)]
+    check_word(automaton, word)
+    configs = [Configuration(s, h) for s in range(automaton.n) for h in range(len(word) + 2)]
     succs = {c: step(automaton, c, word) for c in configs}
-    accepted = {c for c in configs if c.state in automaton.accepting}
-    changed = True
-    while changed:
-        changed = False
-        for c in configs:
-            if c in accepted:
-                continue
-            out = succs[c]
-            if c.state in automaton.universal:
-                ok = bool(out) and all(s in accepted for s in out)
-            else:
-                ok = any(s in accepted for s in out)
-            if ok:
-                accepted.add(c)
-                changed = True
-    return Configuration(automaton.initial, 0) in accepted
+    accepting = [c for c in configs if c.state in automaton.accepting]
+    universal = automaton.universal
+    good = and_or_reach(succs, accepting, lambda c: c.state in universal)
+    return Configuration(automaton.initial, 0) in good
 
 
 def all_words(alphabet: Iterable[str], max_len: int) -> Iterable[str]:

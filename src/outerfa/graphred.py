@@ -4,8 +4,9 @@ For a fixed word, draw an edge from state p to state q whenever the machine
 has a computation segment from p to q.  Acceptance of the word then becomes
 plain directed reachability from the initial to the accepting state; for
 machines with a universal/existential partition it becomes alternating
-reachability, evaluated as the least fixpoint of the usual and-or path
-predicate.
+reachability, the least fixpoint of the usual and-or path predicate,
+computed by the linear worklist solver `core.and_or_reach` that the
+alternating oracle also runs.
 
 Both kinds of graph are read off the word's return table, one edge per
 left-endmarker choice.  Plain graphs omit self-loops: they cannot change
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import TwoWayAutomaton
+from .core import TwoWayAutomaton, and_or_reach
 from .reach import return_table
 from .reach import build_controller, reach  # noqa: F401  (perfbench/tracing.py wraps them here)
 
@@ -96,29 +97,17 @@ def agap_decide(graph: SegmentGraph) -> bool:
     A vertex reaches the target if it is the target; an existential vertex
     needs some successor that reaches it, a universal vertex needs every
     successor to reach it, vacuously so when it has no successors at all.
+    Both the target and those vacuous vertices seed `and_or_reach`, which
+    takes time linear in the graph.
     """
     if graph.universal is None:
         raise ValueError("the graph carries no existential/universal partition")
     succs: dict[int, list[int]] = {v: [] for v in range(graph.n)}
     for (p, q) in graph.edges:
         succs[p].append(q)
-    good = set()
-    changed = True
-    while changed:
-        changed = False
-        for v in range(graph.n):
-            if v in good:
-                continue
-            if v == graph.target:
-                ok = True
-            elif v in graph.universal:
-                ok = all(q in good for q in succs[v])
-            else:
-                ok = any(q in good for q in succs[v])
-            if ok:
-                good.add(v)
-                changed = True
-    return graph.source in good
+    universal = graph.universal
+    goals = [graph.target, *(v for v in universal if not succs[v])]
+    return graph.source in and_or_reach(succs, goals, universal.__contains__)
 
 
 def oafa_decide(automaton: TwoWayAutomaton, word: str) -> bool:

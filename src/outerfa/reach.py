@@ -40,6 +40,7 @@ from .core import (
     InvariantViolation,
     TwoWayAutomaton,
     Verdict,
+    check_word,
     symbol_at,
     _normal_form_flags,
 )
@@ -303,9 +304,10 @@ def reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
     this covers every segment into the accepting state.  A state with no
     way off the left endmarker starts no segment.  Everything else runs the
     backward controller, which always halts.  State ids outside range(n)
-    raise ValueError.
+    raise ValueError, letters outside the alphabet NotApplicable.
     """
     _check_states(automaton, q_from, q_to)
+    check_word(automaton, word)
     if q_from == q_to:
         return True
     return segment_reach(automaton, word, q_from, q_to, controller)
@@ -315,6 +317,7 @@ def segment_reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
                   controller: ReachController | None = None) -> bool:
     """Like `reach` but without the equal-endpoints shortcut: a real segment must exist."""
     _check_states(automaton, q_from, q_to)
+    check_word(automaton, word)
     if controller is None:
         controller = build_controller(automaton)
     launches = automaton.successors(q_from, LEFT_ENDMARKER)
@@ -355,8 +358,10 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> ReturnTable:
     until it meets a configuration whose fate is known, or one on its own
     path (a loop), then records the fate along its path.  No configuration
     is walked twice: O(n * |w|) steps and n * (|w| + 2) memo slots.
+    A letter outside the alphabet raises NotApplicable.
     """
     _require_normal_form(automaton)
+    check_word(automaton, word)
     n = automaton.n
     tape = word + RIGHT_ENDMARKER
     get = automaton.delta.get  # the table stores no empty successor tuples
@@ -418,6 +423,7 @@ def n_reach(automaton: TwoWayAutomaton, word: str, q_to: int, trace: Sequence[in
     Verdict.DONT_KNOW.  A too-short trace raises TraceUnderflow.
     """
     _check_states(automaton, q_to)
+    check_word(automaton, word)
     if controller is None:
         controller = build_controller(automaton)
     scripts = _scripts_for(automaton, controller, word)
@@ -450,6 +456,7 @@ def t_reach(automaton: TwoWayAutomaton, word: str, q: int, t: int, trace: Sequen
     is the initial state.
     """
     _check_states(automaton, q)
+    check_word(automaton, word)
     if t == 0:
         return q == automaton.initial
     if controller is None:

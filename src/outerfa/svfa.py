@@ -91,9 +91,9 @@ class _SimContext:
         self.n = automaton.n
         self.initial = automaton.initial
         self.final = controller.final_state
-        self.scripts = _scripts_for(automaton, controller, word)
-        table = return_table(automaton, word)
+        table = return_table(automaton, word)  # rejects foreign letters before the walk
         self.segment = [frozenset(table.outcomes(p)) for p in range(automaton.n)]
+        self.scripts = _scripts_for(automaton, controller, word)
 
 
 def _require_svfa_form(automaton: TwoWayAutomaton) -> None:

@@ -63,6 +63,31 @@ def test_run_rejects_foreign_letters(e1_file, capsys):
     assert main(["run", e1_file, "--word", "ax"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--method", "svfa"],
+    ["run", "--method", "divide"],
+    ["run", "--method", "gap"],
+    ["run", "--method", "agap"],
+    ["reach", "--from", "qI", "--to", "qI"],
+    ["segment-graph"],
+    ["complement"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[::2]))
+def test_commands_reject_foreign_letters(e1_file, argv, capsys):
+    assert main([argv[0], e1_file, "--word", "ax", *argv[1:]]) == 3
+    assert "not in the machine's alphabet" in capsys.readouterr().err
+
+
+def test_invariant_violation_exit_code(e1_file, capsys, monkeypatch):
+    from outerfa import svfa
+    from test_svfa import _both_verdicts
+
+    monkeypatch.setattr(svfa, "_advance", _both_verdicts)
+    assert main(["run", e1_file, "--word", "aa", "--method", "svfa"]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error: invariant violated:")
+    assert "both definite verdicts" in err
+
+
 def test_normalize_emits_parseable_machine(e1_file, capsys):
     assert main(["normalize", e1_file]) == 0
     out = capsys.readouterr().out

@@ -1,10 +1,15 @@
-"""Model semantics and brute-force oracles."""
+"""Model semantics, brute-force oracles and the and-or solver."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outerfa import (
+    LEFT,
+    RIGHT,
+    STAY,
     Configuration,
     MalformedAutomaton,
     NotApplicable,
@@ -13,10 +18,14 @@ from outerfa import (
     accepts_oracle,
     all_words,
     alternating_accepts_oracle,
+    and_or_reach,
+    check_word,
     classify,
+    oafa_decide,
     segment_exists_oracle,
     step,
 )
+from outerfa import core
 from outerfa.fixtures import Q_F, Q_I, P_A, P_B, R_A, R_B, build_e1, build_e2, build_trivial_empty
 
 from conftest import random_onfa
@@ -175,3 +184,137 @@ def test_dead_universal_configuration_rejects():
     # but a dead *accepting* universal configuration is a leaf
     machine2 = TwoWayAutomaton(["u"], "a", {}, 0, [0], universal=[0])
     assert alternating_accepts_oracle(machine2, "a")
+
+
+def naive_and_or(succs, goals, universal):
+    """Reference: re-scan every node until no node changes."""
+    good = set(goals)
+    changed = True
+    while changed:
+        changed = False
+        for v, out in succs.items():
+            if v in good:
+                continue
+            if v in universal:
+                ok = bool(out) and all(u in good for u in out)
+            else:
+                ok = any(u in good for u in out)
+            if ok:
+                good.add(v)
+                changed = True
+    return good
+
+
+def random_and_or_graph(seed):
+    """Up to 8 nodes, self-loops and dead nodes included, each edge listed once."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    density = rng.choice((0.1, 0.25, 0.5))
+    succs = {v: [u for u in range(n) if rng.random() < density] for v in range(n)}
+    universal = {v for v in range(n) if rng.random() < 0.5}
+    goals = {v for v in range(n) if rng.random() < 0.2}
+    return succs, goals, universal
+
+
+def test_and_or_reach_matches_naive_fixpoint():
+    dead_universal_seeded = dead_universal_unseeded = self_loops = 0
+    for seed in range(400):
+        succs, goals, universal = random_and_or_graph(seed)
+        calls = []
+
+        def is_universal(v):
+            calls.append(v)
+            return v in universal
+
+        good = and_or_reach(succs, goals, is_universal)
+        assert good == naive_and_or(succs, goals, universal), seed
+        # each edge is examined at most once: the work is linear
+        assert len(calls) <= sum(len(out) for out in succs.values())
+        for v, out in succs.items():
+            if v in universal and not out:
+                if v in goals:
+                    dead_universal_seeded += 1
+                else:
+                    dead_universal_unseeded += 1
+                    assert v not in good
+            self_loops += v in out
+    assert min(dead_universal_seeded, dead_universal_unseeded, self_loops) >= 10
+
+
+def test_and_or_reach_small_cases():
+    universal = {0}.__contains__
+    # a self-loop alone never proves anything, for either kind of node
+    assert and_or_reach({0: [0], 1: []}, [1], universal) == {1}
+    assert and_or_reach({0: [0], 1: []}, [1], lambda v: False) == {1}
+    # a universal node needs all of its successors, an existential one any
+    assert and_or_reach({0: [1, 2], 1: [], 2: []}, [1], universal) == {1}
+    assert and_or_reach({0: [1, 2], 1: [], 2: []}, [1, 2], universal) == {0, 1, 2}
+    assert and_or_reach({0: [1, 2], 1: [], 2: []}, [1], lambda v: False) == {0, 1}
+    # a dead universal node is good only when seeded as a goal
+    assert and_or_reach({0: []}, [], universal) == set()
+    assert and_or_reach({0: []}, [0], universal) == {0}
+
+
+def universal_mod_p_sweeper(periods):
+    """qI picks every period p at once; c_p counts |w| mod p, r_p returns to accept."""
+    names = ["qI"]
+    delta = {}
+    launches = []
+    for p in periods:
+        base = len(names)
+        names += [f"c{p}_{i}" for i in range(p)] + [f"r{p}"]
+        launches.append((base, RIGHT))
+        for i in range(p):
+            delta[(base + i, "a")] = [(base + (i + 1) % p, RIGHT)]
+        delta[(base, ">")] = [(base + p, LEFT)]
+        delta[(base + p, "a")] = [(base + p, LEFT)]
+    q_final = len(names)
+    names.append("qF")
+    for (base, _), p in zip(launches, periods):
+        delta[(base + p, "<")] = [(q_final, STAY)]
+    delta[(0, "<")] = launches
+    return TwoWayAutomaton(names, "a", delta, 0, [q_final], universal=[0])
+
+
+def test_alternating_oracle_on_long_words(monkeypatch):
+    # the re-scanning fixpoint took seconds per word at this length; the
+    # solver's work is bounded by the configuration graph's edge count
+    periods = (3, 5, 7)
+    machine = universal_mod_p_sweeper(periods)
+    real = core.and_or_reach
+    work = []
+
+    def counted(succs, goals, is_universal):
+        calls = []
+        good = real(succs, goals, lambda v: calls.append(v) or is_universal(v))
+        work.append((len(calls), sum(len(out) for out in succs.values())))
+        return good
+
+    monkeypatch.setattr(core, "and_or_reach", counted)
+    for length in (1050, 1005):  # 105 | 1050; 1005 is a multiple of 3 and 5 only
+        word = "a" * length
+        expected = all(length % p == 0 for p in periods)
+        assert alternating_accepts_oracle(machine, word) == expected
+        assert oafa_decide(machine, word) == expected
+    assert len(work) == 2
+    assert all(calls <= edges for calls, edges in work)
+
+
+@pytest.mark.parametrize("oracle, machine, args", [
+    (accepts_oracle, E1, ()),
+    (accepts_bounded_visits, E1, (3,)),
+    (segment_exists_oracle, E1, (Q_I, Q_F)),
+    (alternating_accepts_oracle, E2, ()),
+], ids=["accepts_oracle", "accepts_bounded_visits", "segment_exists_oracle",
+        "alternating_accepts_oracle"])
+def test_oracles_reject_foreign_letters(oracle, machine, args):
+    for word in ("ac", "a<", ">"):
+        with pytest.raises(NotApplicable, match="not in the machine's alphabet"):
+            oracle(machine, word, *args)
+
+
+def test_check_word():
+    assert check_word(E1, "abba") == "abba"
+    assert check_word(E1, "") == ""
+    with pytest.raises(NotApplicable, match="'c'"):
+        check_word(E1, "abc")

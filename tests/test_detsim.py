@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outerfa import (
+    NotApplicable,
     ReachableStats,
     TooLarge,
     accepts_oracle,
@@ -133,3 +134,10 @@ def test_materialize_guards_size():
     blown = normalize_onfa(build_e1())  # 12 states, above the guard
     with pytest.raises(ValueError):
         materialize_dfa(blown)
+
+
+def test_foreign_letters_raise():
+    with pytest.raises(NotApplicable, match="not in the machine's alphabet"):
+        decide_det(E1, "ac")
+    with pytest.raises(NotApplicable, match="not in the machine's alphabet"):
+        reachable(E1, "ca", Q_I, Q_F, 2)

@@ -3,6 +3,7 @@
 import pytest
 
 from outerfa import (
+    NotApplicable,
     SegmentGraph,
     accepts_oracle,
     agap_decide,
@@ -133,3 +134,14 @@ def test_dot_export_parses(nf_corpus, alt_nf_corpus):
     for machine in list(nf_corpus[:4]) + list(alt_nf_corpus[:4]):
         graph = build_segment_graph(machine, "ab")
         assert_dot_wellformed(segment_graph_to_dot(graph))
+
+
+@pytest.mark.parametrize("decide", [
+    lambda machine, word: gap_decide(build_segment_graph(machine, word, alternating=False)),
+    lambda machine, word: agap_decide(build_segment_graph(machine, word, alternating=True)),
+    oafa_decide,
+], ids=["gap", "agap", "oafa_decide"])
+def test_foreign_letters_raise(decide):
+    for machine in (E1, E2):
+        with pytest.raises(NotApplicable, match="not in the machine's alphabet"):
+            decide(machine, "ac")

@@ -4,6 +4,7 @@ import pytest
 
 from outerfa import (
     LEFT,
+    NotApplicable,
     RIGHT,
     STAY,
     TraceUnderflow,
@@ -183,6 +184,22 @@ def test_unknown_state_ids_raise(call):
     for bad in (99, E1.n, -1):
         with pytest.raises(ValueError, match="unknown state id"):
             call(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda word: return_table(E1, word),
+    lambda word: reach(E1, word, Q_I, Q_I),
+    lambda word: reach(E1, word, Q_I, R_A),
+    lambda word: segment_reach(E1, word, Q_I, R_A),
+    lambda word: n_reach(E1, word, R_A, [0, 1]),
+    lambda word: t_reach(E1, word, Q_I, 0, []),
+    lambda word: t_reach(E1, word, R_A, 1, [0, 1]),
+], ids=["return_table", "reach_equal", "reach", "segment_reach", "n_reach",
+        "t_reach_zero", "t_reach"])
+def test_foreign_letters_raise(call):
+    for word in ("ac", "a<", "b>a"):
+        with pytest.raises(NotApplicable, match="not in the machine's alphabet"):
+            call(word)
 
 
 def assert_table_matches(machine, words):

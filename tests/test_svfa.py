@@ -5,6 +5,7 @@ import pytest
 from outerfa import (
     BudgetExceeded,
     InvariantViolation,
+    NotApplicable,
     TraceUnderflow,
     Verdict,
     accepts_oracle,
@@ -183,3 +184,9 @@ def test_both_verdicts_check_survives_optimize_flag():
                          env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
+
+
+def test_foreign_letters_raise():
+    for call in (svfa_decide, complement_decide, lambda m, w: svfa_run(m, w, [0])):
+        with pytest.raises(NotApplicable, match="not in the machine's alphabet"):
+            call(E1, "ac")
