@@ -56,6 +56,7 @@ from .normalform import (
     check_normal_form,
     normalize_oafa,
     normalize_onfa,
+    require_normal_form,
 )
 from .reach import (
     ControllerState,

@@ -26,12 +26,18 @@ from .core import (
     all_words,
     alternating_accepts_oracle,
     classify,
-    _normal_form_flags,
 )
 from .detsim import TooLarge, decide_det, dfa_state_bound, materialize_dfa
 from .fileformat import FlavorMismatch, ParseError, parse, serialize
 from .graphred import build_segment_graph, gap_decide, oafa_decide, segment_graph_to_dot
-from .normalform import NotNormalForm, NotOuter, check_normal_form, normalize_oafa, normalize_onfa
+from .normalform import (
+    NotNormalForm,
+    NotOuter,
+    check_normal_form,
+    normalize_oafa,
+    normalize_onfa,
+    require_normal_form,
+)
 from .reach import build_controller, reach
 from .svfa import BudgetExceeded, svfa_decide, svfa_state_accounting
 
@@ -60,18 +66,15 @@ def _emit(pairs: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-def _ensure_nondet_normal_form(automaton: TwoWayAutomaton) -> TwoWayAutomaton:
-    if automaton.universal:
+def _ensure_normal_form(automaton: TwoWayAutomaton, alternating: bool) -> TwoWayAutomaton:
+    """The machine itself if it is in the normal form, else its normalization."""
+    if automaton.universal and not alternating:
         raise NotApplicable("this method takes machines without universal states")
-    if all(_normal_form_flags(automaton, alternating=False)):
-        return automaton
-    return normalize_onfa(automaton)
-
-
-def _ensure_alt_normal_form(automaton: TwoWayAutomaton) -> TwoWayAutomaton:
-    if all(_normal_form_flags(automaton, alternating=True)):
-        return automaton
-    return normalize_oafa(automaton)
+    try:
+        require_normal_form(automaton, alternating)
+    except NotNormalForm:
+        return normalize_oafa(automaton) if alternating else normalize_onfa(automaton)
+    return automaton
 
 
 def _decide(automaton: TwoWayAutomaton, word: str, method: str, budget: int):
@@ -82,8 +85,8 @@ def _decide(automaton: TwoWayAutomaton, word: str, method: str, budget: int):
             return alternating_accepts_oracle(automaton, word), extras
         return accepts_oracle(automaton, word), extras
     if method == "agap":
-        return oafa_decide(_ensure_alt_normal_form(automaton), word), extras
-    machine = _ensure_nondet_normal_form(automaton)
+        return oafa_decide(_ensure_normal_form(automaton, alternating=True), word), extras
+    machine = _ensure_normal_form(automaton, alternating=False)
     if method == "divide":
         return decide_det(machine, word), extras
     if method == "gap":
@@ -173,7 +176,7 @@ def _cmd_segment_graph(args) -> int:
 
 def _cmd_complement(args) -> int:
     automaton = _load(args.file)
-    machine = _ensure_nondet_normal_form(automaton)
+    machine = _ensure_normal_form(automaton, alternating=False)
     report = svfa_decide(machine, args.word, budget=args.budget)
     _emit({"result": report.verdict_exists_no}, args.json)
     return EXIT_OK
@@ -181,7 +184,7 @@ def _cmd_complement(args) -> int:
 
 def _cmd_bounds(args) -> int:
     automaton = _load(args.file)
-    normal = all(_normal_form_flags(automaton, alternating=bool(automaton.universal)))
+    normal = check_normal_form(automaton, alternating=bool(automaton.universal)).all_properties
     bound = dfa_state_bound(automaton.n, normal_form=normal)
     accounting = svfa_state_accounting(automaton.n)
     payload = {f"dfa_{k}": v for k, v in asdict(bound).items()}
@@ -192,7 +195,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_emit_dfa(args) -> int:
     automaton = _load(args.file)
-    machine = _ensure_nondet_normal_form(automaton)
+    machine = _ensure_normal_form(automaton, alternating=False)
     result = materialize_dfa(machine, max_states=args.max_states)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(serialize(result))

@@ -3,16 +3,21 @@
 Whether some chain of at most t segments joins two states splits into two
 half-length questions through a guessed midpoint, so acceptance (a chain of
 at most n - 1 segments from the initial to the accepting state) resolves
-with a stack whose height is only ceil(log2(n - 1)); the stack discipline
-is kept explicit here so the same control structure can be minted into an
-actual deterministic two-way machine (`materialize_dfa`), whose states pack
-the stack configuration together with the backward-search cursor.
+with a stack whose height is only ceil(log2(n - 1)).  One explicit stack
+machine, `_divide`, does this work for both users.  `reachable` (and so
+`decide_det`) runs it to a verdict, answering each base case from the
+word's return table.  `materialize_dfa` mints it into an actual
+deterministic two-way machine: its leaf answers only the base cases that
+need no tape, so the machine suspends at the others, and each emitted state
+packs the suspended stack together with the backward-search cursor that
+answers that base case on the tape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log, log2
+from typing import Callable
 
 from .core import (
     LEFT_ENDMARKER,
@@ -20,14 +25,13 @@ from .core import (
     STAY,
     InvariantViolation,
     TwoWayAutomaton,
-    _normal_form_flags,
 )
-from .normalform import NotNormalForm
+from .normalform import require_normal_form
 from .reach import (
     ACCEPT,
     ControllerState,
     DONE_LEFT,
-    SCAN_LEFT,
+    _check_states,
     build_controller,
     return_table,
 )
@@ -68,11 +72,50 @@ def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-def _require_det_form(automaton: TwoWayAutomaton) -> None:
-    if automaton.universal:
-        raise NotNormalForm("deterministic simulation takes machines without universal states")
-    if not all(_normal_form_flags(automaton, alternating=False)):
-        raise NotNormalForm("deterministic simulation requires the strict normal form")
+def _divide(stack: list[list[int]], height: int, n: int,
+            leaf: Callable[[int, int], bool | None], answer: bool | None = None,
+            stats: ReachableStats | None = None) -> bool | None:
+    """Run the divide-and-conquer stack machine to a verdict or a suspended leaf.
+
+    Each frame [q, p, r, phase] asks for a chain from q to p through the
+    midpoint r: phase 1 poses its first half (q, r), phase 2 its second half
+    (r, p).  The bottom frame [q, p, q, 2] poses the root question (q, p)
+    itself and is never stepped; the frames above it are the halvings, at
+    most `height` of them, and the questions posed by the top frame at that
+    height are base cases, answered by `leaf`.  With `answer` None the top
+    frame's question is still open; otherwise it has just been answered.
+    Returns the root verdict, or None, leaving the stack as it is, when
+    `leaf` answers None; resume by calling again with that base case's answer.
+    """
+    while True:
+        frame = stack[-1]
+        if answer is None:
+            q, p, r, phase = frame
+            if phase == 1:
+                p = r
+            else:
+                q = r
+            if len(stack) > height:
+                answer = leaf(q, p)
+                if answer is None:
+                    return None
+            else:
+                stack.append([q, p, 0, 1])
+                if stats is not None:
+                    stats.max_stack_height = max(stats.max_stack_height, len(stack) - 1)
+        elif len(stack) == 1:
+            return answer
+        elif answer and frame[3] == 2:
+            stack.pop()  # both halves hold, so does the frame's question
+        elif answer:
+            frame[3] = 2
+            answer = None
+        elif frame[2] + 1 < n:
+            frame[2] += 1
+            frame[3] = 1
+            answer = None
+        else:
+            stack.pop()  # no midpoint works
 
 
 def reachable(automaton: TwoWayAutomaton, word: str, q: int, p: int, t: int,
@@ -80,66 +123,31 @@ def reachable(automaton: TwoWayAutomaton, word: str, q: int, p: int, t: int,
     """Is there a chain of at most t segments from q to p on `word`?
 
     t = 1 asks for equality or a single segment; larger budgets try every
-    midpoint with two ceil(t/2) sub-questions.  The evaluation runs over an
-    explicit stack of (endpoint, endpoint, midpoint, phase) frames with the
-    base cases folded into their parent, so the observed stack height never
-    exceeds ceil(log2(t)).  Base cases look the segment up in the word's
-    return table, computed once per call.
+    midpoint with two ceil(t/2) sub-questions.  The evaluation runs the
+    stack machine `_divide`, whose observed height never exceeds
+    ceil(log2(t)).  Base cases look the segment up in the word's return
+    table, computed once per call.  State ids outside range(n) raise
+    ValueError.
     """
     if t < 1:
         raise ValueError("the segment budget t must be at least 1")
-    _require_det_form(automaton)
-    n = automaton.n
+    require_normal_form(automaton, alternating=False)
+    _check_states(automaton, q, p)
     table = return_table(automaton, word)
-    targets = [frozenset(table.outcomes(a)) for a in range(n)]
+    targets = [frozenset(table.outcomes(a)) for a in range(automaton.n)]
 
     def base(a: int, b: int) -> bool:
         if stats is not None:
             stats.base_calls += 1
         return a == b or b in targets[a]
 
-    height = _ceil_log2(t)  # halvings of t down to single segments
-    if height == 0:
-        return base(q, p)
-
-    stack: list[list[int]] = [[q, p, 0, 1]]
-    if stats is not None:
-        stats.max_stack_height = max(stats.max_stack_height, 1)
-    retval: bool | None = None
-    while True:
-        if retval is None:
-            frame = stack[-1]
-            fq, fp, r, phase = frame
-            cq, cp = (fq, r) if phase == 1 else (r, fp)
-            if len(stack) == height:
-                retval = base(cq, cp)
-            else:
-                stack.append([cq, cp, 0, 1])
-                if stats is not None:
-                    stats.max_stack_height = max(stats.max_stack_height, len(stack))
-            continue
-        frame = stack[-1]
-        if retval and frame[3] == 2:
-            stack.pop()
-            retval = True
-        elif retval and frame[3] == 1:
-            frame[3] = 2
-            retval = None
-        elif frame[2] + 1 < n:
-            frame[2] += 1
-            frame[3] = 1
-            retval = None
-        else:
-            stack.pop()
-            retval = False
-        if not stack:
-            return retval
+    return _divide([[q, p, q, 2]], _ceil_log2(t), automaton.n, base, stats=stats)
 
 
 def decide_det(automaton: TwoWayAutomaton, word: str,
                stats: ReachableStats | None = None) -> bool:
     """Deterministic acceptance: a chain of at most n - 1 segments reaches the accepting state."""
-    _require_det_form(automaton)
+    require_normal_form(automaton, alternating=False)
     if automaton.n < 2:
         raise ValueError("the machine needs at least two states")
     q_final = next(iter(automaton.accepting))
@@ -163,72 +171,6 @@ def dfa_state_bound(n: int, normal_form: bool) -> BoundReport:
     )
 
 
-class _Materializer:
-    """Builds the genuine deterministic two-way machine for a tiny source."""
-
-    def __init__(self, automaton: TwoWayAutomaton):
-        self.automaton = automaton
-        self.n = automaton.n
-        self.controller = build_controller(automaton)
-        self.q_final = self.controller.final_state
-        self.height = _ceil_log2(self.n - 1)
-
-    def _derive(self, cfg: list[tuple[int, int]]) -> tuple[int, int]:
-        q, p = self.automaton.initial, self.q_final
-        for (r, phase) in cfg:
-            q, p = (q, r) if phase == 1 else (r, p)
-        return q, p
-
-    def _leaf_trivial(self, q: int, p: int) -> bool | None:
-        """Resolve a base case without touching the tape, if possible."""
-        if q == p:
-            return True
-        launches = self.automaton.successors(q, LEFT_ENDMARKER)
-        if (p, STAY) in launches:
-            return True
-        if not any(d == RIGHT for (_, d) in launches):
-            return False
-        if p == self.q_final:
-            return False
-        return None  # a backward search over the tape is required
-
-    def advance(self, cfg: list[tuple[int, int]], depth: int, result: bool | None):
-        """Run the stack machine until the next tape-bound base case or a verdict.
-
-        `result is None` means the call at `depth` still has to be
-        evaluated; otherwise it just returned `result`.  Returns either
-        ('launch', frozen cfg, q, p) or ('accept'|'reject', None, None, None).
-        """
-        n, h = self.n, self.height
-        while True:
-            if result is None:
-                if depth == h:
-                    q, p = self._derive(cfg)
-                    trivial = self._leaf_trivial(q, p)
-                    if trivial is None:
-                        return ("launch", tuple(cfg), q, p)
-                    result = trivial
-                    continue
-                cfg[depth] = (0, 1)
-                depth += 1
-                continue
-            if depth == 0:
-                return ("accept" if result else "reject", None, None, None)
-            r, phase = cfg[depth - 1]
-            if result and phase == 2:
-                depth -= 1
-                result = True
-            elif result and phase == 1:
-                cfg[depth - 1] = (r, 2)
-                result = None
-            elif r + 1 < n:
-                cfg[depth - 1] = (r + 1, 1)
-                result = None
-            else:
-                depth -= 1
-                result = False
-
-
 def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = 10**6) -> TwoWayAutomaton:
     """Emit the simulating deterministic two-way machine as a real automaton.
 
@@ -238,18 +180,29 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = 10**6) -> TwoW
     Guarded to tiny sources; the state count never exceeds
     4n * (2n) ** ceil(log2(n - 1)).
     """
-    _require_det_form(automaton)
+    require_normal_form(automaton, alternating=False)
     n = automaton.n
     if not 2 <= n <= 5:
         raise ValueError("materialization is guarded to machines with 2 to 5 states")
-    mat = _Materializer(automaton)
-    bound = 4 * n * (2 * n) ** mat.height
+    height = _ceil_log2(n - 1)
+    bound = 4 * n * (2 * n) ** height
     if bound > max_states:
         raise TooLarge(f"state bound {bound} exceeds the ceiling {max_states}")
+    controller = build_controller(automaton)
+    q_final = controller.final_state
 
-    symbols = automaton.symbols()
-    fixed = mat.controller.fixed_table
-    left_rows = mat.controller.left_end_rows
+    def leaf_without_tape(q: int, p: int) -> bool | None:
+        """Resolve a base case without touching the tape, if possible."""
+        if q == p:
+            return True
+        launches = automaton.successors(q, LEFT_ENDMARKER)
+        if (p, STAY) in launches:
+            return True
+        if not any(d == RIGHT for (_, d) in launches):
+            return False
+        if p == q_final:
+            return False
+        return None  # a backward search over the tape is required
 
     ids: dict[object, int] = {}
     names: list[str] = []
@@ -266,35 +219,34 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = 10**6) -> TwoW
     accept_id = state_id("accept", "acc")
     reject_id = state_id("reject", "rej")
 
-    def outcome_id(outcome) -> int:
-        kind, cfg, q, p = outcome
-        if kind == "accept":
-            return accept_id
-        if kind == "reject":
-            return reject_id
-        start = ControllerState(DONE_LEFT, p)
-        return state_id((cfg, start), f"s{len(names)}")
+    def resume(stack: list[list[int]], answer: bool | None) -> int:
+        """The state after running the stack machine to its next tape-bound base case."""
+        verdict = _divide(stack, height, n, leaf_without_tape, answer)
+        if verdict is not None:
+            return accept_id if verdict else reject_id
+        q, p, r, phase = stack[-1]
+        frames = tuple(map(tuple, stack))
+        return state_id((frames, ControllerState(DONE_LEFT, r if phase == 1 else p)),
+                        f"s{len(names)}")
 
+    symbols = automaton.symbols()
     delta: dict[tuple[int, str], list[tuple[int, int]]] = {}
-    initial_id = outcome_id(mat.advance([(0, 1)] * mat.height, 0, None))
+    initial_id = resume([[automaton.initial, q_final, automaton.initial, 2]], None)
     while worklist:
         key = worklist.pop()
-        cfg, ctrl = key
+        frames, ctrl = key
         sid = ids[key]
-        q_from, _ = mat._derive(list(cfg))
+        q, p, r, phase = frames[-1]
+        q_from = q if phase == 1 else r  # the base case's first endpoint
         for sym in symbols:
-            if ctrl.kind == SCAN_LEFT and sym == LEFT_ENDMARKER:
-                entry = left_rows[q_from][ctrl.state]
-            else:
-                entry = fixed.get((ctrl, sym))
+            entry = controller.entry(ctrl, sym, q_from)
             if entry is not None:
                 nxt, d = entry
-                target = state_id((cfg, nxt), f"s{len(names)}")
+                target = state_id((frames, nxt), f"s{len(names)}")
                 delta[(sid, sym)] = [(target, d)]
             elif sym == LEFT_ENDMARKER:
                 # The backward search only ever halts at the left endmarker.
-                finished = ctrl.kind == ACCEPT
-                target = outcome_id(mat.advance(list(cfg), mat.height, finished))
+                target = resume([list(f) for f in frames], ctrl.kind == ACCEPT)
                 delta[(sid, sym)] = [(target, STAY)]
 
     result = TwoWayAutomaton(

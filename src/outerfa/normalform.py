@@ -69,6 +69,19 @@ def check_normal_form(automaton: TwoWayAutomaton, alternating: bool = False) -> 
     )
 
 
+def require_normal_form(automaton: TwoWayAutomaton, alternating: bool) -> None:
+    """Raise NotNormalForm unless the machine is in the normal form.
+
+    Without `alternating` that is the strict form, on a machine without
+    universal states; with it, the relaxed form, universal states allowed.
+    """
+    if not alternating and automaton.universal:
+        raise NotNormalForm("this operation takes machines without universal states")
+    if not all(_normal_form_flags(automaton, alternating)):
+        variant = "relaxed" if alternating else "strict"
+        raise NotNormalForm(f"this operation requires the {variant} normal form")
+
+
 def _stationary_closure(rows: dict, q: int, symbol: str) -> set[tuple[int, int]]:
     """Moving transitions reachable from (q, symbol) through stationary chains.
 

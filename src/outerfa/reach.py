@@ -15,10 +15,13 @@ predecessors one cell to the right, with one start and one finish state per
 mode.  Only the rows read at the left endmarker depend on the q_from
 parameter; they are kept in a separate per-parameter table.
 
-On top of the controller sit a guessing variant (`n_reach`) that emits some
-state with a segment into q_to, and its iterated form (`t_reach`) checking
-a chain of exactly t segments out of the initial state.  Both are driven by
-explicit choice traces so that callers can replay or exhaust them.
+One stepper, `_walk`, runs the controller over a tape; it serves both the
+plain search (`segment_reach`) and the guessing variant, whose choice
+points it records (`_script`).  The guessing variant (`n_reach`) emits some
+state with a segment into q_to; its iterated form (`t_reach`) checks a
+chain of exactly t segments out of the initial state, and `n_reach` is its
+one-segment case.  Both are driven by explicit choice traces so that
+callers can replay or exhaust them.
 
 The controller is the paper's constant-memory device.  The deciders, which
 may spend memory linear in the tape, instead read the whole segment
@@ -29,7 +32,7 @@ read forward, one memoized pass over the configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     LEFT,
@@ -41,10 +44,8 @@ from .core import (
     TwoWayAutomaton,
     Verdict,
     check_word,
-    symbol_at,
-    _normal_form_flags,
 )
-from .normalform import NotNormalForm
+from .normalform import require_normal_form
 
 SCAN_LEFT = "scan_left"
 DONE_LEFT = "done_left"
@@ -61,27 +62,6 @@ class TraceUnderflow(Exception):
     def __init__(self, options: int):
         super().__init__(f"trace exhausted with {options} choices open")
         self.options = options
-
-
-class _AbortBranch(Exception):
-    """Internal: the trace selected a choice index that does not exist."""
-
-
-class _TraceCursor:
-    """Sequential reader of a choice trace."""
-
-    def __init__(self, trace: Sequence[int]):
-        self._trace = trace
-        self._pos = 0
-
-    def choose(self, options: int) -> int:
-        if self._pos >= len(self._trace):
-            raise TraceUnderflow(options)
-        value = self._trace[self._pos]
-        self._pos += 1
-        if not 0 <= value < options:
-            raise _AbortBranch
-        return value
 
 
 class ControllerState(NamedTuple):
@@ -121,6 +101,12 @@ class ReachController:
     def state_count(self) -> int:
         return len(self.states)
 
+    def entry(self, cs: ControllerState, sym: str, q_from: int) -> Entry | None:
+        """The move of `cs` on `sym` in the search for segments out of q_from; None halts."""
+        if cs.kind == SCAN_LEFT and sym == LEFT_ENDMARKER:
+            return self.left_end_rows[q_from][cs.state]
+        return self.fixed_table.get((cs, sym))
+
     def dump(self) -> str:
         """Human-readable table, parameter-independent part first."""
         names = self.automaton.state_names
@@ -141,17 +127,12 @@ class ReachController:
         return "\n".join(lines)
 
 
-def _require_normal_form(automaton: TwoWayAutomaton) -> int:
-    # The relaxed variant suffices: segments only need determinism away
-    # from the left endmarker plus the halting accepting-state shape.
-    if not all(_normal_form_flags(automaton, alternating=True)):
-        raise NotNormalForm("segment detection requires the structured normal form")
-    return next(iter(automaton.accepting))
-
-
 def build_controller(automaton: TwoWayAutomaton) -> ReachController:
     """Fill in the 4n - 3 state transition table for the backward search."""
-    q_final = _require_normal_form(automaton)
+    # The relaxed variant suffices: segments only need determinism away
+    # from the left endmarker plus the halting accepting-state shape.
+    require_normal_form(automaton, alternating=True)
+    q_final = next(iter(automaton.accepting))
     n = automaton.n
     letters = automaton.alphabet
     searchable = [q for q in range(n) if q != q_final]
@@ -235,64 +216,74 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
     )
 
 
-def _run_controller(controller: ReachController, word: str, q_from: int, q_to: int) -> bool:
-    """Execute the backward search; True means it halted in the accept state."""
-    automaton = controller.automaton
+def _walk(controller: ReachController, word: str, q_to: int,
+          at_left: Callable[[int], Entry]) -> bool:
+    """Step the backward search for q_to over the tape until it halts; True if in ACCEPT.
+
+    The only rows that depend on the segment's start are the scan-left
+    states' at the left endmarker: there `at_left(q)` gives the move of
+    SCAN_LEFT(q).  The search always halts within (4n - 3)(|w| + 2) steps.
+    """
+    table = controller.fixed_table
     bound = controller.state_count * (len(word) + 2)
-    param_row = controller.left_end_rows[q_from]
+    tape = LEFT_ENDMARKER + word + RIGHT_ENDMARKER
     cs = ControllerState(DONE_LEFT, q_to)
     pos = 0
     for _ in range(bound + 1):
-        if cs.kind == ACCEPT:
-            return True
-        sym = symbol_at(word, pos)
-        if cs.kind == SCAN_LEFT and sym == LEFT_ENDMARKER:
-            entry = param_row[cs.state]
+        if pos == 0 and cs.kind == SCAN_LEFT:
+            entry = at_left(cs.state)
         else:
-            entry = controller.fixed_table.get((cs, sym))
+            entry = table.get((cs, tape[pos]))
         if entry is None:
-            return False
+            return cs.kind == ACCEPT
         cs, d = entry
         pos += d
     raise InvariantViolation(
-        f"backward search exceeded its {bound}-step termination bound on {automaton!r}")
+        f"backward search exceeded its {bound}-step termination bound on {controller.automaton!r}")
 
 
-def _choice_script(controller: ReachController, word: str, q_to: int) -> tuple[tuple[int, ...], ...]:
-    """Choice points of the guessing search, in execution order.
+def _launchers(automaton: TwoWayAutomaton, q: int, d: int) -> tuple[int, ...]:
+    """The states with a left-endmarker choice into q moving in direction d, in state order."""
+    return tuple(p for p in range(automaton.n)
+                 if (q, d) in automaton.successors(p, LEFT_ENDMARKER))
+
+
+def _script(controller: ReachController, word: str, q_to: int) -> tuple[tuple[int, ...], ...]:
+    """Choice points of the guessing search for segments into q_to, in execution order.
 
     The walk behaves as if "keep searching" were chosen at every left
     endmarker encounter, which visits every choice point of the backward
     tree exactly once.  Each recorded entry lists, in state order, the
-    states that may be emitted there.
+    states that may be emitted there.  A segment into the accepting state
+    is a single stationary move, so its search has one choice point at most.
     """
     automaton = controller.automaton
-    bound = controller.state_count * (len(word) + 2)
+    if q_to == controller.final_state:
+        cands = _launchers(automaton, q_to, STAY)
+        return (cands,) if cands else ()
     script: list[tuple[int, ...]] = []
-    cs = ControllerState(DONE_LEFT, q_to)
-    pos = 0
-    for _ in range(bound + 1):
-        sym = symbol_at(word, pos)
-        if cs.kind == SCAN_LEFT and sym == LEFT_ENDMARKER:
-            q = cs.state
-            script.append(tuple(
-                p for p in range(automaton.n)
-                if (q, RIGHT) in automaton.successors(p, LEFT_ENDMARKER)
-            ))
-            entry = (ControllerState(DONE_LEFT, q), RIGHT)
-        else:
-            entry = controller.fixed_table.get((cs, sym))
-        if entry is None:
-            return tuple(script)
-        cs, d = entry
-        pos += d
-    raise InvariantViolation("backward search exceeded its termination bound")
+
+    def keep_searching(q: int) -> Entry:
+        script.append(_launchers(automaton, q, RIGHT))
+        return ControllerState(DONE_LEFT, q), RIGHT
+
+    _walk(controller, word, q_to, keep_searching)
+    return tuple(script)
 
 
 def _check_states(automaton: TwoWayAutomaton, *states: int) -> None:
     for q in states:
         if not 0 <= q < automaton.n:
             raise ValueError(f"unknown state id {q}: the machine has states 0 to {automaton.n - 1}")
+
+
+def _check_call(automaton: TwoWayAutomaton, word: str, controller: ReachController | None,
+                *states: int) -> None:
+    """Reject unknown state ids, foreign letters and a controller built for another machine."""
+    _check_states(automaton, *states)
+    check_word(automaton, word)
+    if controller is not None and controller.automaton is not automaton:
+        raise ValueError("the controller was built for a different machine")
 
 
 def reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
@@ -304,10 +295,10 @@ def reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
     this covers every segment into the accepting state.  A state with no
     way off the left endmarker starts no segment.  Everything else runs the
     backward controller, which always halts.  State ids outside range(n)
-    raise ValueError, letters outside the alphabet NotApplicable.
+    and a controller built for another machine raise ValueError, letters
+    outside the alphabet NotApplicable.
     """
-    _check_states(automaton, q_from, q_to)
-    check_word(automaton, word)
+    _check_call(automaton, word, controller, q_from, q_to)
     if q_from == q_to:
         return True
     return segment_reach(automaton, word, q_from, q_to, controller)
@@ -316,8 +307,7 @@ def reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
 def segment_reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
                   controller: ReachController | None = None) -> bool:
     """Like `reach` but without the equal-endpoints shortcut: a real segment must exist."""
-    _check_states(automaton, q_from, q_to)
-    check_word(automaton, word)
+    _check_call(automaton, word, controller, q_from, q_to)
     if controller is None:
         controller = build_controller(automaton)
     launches = automaton.successors(q_from, LEFT_ENDMARKER)
@@ -327,7 +317,7 @@ def segment_reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
         return False
     if q_to == controller.final_state:
         return False
-    return _run_controller(controller, word, q_from, q_to)
+    return _walk(controller, word, q_to, controller.left_end_rows[q_from].__getitem__)
 
 
 _UNSEEN = -1
@@ -360,7 +350,7 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> ReturnTable:
     is walked twice: O(n * |w|) steps and n * (|w| + 2) memo slots.
     A letter outside the alphabet raises NotApplicable.
     """
-    _require_normal_form(automaton)
+    require_normal_form(automaton, alternating=True)
     check_word(automaton, word)
     n = automaton.n
     tape = word + RIGHT_ENDMARKER
@@ -388,29 +378,30 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> ReturnTable:
     return ReturnTable(automaton, tuple(returns))
 
 
-def _scripts_for(automaton: TwoWayAutomaton, controller: ReachController,
-                 word: str) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Guessing-search scripts for every possible target state."""
-    scripts = {}
-    for q_to in range(automaton.n):
-        if q_to == controller.final_state:
-            cands = tuple(
-                p for p in range(automaton.n)
-                if (q_to, STAY) in automaton.successors(p, LEFT_ENDMARKER)
-            )
-            scripts[q_to] = (cands,) if cands else ()
+def _chain(controller: ReachController, word: str, q: int, t: int,
+           trace: Sequence[int]) -> int | None:
+    """Run t guessing searches backward from q, each from the state the last one emitted.
+
+    At every choice point, option 0 keeps searching and option j >= 1 emits
+    the j-th candidate.  Returns the last state emitted, or None if a search
+    exhausts its backward tree or the trace picks a candidate that does not
+    exist.  A too-short trace raises TraceUnderflow.
+    """
+    pos = 0
+    for _ in range(t):
+        for candidates in _script(controller, word, q):
+            if pos == len(trace):
+                raise TraceUnderflow(1 + len(candidates))
+            pick = trace[pos]
+            pos += 1
+            if not 0 <= pick <= len(candidates):
+                return None
+            if pick:
+                q = candidates[pick - 1]
+                break
         else:
-            scripts[q_to] = _choice_script(controller, word, q_to)
-    return scripts
-
-
-def _n_reach_on_script(script: tuple[tuple[int, ...], ...], cursor: _TraceCursor) -> int | None:
-    """Walk one guessing search; None encodes the don't-know abort."""
-    for candidates in script:
-        pick = cursor.choose(1 + len(candidates))
-        if pick > 0:
-            return candidates[pick - 1]
-    return None
+            return None
+    return q
 
 
 def n_reach(automaton: TwoWayAutomaton, word: str, q_to: int, trace: Sequence[int],
@@ -422,28 +413,11 @@ def n_reach(automaton: TwoWayAutomaton, word: str, q_to: int, trace: Sequence[in
     backward tree, or demanding a candidate that does not exist, yields
     Verdict.DONT_KNOW.  A too-short trace raises TraceUnderflow.
     """
-    _check_states(automaton, q_to)
-    check_word(automaton, word)
+    _check_call(automaton, word, controller, q_to)
     if controller is None:
         controller = build_controller(automaton)
-    scripts = _scripts_for(automaton, controller, word)
-    cursor = _TraceCursor(trace)
-    try:
-        result = _n_reach_on_script(scripts[q_to], cursor)
-    except _AbortBranch:
-        return Verdict.DONT_KNOW
+    result = _chain(controller, word, q_to, 1, trace)
     return Verdict.DONT_KNOW if result is None else result
-
-
-def _t_reach_inner(q: int, t: int, initial: int,
-                   scripts: dict[int, tuple[tuple[int, ...], ...]],
-                   cursor: _TraceCursor) -> bool | None:
-    cur = q
-    for _ in range(t):
-        cur = _n_reach_on_script(scripts[cur], cursor)
-        if cur is None:
-            return None
-    return True if cur == initial else None
 
 
 def t_reach(automaton: TwoWayAutomaton, word: str, q: int, t: int, trace: Sequence[int],
@@ -453,18 +427,13 @@ def t_reach(automaton: TwoWayAutomaton, word: str, q: int, t: int, trace: Sequen
     The check walks backward: t guessing searches, each feeding the next,
     must end exactly at the initial state.  Any abort or mismatch is a
     don't-know, not a refusal.  With t = 0 the answer is simply whether q
-    is the initial state.
+    is the initial state; a negative t raises ValueError.
     """
-    _check_states(automaton, q)
-    check_word(automaton, word)
+    if t < 0:
+        raise ValueError("the chain length t must be at least 0")
+    _check_call(automaton, word, controller, q)
     if t == 0:
         return q == automaton.initial
     if controller is None:
         controller = build_controller(automaton)
-    scripts = _scripts_for(automaton, controller, word)
-    cursor = _TraceCursor(trace)
-    try:
-        result = _t_reach_inner(q, t, automaton.initial, scripts, cursor)
-    except _AbortBranch:
-        return Verdict.DONT_KNOW
-    return True if result else Verdict.DONT_KNOW
+    return True if _chain(controller, word, q, t, trace) == automaton.initial else Verdict.DONT_KNOW

@@ -25,15 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import InvariantViolation, TwoWayAutomaton, Verdict, _normal_form_flags
-from .normalform import NotNormalForm
-from .reach import (
-    ReachController,
-    TraceUnderflow,
-    _scripts_for,
-    build_controller,
-    return_table,
-)
+from .core import InvariantViolation, TwoWayAutomaton, Verdict
+from .normalform import NotNormalForm, require_normal_form
+from .reach import TraceUnderflow, _script, build_controller, return_table
 from .reach import segment_reach  # noqa: F401  (perfbench/tracing.py wraps it here by name)
 
 
@@ -84,25 +78,17 @@ class _SimContext:
     the controller walk, whose order fixes how a trace replays them.
     """
 
-    def __init__(self, automaton: TwoWayAutomaton, word: str,
-                 controller: ReachController | None = None):
-        if controller is None:
-            controller = build_controller(automaton)
+    def __init__(self, automaton: TwoWayAutomaton, word: str):
+        require_normal_form(automaton, alternating=False)
+        if automaton.initial in automaton.accepting:
+            raise NotNormalForm("the initial state must not be the accepting state")
+        controller = build_controller(automaton)
         self.n = automaton.n
         self.initial = automaton.initial
         self.final = controller.final_state
         table = return_table(automaton, word)  # rejects foreign letters before the walk
         self.segment = [frozenset(table.outcomes(p)) for p in range(automaton.n)]
-        self.scripts = _scripts_for(automaton, controller, word)
-
-
-def _require_svfa_form(automaton: TwoWayAutomaton) -> None:
-    if automaton.universal:
-        raise NotNormalForm("the self-verifying simulation takes machines without universal states")
-    if not all(_normal_form_flags(automaton, alternating=False)):
-        raise NotNormalForm("the self-verifying simulation requires the strict normal form")
-    if automaton.initial in automaton.accepting:
-        raise NotNormalForm("the initial state must not be the accepting state")
+        self.scripts = [_script(controller, word, q) for q in range(automaton.n)]
 
 
 # A paused branch is ("choice", snapshot, options); a finished one is
@@ -178,7 +164,6 @@ def svfa_run(automaton: TwoWayAutomaton, word: str, trace: Sequence[int]) -> Ver
     an out-of-range selector aborts in don't-know and a trace shorter than
     the branch raises TraceUnderflow.
     """
-    _require_svfa_form(automaton)
     ctx = _SimContext(automaton, word)
     state = _start(ctx)
     position = 0
@@ -194,16 +179,14 @@ def svfa_run(automaton: TwoWayAutomaton, word: str, trace: Sequence[int]) -> Ver
     return state[1]
 
 
-def svfa_decide(automaton: TwoWayAutomaton, word: str, budget: int = 10**6,
-                controller: ReachController | None = None) -> DecisionReport:
+def svfa_decide(automaton: TwoWayAutomaton, word: str, budget: int = 10**6) -> DecisionReport:
     """Exhaust every choice trace depth-first and aggregate the verdicts.
 
     The enumeration is finite because every branch halts.  A budget of
     visited branch points guards against misuse on oversized machines;
     exceeding it raises BudgetExceeded carrying the partial report.
     """
-    _require_svfa_form(automaton)
-    ctx = _SimContext(automaton, word, controller)
+    ctx = _SimContext(automaton, word)
     tally = {Verdict.ACCEPT: 0, Verdict.REJECT: 0, Verdict.DONT_KNOW: 0}
 
     def report(complete: bool) -> DecisionReport:

@@ -13,7 +13,7 @@ import re
 import pytest
 
 from outerfa.core import LEFT, LEFT_ENDMARKER, RIGHT, RIGHT_ENDMARKER, STAY, TwoWayAutomaton
-from outerfa.core import _normal_form_flags
+from outerfa.normalform import check_normal_form
 
 
 def assert_dot_wellformed(text: str) -> None:
@@ -102,7 +102,7 @@ def random_nf_onfa(seed: int, n_max: int = 5, alphabet: str = "ab") -> TwoWayAut
         accepting=[q_final],
         declared_flavor="onfa",
     )
-    assert all(_normal_form_flags(machine, alternating=False))
+    assert check_normal_form(machine, alternating=False).all_properties
     return machine
 
 
@@ -136,7 +136,7 @@ def random_nf_oafa(seed: int, n_max: int = 4, alphabet: str = "ab") -> TwoWayAut
         universal=universal,
         declared_flavor="oafa",
     )
-    assert all(_normal_form_flags(machine, alternating=True))
+    assert check_normal_form(machine, alternating=True).all_properties
     return machine
 
 

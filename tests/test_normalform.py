@@ -3,7 +3,10 @@
 import pytest
 
 from outerfa import (
+    LEFT_ENDMARKER,
+    STAY,
     NotApplicable,
+    NotNormalForm,
     NotOuter,
     TwoWayAutomaton,
     accepts_oracle,
@@ -11,10 +14,15 @@ from outerfa import (
     alternating_accepts_oracle,
     check_normal_form,
     classify,
+    decide_det,
+    materialize_dfa,
     normalize_oafa,
     normalize_onfa,
+    reachable,
+    require_normal_form,
+    svfa_run,
 )
-from outerfa.fixtures import P_A, build_e1, build_e2
+from outerfa.fixtures import P_A, P_B, Q_I, build_e1, build_e2
 
 E1 = build_e1()
 E2 = build_e2()
@@ -162,3 +170,44 @@ def test_universal_choice_at_right_endmarker_keeps_quantifier(raw_alt_corpus):
     assert languages_equal(machine, out, 5, oracle=alternating_accepts_oracle)
     # sanity: the bad branch really kills every nonempty word
     assert not any(alternating_accepts_oracle(machine, w) for w in all_words("a", 4))
+
+
+def e1_variant(changes=(), universal=()):
+    """E1 with some rows replaced and some states made universal."""
+    delta = dict(E1.delta)
+    delta.update(changes)
+    return TwoWayAutomaton(E1.state_names, E1.alphabet, delta, E1.initial, E1.accepting,
+                           universal=universal)
+
+
+OUTSIDE_STRICT_FORM = {
+    "stationary_on_letter": e1_variant({(P_A, "a"): [(P_A, STAY)]}),
+    # the relaxed form allows this stationary move, the strict form does not
+    "stationary_into_non_final": e1_variant({(Q_I, LEFT_ENDMARKER): [(P_A, STAY)]}),
+    "universal_states": e1_variant(universal=[Q_I]),
+}
+
+
+def test_require_normal_form():
+    require_normal_form(E1, alternating=False)
+    require_normal_form(E1, alternating=True)
+    require_normal_form(E2, alternating=True)
+    relaxed_only = OUTSIDE_STRICT_FORM["stationary_into_non_final"]
+    require_normal_form(relaxed_only, alternating=True)
+    for machine in OUTSIDE_STRICT_FORM.values():
+        with pytest.raises(NotNormalForm):
+            require_normal_form(machine, alternating=False)
+    with pytest.raises(NotNormalForm, match="relaxed normal form"):
+        require_normal_form(OUTSIDE_STRICT_FORM["stationary_on_letter"], alternating=True)
+
+
+@pytest.mark.parametrize("machine", OUTSIDE_STRICT_FORM.values(), ids=OUTSIDE_STRICT_FORM.keys())
+@pytest.mark.parametrize("call", [
+    lambda m: decide_det(m, "ab"),
+    lambda m: reachable(m, "ab", Q_I, P_B, 2),
+    lambda m: materialize_dfa(m),
+    lambda m: svfa_run(m, "ab", [0]),
+], ids=["decide_det", "reachable", "materialize_dfa", "svfa_run"])
+def test_strict_simulations_reject_other_machines(machine, call):
+    with pytest.raises(NotNormalForm):
+        call(machine)

@@ -16,6 +16,7 @@ from outerfa import (
     normalize_oafa,
     normalize_onfa,
     reach,
+    reachable,
     return_table,
     segment_exists_oracle,
     segment_reach,
@@ -140,6 +141,26 @@ def test_t_reach_examples():
     assert set(outcomes) == {Verdict.DONT_KNOW}
 
 
+def test_t_reach_rejects_negative_chain_length():
+    with pytest.raises(ValueError, match="at least 0"):
+        t_reach(E1, "aa", Q_I, -1, [])
+
+
+def test_controller_of_another_machine_is_rejected():
+    delta = dict(E1.delta)
+    delta[(R_A, "a")] = [(R_B, LEFT)]  # still in normal form, other segments
+    mutant = TwoWayAutomaton(E1.state_names, E1.alphabet, delta, E1.initial, E1.accepting)
+    foreign = build_controller(mutant)
+    assert reach(E1, "aa", P_A, R_A) != reach(mutant, "aa", P_A, R_A, foreign)
+    for call in (lambda: reach(E1, "aa", P_A, R_A, foreign),
+                 lambda: reach(E1, "aa", P_A, P_A, foreign),
+                 lambda: segment_reach(E1, "aa", P_A, R_A, foreign),
+                 lambda: n_reach(E1, "aa", R_A, [0, 1], foreign),
+                 lambda: t_reach(E1, "aa", R_A, 1, [0, 1], foreign)):
+        with pytest.raises(ValueError, match="different machine"):
+            call()
+
+
 def test_t_reach_matches_chain_oracle(nf_corpus):
     for machine in nf_corpus[:8]:
         controller = build_controller(machine)
@@ -178,8 +199,10 @@ def test_runs_stay_within_the_step_bound(nf_corpus):
     lambda bad: t_reach(E1, "aa", bad, 0, []),
     lambda bad: t_reach(E1, "aa", bad, 1, [0, 1]),
     lambda bad: return_table(E1, "aa").outcomes(bad),
+    lambda bad: reachable(E1, "aa", 0, bad, 2),
+    lambda bad: reachable(E1, "aa", bad, 1, 2),
 ], ids=["reach_to", "reach_from", "segment_reach_to", "segment_reach_from",
-        "n_reach", "t_reach_zero", "t_reach", "return_table"])
+        "n_reach", "t_reach_zero", "t_reach", "return_table", "reachable_to", "reachable_from"])
 def test_unknown_state_ids_raise(call):
     for bad in (99, E1.n, -1):
         with pytest.raises(ValueError, match="unknown state id"):
