@@ -39,7 +39,7 @@ from .normalform import (
     require_normal_form,
 )
 from .reach import build_controller, reach
-from .svfa import BudgetExceeded, svfa_decide, svfa_state_accounting
+from .svfa import BudgetExceeded, complement_decide, svfa_decide, svfa_state_accounting
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -77,13 +77,18 @@ def _ensure_normal_form(automaton: TwoWayAutomaton, alternating: bool) -> TwoWay
     return automaton
 
 
+def _oracle(automaton: TwoWayAutomaton, word: str) -> bool:
+    """Brute-force acceptance, alternating when the machine has universal states."""
+    if automaton.universal:
+        return alternating_accepts_oracle(automaton, word)
+    return accepts_oracle(automaton, word)
+
+
 def _decide(automaton: TwoWayAutomaton, word: str, method: str, budget: int):
     """Boolean acceptance through one of the decision pipelines."""
     extras: dict = {}
     if method == "oracle":
-        if automaton.universal:
-            return alternating_accepts_oracle(automaton, word), extras
-        return accepts_oracle(automaton, word), extras
+        return _oracle(automaton, word), extras
     if method == "agap":
         return oafa_decide(_ensure_normal_form(automaton, alternating=True), word), extras
     machine = _ensure_normal_form(automaton, alternating=False)
@@ -177,8 +182,7 @@ def _cmd_segment_graph(args) -> int:
 def _cmd_complement(args) -> int:
     automaton = _load(args.file)
     machine = _ensure_normal_form(automaton, alternating=False)
-    report = svfa_decide(machine, args.word, budget=args.budget)
-    _emit({"result": report.verdict_exists_no}, args.json)
+    _emit({"result": complement_decide(machine, args.word, budget=args.budget)}, args.json)
     return EXIT_OK
 
 
@@ -208,14 +212,8 @@ def _cmd_equiv(args) -> int:
     right = _load(args.file2)
     if left.alphabet != right.alphabet:
         raise NotApplicable("the two machines use different alphabets")
-
-    def accepts(machine: TwoWayAutomaton, word: str) -> bool:
-        if machine.universal:
-            return alternating_accepts_oracle(machine, word)
-        return accepts_oracle(machine, word)
-
     for word in all_words(left.alphabet, args.max_len):
-        if accepts(left, word) != accepts(right, word):
+        if _oracle(left, word) != _oracle(right, word):
             _emit({"equivalent": False, "counterexample": word}, args.json)
             return EXIT_MISMATCH
     _emit({"equivalent": True, "max_len": args.max_len}, args.json)

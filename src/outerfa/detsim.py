@@ -19,19 +19,14 @@ from dataclasses import dataclass
 from math import log, log2
 from typing import Callable
 
-from .core import (
-    LEFT_ENDMARKER,
-    RIGHT,
-    STAY,
-    InvariantViolation,
-    TwoWayAutomaton,
-)
+from .core import LEFT_ENDMARKER, STAY, InvariantViolation, TwoWayAutomaton
 from .normalform import require_normal_form
 from .reach import (
     ACCEPT,
     ControllerState,
     DONE_LEFT,
     _check_states,
+    _tape_free_segment,
     build_controller,
     return_table,
 )
@@ -192,17 +187,8 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = 10**6) -> TwoW
     q_final = controller.final_state
 
     def leaf_without_tape(q: int, p: int) -> bool | None:
-        """Resolve a base case without touching the tape, if possible."""
-        if q == p:
-            return True
-        launches = automaton.successors(q, LEFT_ENDMARKER)
-        if (p, STAY) in launches:
-            return True
-        if not any(d == RIGHT for (_, d) in launches):
-            return False
-        if p == q_final:
-            return False
-        return None  # a backward search over the tape is required
+        """Resolve a base case without touching the tape, if possible; None needs a search."""
+        return True if q == p else _tape_free_segment(controller, q, p)
 
     ids: dict[object, int] = {}
     names: list[str] = []

@@ -12,16 +12,20 @@ The search is materialized as a deterministic finite-state controller with
 exactly 4n - 3 states, walking the input tape.  Each tree node (q, i) is
 handled in two modes: first the predecessors one cell to the left, then the
 predecessors one cell to the right, with one start and one finish state per
-mode.  Only the rows read at the left endmarker depend on the q_from
-parameter; they are kept in a separate per-parameter table.
+mode.  Only one move depends on the q_from parameter: SCAN_LEFT(q) on the
+left endmarker accepts exactly when a choice of q_from launches q
+rightward, which the controller reads off one reverse launch index.
+Questions that need no tape go through one shortcut rule,
+`_tape_free_segment`, shared with the materialized deterministic machine.
 
-One stepper, `_walk`, runs the controller over a tape; it serves both the
-plain search (`segment_reach`) and the guessing variant, whose choice
-points it records (`_script`).  The guessing variant (`n_reach`) emits some
-state with a segment into q_to; its iterated form (`t_reach`) checks a
-chain of exactly t segments out of the initial state, and `n_reach` is its
-one-segment case.  Both are driven by explicit choice traces so that
-callers can replay or exhaust them.
+One stepper, `_walk`, runs the controller over a tape and reports each
+scan-left visit to the left endmarker.  The plain search (`segment_reach`)
+stops at the first visit its q_from launches; the guessing variant records
+every visit as a choice point (`_script`).  The guessing variant
+(`n_reach`) emits some state with a segment into q_to; its iterated form
+(`t_reach`) checks a chain of exactly t segments out of the initial state,
+and `n_reach` is its one-segment case.  Both are driven by explicit choice
+traces so that callers can replay or exhaust them.
 
 The controller is the paper's constant-memory device.  The deciders, which
 may spend memory linear in the tape, instead read the whole segment
@@ -32,7 +36,7 @@ read forward, one memoized pass over the configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     LEFT,
@@ -85,17 +89,21 @@ Entry = tuple[ControllerState, int]
 class ReachController:
     """Materialized backward-search controller for one machine.
 
-    `fixed_table` never depends on the segment endpoints; `left_end_rows`
-    holds, for every possible q_from parameter, the row consulted when a
-    scan-left state reads the left endmarker.  Every entry is deterministic
-    and the controller is immutable, so it can be shared across runs.
+    `fixed_table` never depends on the segment endpoints.  `launchers` is
+    the reverse launch index: `launchers[(q, d)]` lists, in state order, the
+    states with a left-endmarker choice into q moving in direction d (RIGHT
+    or STAY).  It fixes the one parameter-dependent move: SCAN_LEFT(q) on
+    the left endmarker accepts in the search for segments out of q_from iff
+    q_from is among `launchers[(q, RIGHT)]`, and otherwise keeps searching.
+    Every entry is deterministic and the controller is immutable, so it can
+    be shared across runs.
     """
 
     automaton: TwoWayAutomaton
     final_state: int
     states: tuple[ControllerState, ...]
     fixed_table: dict[tuple[ControllerState, str], Entry]
-    left_end_rows: dict[int, dict[int, Entry]]
+    launchers: dict[tuple[int, int], tuple[int, ...]]
 
     @property
     def state_count(self) -> int:
@@ -104,7 +112,9 @@ class ReachController:
     def entry(self, cs: ControllerState, sym: str, q_from: int) -> Entry | None:
         """The move of `cs` on `sym` in the search for segments out of q_from; None halts."""
         if cs.kind == SCAN_LEFT and sym == LEFT_ENDMARKER:
-            return self.left_end_rows[q_from][cs.state]
+            if q_from in self.launchers.get((cs.state, RIGHT), ()):
+                return ACCEPT_STATE, STAY
+            return ControllerState(DONE_LEFT, cs.state), RIGHT
         return self.fixed_table.get((cs, sym))
 
     def dump(self) -> str:
@@ -117,13 +127,13 @@ class ReachController:
             key=lambda item: (_KIND_ORDER[item[0][0].kind], item[0][0].state, item[0][1]),
         ):
             lines.append(f"  {cs.label(names)} {sym} -> {nxt.label(names)} {dirs[d]}")
-        for q_from in sorted(self.left_end_rows):
+        for q_from in range(self.automaton.n):
             lines.append(f"parameter q_from={names[q_from]}:")
-            for q, (nxt, d) in sorted(self.left_end_rows[q_from].items()):
-                lines.append(
-                    f"  {ControllerState(SCAN_LEFT, q).label(names)} {LEFT_ENDMARKER} "
-                    f"-> {nxt.label(names)} {dirs[d]}"
-                )
+            for cs in self.states:
+                if cs.kind == SCAN_LEFT:
+                    nxt, d = self.entry(cs, LEFT_ENDMARKER, q_from)
+                    lines.append(
+                        f"  {cs.label(names)} {LEFT_ENDMARKER} -> {nxt.label(names)} {dirs[d]}")
         return "\n".join(lines)
 
 
@@ -198,31 +208,28 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
             else:
                 table[(done_right, sym)] = (ControllerState(DONE_RIGHT, r), LEFT)
 
-    left_rows: dict[int, dict[int, Entry]] = {}
-    for q_from in range(n):
-        launches = row(q_from, LEFT_ENDMARKER)
-        left_rows[q_from] = {
-            q: (ACCEPT_STATE, STAY) if (q, RIGHT) in launches
-            else (ControllerState(DONE_LEFT, q), RIGHT)
-            for q in searchable
-        }
+    launchers: dict[tuple[int, int], list[int]] = {}
+    for p in range(n):
+        for move in row(p, LEFT_ENDMARKER):
+            launchers.setdefault(move, []).append(p)
 
     return ReachController(
         automaton=automaton,
         final_state=q_final,
         states=tuple(states),
         fixed_table=table,
-        left_end_rows=left_rows,
+        launchers={move: tuple(ps) for move, ps in launchers.items()},
     )
 
 
-def _walk(controller: ReachController, word: str, q_to: int,
-          at_left: Callable[[int], Entry]) -> bool:
-    """Step the backward search for q_to over the tape until it halts; True if in ACCEPT.
+def _walk(controller: ReachController, word: str, q_to: int) -> Iterator[int]:
+    """Step the backward search for q_to over the tape, yielding q at each SCAN_LEFT(q) on it.
 
-    The only rows that depend on the segment's start are the scan-left
-    states' at the left endmarker: there `at_left(q)` gives the move of
-    SCAN_LEFT(q).  The search always halts within (4n - 3)(|w| + 2) steps.
+    Only those moves, on the left endmarker, depend on the segment's start:
+    the plain search accepts there if q_from launches q rightward, so it
+    stops consuming at that visit.  The walk itself always keeps searching,
+    which visits every such point of the backward tree exactly once, and
+    halts within (4n - 3)(|w| + 2) steps.
     """
     table = controller.fixed_table
     bound = controller.state_count * (len(word) + 2)
@@ -231,21 +238,32 @@ def _walk(controller: ReachController, word: str, q_to: int,
     pos = 0
     for _ in range(bound + 1):
         if pos == 0 and cs.kind == SCAN_LEFT:
-            entry = at_left(cs.state)
+            yield cs.state
+            entry = (ControllerState(DONE_LEFT, cs.state), RIGHT)
         else:
             entry = table.get((cs, tape[pos]))
         if entry is None:
-            return cs.kind == ACCEPT
+            return
         cs, d = entry
         pos += d
     raise InvariantViolation(
         f"backward search exceeded its {bound}-step termination bound on {controller.automaton!r}")
 
 
-def _launchers(automaton: TwoWayAutomaton, q: int, d: int) -> tuple[int, ...]:
-    """The states with a left-endmarker choice into q moving in direction d, in state order."""
-    return tuple(p for p in range(automaton.n)
-                 if (q, d) in automaton.successors(p, LEFT_ENDMARKER))
+def _tape_free_segment(controller: ReachController, q_from: int, q_to: int) -> bool | None:
+    """Whether a segment runs from q_from to q_to, when the tape is not needed; else None.
+
+    A stationary launch into q_to is a segment.  Without a rightward launch
+    there is no other, nor is there into the accepting state.
+    """
+    launches = controller.automaton.successors(q_from, LEFT_ENDMARKER)
+    if (q_to, STAY) in launches:
+        return True
+    if q_to != controller.final_state:
+        for (_, d) in launches:
+            if d == RIGHT:
+                return None
+    return False
 
 
 def _script(controller: ReachController, word: str, q_to: int) -> tuple[tuple[int, ...], ...]:
@@ -257,18 +275,11 @@ def _script(controller: ReachController, word: str, q_to: int) -> tuple[tuple[in
     states that may be emitted there.  A segment into the accepting state
     is a single stationary move, so its search has one choice point at most.
     """
-    automaton = controller.automaton
+    launchers = controller.launchers
     if q_to == controller.final_state:
-        cands = _launchers(automaton, q_to, STAY)
+        cands = launchers.get((q_to, STAY), ())
         return (cands,) if cands else ()
-    script: list[tuple[int, ...]] = []
-
-    def keep_searching(q: int) -> Entry:
-        script.append(_launchers(automaton, q, RIGHT))
-        return ControllerState(DONE_LEFT, q), RIGHT
-
-    _walk(controller, word, q_to, keep_searching)
-    return tuple(script)
+    return tuple(launchers.get((q, RIGHT), ()) for q in _walk(controller, word, q_to))
 
 
 def _check_states(automaton: TwoWayAutomaton, *states: int) -> None:
@@ -293,7 +304,7 @@ def reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
     Equal endpoints answer yes immediately.  A stationary move at the left
     endmarker into q_to is the shortest real segment and also answers yes;
     this covers every segment into the accepting state.  A state with no
-    way off the left endmarker starts no segment.  Everything else runs the
+    rightward launch starts no other segment.  Everything else runs the
     backward controller, which always halts.  State ids outside range(n)
     and a controller built for another machine raise ValueError, letters
     outside the alphabet NotApplicable.
@@ -310,14 +321,13 @@ def segment_reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
     _check_call(automaton, word, controller, q_from, q_to)
     if controller is None:
         controller = build_controller(automaton)
-    launches = automaton.successors(q_from, LEFT_ENDMARKER)
-    if (q_to, STAY) in launches:
-        return True
-    if not launches:
-        return False
-    if q_to == controller.final_state:
-        return False
-    return _walk(controller, word, q_to, controller.left_end_rows[q_from].__getitem__)
+    answer = _tape_free_segment(controller, q_from, q_to)
+    if answer is not None:
+        return answer
+    for q in _walk(controller, word, q_to):
+        if q_from in controller.launchers.get((q, RIGHT), ()):
+            return True  # SCAN_LEFT(q) moves into ACCEPT
+    return False
 
 
 _UNSEEN = -1
@@ -427,13 +437,14 @@ def t_reach(automaton: TwoWayAutomaton, word: str, q: int, t: int, trace: Sequen
     The check walks backward: t guessing searches, each feeding the next,
     must end exactly at the initial state.  Any abort or mismatch is a
     don't-know, not a refusal.  With t = 0 the answer is simply whether q
-    is the initial state; a negative t raises ValueError.
+    is the initial state, once the machine has passed the same normal-form
+    gate as for t >= 1; a negative t raises ValueError.
     """
     if t < 0:
         raise ValueError("the chain length t must be at least 0")
     _check_call(automaton, word, controller, q)
-    if t == 0:
-        return q == automaton.initial
     if controller is None:
         controller = build_controller(automaton)
+    if t == 0:
+        return q == automaton.initial
     return True if _chain(controller, word, q, t, trace) == automaton.initial else Verdict.DONT_KNOW

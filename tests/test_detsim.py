@@ -1,5 +1,6 @@
 """Divide-and-conquer simulation, size formulas, materialization."""
 
+import hashlib
 import math
 
 import pytest
@@ -18,6 +19,7 @@ from outerfa import (
     materialize_dfa,
     reachable,
     segment_exists_oracle,
+    serialize,
 )
 from outerfa.fixtures import P_B, Q_F, Q_I, build_e1, build_ea, build_trivial_empty
 
@@ -121,6 +123,18 @@ def test_materialize_corpus_machines(nf_corpus):
         assert classify(emitted).is_deterministic
         for word in all_words(machine.alphabet, 4):
             assert accepts_oracle(emitted, word) == accepts_oracle(machine, word)
+
+
+def test_materialized_machines_are_pinned():
+    """The construction fixes every emitted machine; sizes and text must not drift."""
+    digest = hashlib.sha256()
+    total = 0
+    for seed in range(400):
+        emitted = materialize_dfa(random_nf_onfa(seed))
+        total += emitted.n
+        digest.update(serialize(emitted).encode("utf-8"))
+    assert total == 30294
+    assert digest.hexdigest() == "db728d156769aa467e7fa226643060786ccd22c8bd973d66af296e5f7f5b5fb9"
 
 
 def test_materialize_respects_ceiling():

@@ -1,5 +1,7 @@
 """Backward-search controller, guessing searches, chain checks."""
 
+from pathlib import Path
+
 import pytest
 
 from outerfa import (
@@ -57,16 +59,29 @@ def test_controller_state_counts():
     assert build_controller(build_trivial_empty()).state_count == 4 * 2 - 3
 
 
-def test_controller_requires_normal_form():
-    bent = build_e1()
-    delta = dict(bent.delta)
-    delta[(P_A, "a")] = [(P_A, 0)]
-    import outerfa
+def test_controller_dump_is_pinned():
+    """E1's whole table, parameter rows included, as `reach --dump-controller` prints it."""
+    golden = Path(__file__).parent / "data" / "e1_controller_dump.txt"
+    assert build_controller(E1).dump() == golden.read_text(encoding="utf-8").rstrip("\n")
 
-    machine = outerfa.TwoWayAutomaton(bent.state_names, bent.alphabet, delta,
-                                      bent.initial, bent.accepting)
+
+def bent_e1() -> TwoWayAutomaton:
+    """E1 with a stationary move on a letter: outside even the relaxed normal form."""
+    delta = dict(E1.delta)
+    delta[(P_A, "a")] = [(P_A, STAY)]
+    return TwoWayAutomaton(E1.state_names, E1.alphabet, delta, E1.initial, E1.accepting)
+
+
+def test_controller_requires_normal_form():
     with pytest.raises(NotNormalForm):
-        build_controller(machine)
+        build_controller(bent_e1())
+
+
+def test_t_reach_gates_every_chain_length():
+    machine = bent_e1()
+    for t, trace in ((0, []), (1, [0, 1])):
+        with pytest.raises(NotNormalForm):
+            t_reach(machine, "a", Q_I, t, trace)
 
 
 def test_reach_wrapper_cases():
