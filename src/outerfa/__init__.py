@@ -64,6 +64,7 @@ from .reach import (
     ReturnTable,
     TraceUnderflow,
     build_controller,
+    choice_scripts,
     n_reach,
     reach,
     return_table,

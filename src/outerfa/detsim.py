@@ -128,6 +128,12 @@ def reachable(automaton: TwoWayAutomaton, word: str, q: int, p: int, t: int,
         raise ValueError("the segment budget t must be at least 1")
     require_normal_form(automaton, alternating=False)
     _check_states(automaton, q, p)
+    return _reachable(automaton, word, q, p, t, stats)
+
+
+def _reachable(automaton: TwoWayAutomaton, word: str, q: int, p: int, t: int,
+               stats: ReachableStats | None) -> bool:
+    """The body of `reachable`, for callers that have already checked the machine and ids."""
     table = return_table(automaton, word)
     targets = [frozenset(table.outcomes(a)) for a in range(automaton.n)]
 
@@ -146,8 +152,7 @@ def decide_det(automaton: TwoWayAutomaton, word: str,
     if automaton.n < 2:
         raise ValueError("the machine needs at least two states")
     q_final = next(iter(automaton.accepting))
-    return reachable(automaton, word, automaton.initial, q_final,
-                     automaton.n - 1, stats=stats)
+    return _reachable(automaton, word, automaton.initial, q_final, automaton.n - 1, stats)
 
 
 def dfa_state_bound(n: int, normal_form: bool) -> BoundReport:

@@ -27,8 +27,9 @@ from typing import Sequence
 
 from .core import InvariantViolation, TwoWayAutomaton, Verdict
 from .normalform import NotNormalForm, require_normal_form
-from .reach import TraceUnderflow, _script, build_controller, return_table
-from .reach import segment_reach  # noqa: F401  (perfbench/tracing.py wraps it here by name)
+from .reach import TraceUnderflow, choice_scripts, return_table
+# perfbench/tracing.py wraps these here by name
+from .reach import build_controller, segment_reach  # noqa: F401
 
 
 class BudgetExceeded(Exception):
@@ -74,21 +75,22 @@ class _SimContext:
     """Per-(machine, word) tables shared by every replayed branch.
 
     `segment[p]` holds the states one segment away from p, from the word's
-    return table.  `scripts`, the guessing search's choice points, come from
-    the controller walk, whose order fixes how a trace replays them.
+    return table.  `scripts[q]`, the guessing search's choice points for
+    segments into q, come from one pass over the word's backward forest
+    (`choice_scripts`), in the order of the controller's walk, which fixes
+    how a trace replays them.  No controller is built.
     """
 
     def __init__(self, automaton: TwoWayAutomaton, word: str):
         require_normal_form(automaton, alternating=False)
         if automaton.initial in automaton.accepting:
             raise NotNormalForm("the initial state must not be the accepting state")
-        controller = build_controller(automaton)
         self.n = automaton.n
         self.initial = automaton.initial
-        self.final = controller.final_state
-        table = return_table(automaton, word)  # rejects foreign letters before the walk
+        self.final = next(iter(automaton.accepting))
+        table = return_table(automaton, word)  # rejects foreign letters
         self.segment = [frozenset(table.outcomes(p)) for p in range(automaton.n)]
-        self.scripts = [_script(controller, word, q) for q in range(automaton.n)]
+        self.scripts = choice_scripts(automaton, word)
 
 
 # A paused branch is ("choice", snapshot, options); a finished one is

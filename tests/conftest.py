@@ -1,10 +1,12 @@
-"""Shared corpora of randomly generated machines.
+"""Shared corpora of randomly generated machines, and two scalable sweepers.
 
-Three families: raw outer-choice machines (arbitrary stationary moves and
-endmarker choices, accepting sets sometimes empty), machines generated
-directly in the strict normal form, and partitioned machines generated in
-the relaxed normal form.  All generators are seeded, so every run of the
-suite sees the same corpus.
+Three random families: raw outer-choice machines (arbitrary stationary
+moves and endmarker choices, accepting sets sometimes empty), machines
+generated directly in the strict normal form, and partitioned machines
+generated in the relaxed normal form.  All generators are seeded, so every
+run of the suite sees the same corpus.  The sweepers (`mod_p_sweeper`,
+`chain_sweeper`) are strict-normal-form machines whose backward trees run
+the whole length of long words.
 """
 
 import random
@@ -27,6 +29,41 @@ def assert_dot_wellformed(text: str) -> None:
     attr = re.compile(r"^  [a-z]+=[A-Za-z]+;$")
     for line in lines[1:-1]:
         assert node.match(line) or edge.match(line) or attr.match(line), line
+
+
+def mod_p_sweeper(periods: tuple[int, ...]) -> TwoWayAutomaton:
+    """Pick p at the left endmarker, count letters mod p going right, accept iff p divides |w|."""
+    n = 2 + sum(periods) + len(periods)
+    q_final = n - 1
+    names = ["qI"]
+    delta = {(0, LEFT_ENDMARKER): []}
+    for p in periods:
+        base = len(names)
+        back = base + p
+        names += [f"c{p}_{i}" for i in range(p)] + [f"r{p}"]
+        delta[(0, LEFT_ENDMARKER)].append((base, RIGHT))
+        for i in range(p):
+            delta[(base + i, "a")] = [(base + (i + 1) % p, RIGHT)]
+        delta[(base, RIGHT_ENDMARKER)] = [(back, LEFT)]
+        delta[(back, "a")] = [(back, LEFT)]
+        delta[(back, LEFT_ENDMARKER)] = [(q_final, STAY)]
+    return TwoWayAutomaton(names + ["qF"], "a", delta, 0, [q_final], declared_flavor="onfa")
+
+
+def chain_sweeper(k: int) -> TwoWayAutomaton:
+    """k right-and-back sweeps in a row; the k-th rightward sweep halts on a b."""
+    q_final = 2 * k + 1
+    names = ["qI"] + [f"{kind}{j}" for j in range(1, k + 1) for kind in "fb"] + ["qF"]
+    delta = {(0, LEFT_ENDMARKER): [(1, RIGHT)]}
+    for j in range(1, k + 1):
+        fwd, back = 2 * j - 1, 2 * j
+        for letter in ("a" if j == k else "ab"):
+            delta[(fwd, letter)] = [(fwd, RIGHT)]
+        for letter in "ab":
+            delta[(back, letter)] = [(back, LEFT)]
+        delta[(fwd, RIGHT_ENDMARKER)] = [(back, LEFT)]
+        delta[(back, LEFT_ENDMARKER)] = [(q_final, STAY) if j == k else (fwd + 2, RIGHT)]
+    return TwoWayAutomaton(names, "ab", delta, 0, [q_final], declared_flavor="onfa")
 
 
 def random_onfa(seed: int, n_max: int = 5, alphabet: str = "ab") -> TwoWayAutomaton:

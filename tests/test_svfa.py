@@ -18,6 +18,8 @@ from outerfa import (
 from outerfa.normalform import NotNormalForm
 from outerfa.fixtures import build_e1, build_e2, build_trivial_all, build_trivial_empty
 
+from conftest import chain_sweeper, mod_p_sweeper
+
 E1 = build_e1()
 
 
@@ -190,3 +192,35 @@ def test_foreign_letters_raise():
     for call in (svfa_decide, complement_decide, lambda m, w: svfa_run(m, w, [0])):
         with pytest.raises(NotApplicable, match="not in the machine's alphabet"):
             call(E1, "ac")
+
+
+def _refuse_controller(automaton):
+    raise RuntimeError("svfa built a backward-search controller")
+
+
+@pytest.mark.parametrize("machine, word, report, trace, verdict", [
+    (E1, "aa", (True, False, 84, 85), (0,) * 6 + (3, 0, 1) * 6, Verdict.ACCEPT),
+    (E1, "ab", (False, True, 30, 31), (0,) * 6, Verdict.REJECT),
+    (mod_p_sweeper((2, 3)), "a" * 4, (True, False, 171, 172), (0,) * 9 + (3, 0, 1) * 9,
+     Verdict.ACCEPT),
+    (mod_p_sweeper((2, 3)), "a" * 5, (False, True, 72, 73), (0,) * 9, Verdict.REJECT),
+    (chain_sweeper(2), "aa", (True, False, 138, 139),
+     (0,) * 6 + (2, 0, 1) * 6 + (4, 0, 1, 0, 1) * 6, Verdict.ACCEPT),
+    (chain_sweeper(2), "aab", (False, True, 72, 73), (0,) * 6 + (2, 0, 1) * 6, Verdict.REJECT),
+], ids=["e1_aa", "e1_ab", "mod23_accept", "mod23_reject", "chain_accept", "chain_reject"])
+def test_decisions_build_no_controller(monkeypatch, machine, word, report, trace, verdict):
+    # the choice scripts come from one pass over the backward forest; the
+    # reports and the replayed trace are the ones the controller walks gave
+    import importlib
+
+    from outerfa import svfa
+
+    reach = importlib.import_module("outerfa.reach")  # the package's `reach` is a function
+    monkeypatch.setattr(reach, "build_controller", _refuse_controller)
+    monkeypatch.setattr(svfa, "build_controller", _refuse_controller)
+    decided = svfa_decide(machine, word)
+    assert (decided.verdict_exists_yes, decided.verdict_exists_no,
+            decided.dont_know_count, decided.branches_explored) == report
+    assert decided.all_halting and decided.complete
+    assert svfa_run(machine, word, trace) is verdict
+    assert complement_decide(machine, word) == (verdict is Verdict.REJECT)
