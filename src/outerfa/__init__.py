@@ -64,7 +64,6 @@ from .reach import (
     ReturnTable,
     TraceUnderflow,
     build_controller,
-    choice_scripts,
     n_reach,
     reach,
     return_table,

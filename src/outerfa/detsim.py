@@ -147,11 +147,14 @@ def _reachable(automaton: TwoWayAutomaton, word: str, q: int, p: int, t: int,
 
 def decide_det(automaton: TwoWayAutomaton, word: str,
                stats: ReachableStats | None = None) -> bool:
-    """Deterministic acceptance: a chain of at most n - 1 segments reaches the accepting state."""
+    """Deterministic acceptance: a chain of at most n - 1 segments reaches the accepting state.
+
+    A machine whose initial state is the accepting one accepts at once.
+    """
     require_normal_form(automaton, alternating=False)
-    if automaton.n < 2:
-        raise ValueError("the machine needs at least two states")
     q_final = next(iter(automaton.accepting))
+    if automaton.initial == q_final:
+        return True
     return _reachable(automaton, word, automaton.initial, q_final, automaton.n - 1, stats)
 
 

@@ -30,12 +30,12 @@ traces so that callers can replay or exhaust them.
 The controller is the paper's constant-memory device.  The deciders, which
 may spend memory linear in the tape, instead read the whole segment
 relation of one word off `return_table`: the same backward-search argument
-read forward, one memoized pass over the configurations.  The
-self-verifying simulation reads its choice points off `choice_scripts`:
-one explicit depth-first pass over the word's backward forest gives, for
-every target at once, what `_script` gives one target at a time, in the
-same order.  `_walk` and `_script` stay for the constant-memory searches
-and as the reference the pass is tested against.
+read forward, one memoized pass over the configurations.  It is the only
+per-word pass: the backward tree of (q_to, 0) holds a node (x, 1) exactly
+when the run from (x, 1) first returns to the left endmarker in q_to, so
+the self-verifying simulation's decider reads its choice points off the
+table as well.  Replaying one of its choice traces, whose order matters,
+walks the controller.
 """
 
 from __future__ import annotations
@@ -213,22 +213,18 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
             else:
                 table[(done_right, sym)] = (ControllerState(DONE_RIGHT, r), LEFT)
 
+    launchers: dict[tuple[int, int], list[int]] = {}
+    for p in range(n):
+        for move in row(p, LEFT_ENDMARKER):
+            launchers.setdefault(move, []).append(p)
+
     return ReachController(
         automaton=automaton,
         final_state=q_final,
         states=tuple(states),
         fixed_table=table,
-        launchers=_launch_index(automaton),
+        launchers={move: tuple(ps) for move, ps in launchers.items()},
     )
-
-
-def _launch_index(automaton: TwoWayAutomaton) -> dict[tuple[int, int], tuple[int, ...]]:
-    """`launchers[(q, d)]`: in state order, the states with a left-endmarker choice (q, d)."""
-    launchers: dict[tuple[int, int], list[int]] = {}
-    for p in range(automaton.n):
-        for move in automaton.successors(p, LEFT_ENDMARKER):
-            launchers.setdefault(move, []).append(p)
-    return {move: tuple(ps) for move, ps in launchers.items()}
 
 
 def _walk(controller: ReachController, word: str, q_to: int) -> Iterator[int]:
@@ -395,87 +391,6 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> ReturnTable:
             fate[key] = out
         returns[x] = out
     return ReturnTable(automaton, tuple(returns))
-
-
-def choice_scripts(automaton: TwoWayAutomaton,
-                   word: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The guessing search's choice points for every target state, by one pass over the word.
-
-    `choice_scripts(M, w)[q]` equals `_script(build_controller(M), w, q)`:
-    one explicit preorder depth-first pass over the backward forest reads
-    off, per target, the launch candidates of each tree node at position 1,
-    in the controller's order.  Node (q, i) lists first its predecessors at
-    i - 1 moving right, then those at i + 1 moving left, each group in
-    state order; the root (q_to, 0) has only the second group, and a node
-    at position 1 records `launchers[(q, RIGHT)]` instead of descending
-    left.  The trees of distinct targets are disjoint, so the pass takes
-    O(n * (|w| + 2)) steps.  A letter outside the alphabet raises
-    NotApplicable.
-    """
-    require_normal_form(automaton, alternating=True)
-    check_word(automaton, word)
-    n = automaton.n
-    q_final = next(iter(automaton.accepting))
-    launchers = _launch_index(automaton)
-    launched = [launchers.get((q, RIGHT), ()) for q in range(n)]
-
-    # into[sym][d][q] lists the states whose move on sym is (q, d), in
-    # descending order, so that a stack pops them in state order.  The gate
-    # leaves at most one move per state and symbol away from the left
-    # endmarker, and none of them stationary.
-    tape = LEFT_ENDMARKER + word + RIGHT_ENDMARKER
-    get = automaton.delta.get
-    into = {}
-    for sym in set(tape[1:]):
-        groups = {RIGHT: [[] for _ in range(n)], LEFT: [[] for _ in range(n)]}
-        for p in reversed(range(n)):
-            for (q, d) in get((p, sym), ()):
-                groups[d][q].append(p)
-        into[sym] = groups
-    # Indexed by tape position j: the states at j that move right (left) into
-    # q.  The empty row past the right endmarker spares a bounds check.
-    rightward = [None] + [into[sym][RIGHT] for sym in tape[1:]]
-    leftward = [None] + [into[sym][LEFT] for sym in tape[1:]] + [[()] * n]
-
-    scripts = []
-    for q_to in range(n):
-        if q_to == q_final:
-            cands = launchers.get((q_to, STAY), ())
-            scripts.append((cands,) if cands else ())
-            continue
-        script = []
-        roots = leftward[1][q_to]
-        states, positions = list(roots), [1] * len(roots)
-        while states:
-            q = states.pop()
-            i = positions.pop()
-            while True:  # an only child is visited next without touching the stacks
-                right = leftward[i + 1][q]
-                if i == 1:
-                    script.append(launched[q])
-                    left = ()
-                else:
-                    left = rightward[i - 1][q]
-                if left:  # the left group goes first, so the right group waits below it
-                    if right:
-                        states += right
-                        positions += [i + 1] * len(right)
-                    if len(left) == 1:
-                        q = left[0]
-                        i -= 1
-                        continue
-                    states += left
-                    positions += [i - 1] * len(left)
-                elif right:
-                    if len(right) == 1:
-                        q = right[0]
-                        i += 1
-                        continue
-                    states += right
-                    positions += [i + 1] * len(right)
-                break
-        scripts.append(tuple(script))
-    return tuple(scripts)
 
 
 def _chain(controller: ReachController, word: str, q: int, t: int,

@@ -14,8 +14,13 @@ given word, and the realizable one matches plain acceptance.
 Branches are driven through an explicit state machine whose snapshots sit
 between choice points, so one driver replays a single trace (`svfa_run`)
 and another walks the whole choice tree without re-running shared prefixes
-(`svfa_decide`).  The simulation itself needs only six state-bounded
-variables plus the backward-search cursor, which is what
+(`svfa_decide`).  The replay steps the backward searches' choice points in
+the controller's walk order.  The tree walk needs no order: a search's
+keep-or-emit chain has one subtree per listed candidate plus one
+don't-know leaf, so the verdicts realized and the leaf counts depend only
+on the multiset of points, and the walk reads them off the word's return
+table without building the controller.  The simulation itself needs only
+six state-bounded variables plus the backward-search cursor, which is what
 `svfa_state_accounting` prices out; the equivalent single transition table
 is astronomically large and is never materialized.
 """
@@ -25,11 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import InvariantViolation, TwoWayAutomaton, Verdict
-from .normalform import NotNormalForm, require_normal_form
-from .reach import TraceUnderflow, choice_scripts, return_table
-# perfbench/tracing.py wraps these here by name
-from .reach import build_controller, segment_reach  # noqa: F401
+from .core import LEFT_ENDMARKER, RIGHT, InvariantViolation, TwoWayAutomaton, Verdict
+from .normalform import require_normal_form
+from .reach import ReturnTable, TraceUnderflow, _script, build_controller, return_table
+from .reach import segment_reach  # noqa: F401  (perfbench/tracing.py wraps it here by name)
 
 
 class BudgetExceeded(Exception):
@@ -75,22 +79,49 @@ class _SimContext:
     """Per-(machine, word) tables shared by every replayed branch.
 
     `segment[p]` holds the states one segment away from p, from the word's
-    return table.  `scripts[q]`, the guessing search's choice points for
-    segments into q, come from one pass over the word's backward forest
-    (`choice_scripts`), in the order of the controller's walk, which fixes
-    how a trace replays them.  No controller is built.
+    return table.  `scripts[q]` lists the choice points of the guessing
+    search for segments into q, each as the states that may be emitted
+    there.  A replayed trace (`replay`) needs them in the order of the
+    controller's walk, which builds the controller; the decider reads them
+    off the return table (`_decider_scripts`).
     """
 
-    def __init__(self, automaton: TwoWayAutomaton, word: str):
+    def __init__(self, automaton: TwoWayAutomaton, word: str, replay: bool):
         require_normal_form(automaton, alternating=False)
-        if automaton.initial in automaton.accepting:
-            raise NotNormalForm("the initial state must not be the accepting state")
         self.n = automaton.n
         self.initial = automaton.initial
         self.final = next(iter(automaton.accepting))
         table = return_table(automaton, word)  # rejects foreign letters
         self.segment = [frozenset(table.outcomes(p)) for p in range(automaton.n)]
-        self.scripts = choice_scripts(automaton, word)
+        if replay:
+            controller = build_controller(automaton)
+            self.scripts = [_script(controller, word, q) for q in range(automaton.n)]
+        else:
+            self.scripts = _decider_scripts(table)
+
+
+def _decider_scripts(table: ReturnTable) -> list[list[list[int]]]:
+    """Each target's search choice points that list a candidate, in no fixed order.
+
+    The controller's walk into q lists, at each node (x, 1) of its backward
+    tree, the states launching x rightward, and (x, 1) is in that tree
+    exactly when the run from it first returns to the left endmarker in q.
+    So the search into a non-accepting q has one point per such x, and the
+    search into the accepting state keeps its one stationary point.
+    """
+    automaton = table.automaton
+    final = next(iter(automaton.accepting))
+    launchers: dict[tuple[int, int], list[int]] = {}
+    for p in range(automaton.n):
+        for move in automaton.successors(p, LEFT_ENDMARKER):
+            launchers.setdefault(move, []).append(p)
+    scripts: list[list[list[int]]] = [[] for _ in range(automaton.n)]
+    for (x, d), states in launchers.items():
+        if d == RIGHT and table.returns[x] is not None:
+            scripts[table.returns[x]].append(states)
+        elif x == final:
+            scripts[x].append(states)
+    return scripts
 
 
 # A paused branch is ("choice", snapshot, options); a finished one is
@@ -121,6 +152,8 @@ def _next_cell(ctx: _SimContext, t: int, m: int, m_new: int, q_target: int):
 
 def _start(ctx: _SimContext):
     # exactly one state is reachable with zero segments: the initial one
+    if ctx.initial == ctx.final:
+        return ("done", Verdict.ACCEPT)
     return _next_cell(ctx, 0, 1, 0, 0)
 
 
@@ -166,7 +199,7 @@ def svfa_run(automaton: TwoWayAutomaton, word: str, trace: Sequence[int]) -> Ver
     an out-of-range selector aborts in don't-know and a trace shorter than
     the branch raises TraceUnderflow.
     """
-    ctx = _SimContext(automaton, word)
+    ctx = _SimContext(automaton, word, replay=True)
     state = _start(ctx)
     position = 0
     while state[0] == "choice":
@@ -184,19 +217,22 @@ def svfa_run(automaton: TwoWayAutomaton, word: str, trace: Sequence[int]) -> Ver
 def svfa_decide(automaton: TwoWayAutomaton, word: str, budget: int = 10**6) -> DecisionReport:
     """Exhaust every choice trace depth-first and aggregate the verdicts.
 
-    The enumeration is finite because every branch halts.  A budget of
-    visited branch points guards against misuse on oversized machines;
+    The enumeration is finite because every branch halts.  Its search
+    choice points are read off the return table, in no particular order
+    and without the walk's points that list no candidate, which changes
+    neither the verdicts realized nor the leaf counts.  A budget of the
+    branch points so visited guards against misuse on oversized machines;
     exceeding it raises BudgetExceeded carrying the partial report.
     """
-    ctx = _SimContext(automaton, word)
-    tally = {Verdict.ACCEPT: 0, Verdict.REJECT: 0, Verdict.DONT_KNOW: 0}
+    ctx = _SimContext(automaton, word, replay=False)
+    accepts = rejects = dont_knows = 0
 
     def report(complete: bool) -> DecisionReport:
         return DecisionReport(
-            verdict_exists_yes=tally[Verdict.ACCEPT] > 0,
-            verdict_exists_no=tally[Verdict.REJECT] > 0,
-            dont_know_count=tally[Verdict.DONT_KNOW],
-            branches_explored=sum(tally.values()),
+            verdict_exists_yes=accepts > 0,
+            verdict_exists_no=rejects > 0,
+            dont_know_count=dont_knows,
+            branches_explored=accepts + rejects + dont_knows,
             all_halting=complete,
             complete=complete,
         )
@@ -209,11 +245,16 @@ def svfa_decide(automaton: TwoWayAutomaton, word: str, budget: int = 10**6) -> D
         if nodes > budget:
             raise BudgetExceeded(report(complete=False))
         if state[0] == "done":
-            tally[state[1]] += 1
+            if state[1] is Verdict.DONT_KNOW:
+                dont_knows += 1
+            elif state[1] is Verdict.ACCEPT:
+                accepts += 1
+            else:
+                rejects += 1
             continue
         _, snapshot, options = state
         stack.extend(_advance(ctx, snapshot, pick) for pick in reversed(range(options)))
-    if tally[Verdict.ACCEPT] and tally[Verdict.REJECT]:
+    if accepts and rejects:
         raise InvariantViolation("self-verification violated: both definite verdicts realizable")
     return report(complete=True)
 

@@ -6,7 +6,8 @@ generated directly in the strict normal form, and partitioned machines
 generated in the relaxed normal form.  All generators are seeded, so every
 run of the suite sees the same corpus.  The sweepers (`mod_p_sweeper`,
 `chain_sweeper`) are strict-normal-form machines whose backward trees run
-the whole length of long words.
+the whole length of long words.  `INITIAL_ACCEPTING` holds two
+strict-normal-form documents whose initial state is the accepting one.
 """
 
 import random
@@ -16,6 +17,13 @@ import pytest
 
 from outerfa.core import LEFT, LEFT_ENDMARKER, RIGHT, RIGHT_ENDMARKER, STAY, TwoWayAutomaton
 from outerfa.normalform import check_normal_form
+
+
+INITIAL_ACCEPTING = {
+    "one_state": "type: onfa\nalphabet: a\nstates: q\ninitial: q\naccepting: q\n",
+    "two_states": ("type: onfa\nalphabet: a\nstates: q x\ninitial: q\naccepting: q\n"
+                   "trans: x < q S\n"),
+}
 
 
 def assert_dot_wellformed(text: str) -> None:

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from outerfa import parse, serialize
-from outerfa.cli import main
+from outerfa.cli import METHODS, main
 from outerfa.fixtures import build_e1, build_e2, build_ea
+
+from conftest import INITIAL_ACCEPTING
 
 
 @pytest.fixture()
@@ -49,6 +51,17 @@ def test_run_agap_on_alternating_input(e2_file, capsys):
     assert main(["run", e2_file, "--word", "", "--method", "agap"]) == 0
     assert "result: true" in capsys.readouterr().out
     assert main(["run", e2_file, "--word", "aa", "--method", "agap"]) == 0
+    assert "result: false" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(INITIAL_ACCEPTING))
+def test_initial_accepting_state_via_cli(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.2wa"
+    path.write_text(INITIAL_ACCEPTING[name])
+    for method in METHODS:
+        assert main(["run", str(path), "--word", "a", "--method", method]) == 0, method
+        assert "result: true" in capsys.readouterr().out
+    assert main(["complement", str(path), "--word", "a"]) == 0
     assert "result: false" in capsys.readouterr().out
 
 

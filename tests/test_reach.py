@@ -6,7 +6,6 @@ import pytest
 
 from outerfa import (
     LEFT,
-    LEFT_ENDMARKER,
     NotApplicable,
     RIGHT,
     STAY,
@@ -15,7 +14,6 @@ from outerfa import (
     Verdict,
     all_words,
     build_controller,
-    choice_scripts,
     n_reach,
     normalize_oafa,
     normalize_onfa,
@@ -27,7 +25,6 @@ from outerfa import (
     t_reach,
 )
 from outerfa.normalform import NotNormalForm
-from outerfa.reach import _script
 from outerfa.fixtures import (
     P_A,
     P_B,
@@ -38,8 +35,6 @@ from outerfa.fixtures import (
     build_e1,
     build_trivial_empty,
 )
-
-from conftest import chain_sweeper, mod_p_sweeper
 
 E1 = build_e1()
 
@@ -319,63 +314,3 @@ def test_return_table_on_long_mod3_sweeper():
         assert table.returns[c0] == (back if len(word) % 3 == 0 else None)
         assert table.returns[c1] == (back if len(word) % 3 == 2 else None)
     assert_table_matches(machine, words)
-
-
-def assert_scripts_match(machine, words):
-    """One pass over the backward forest gives every controller walk's script, in order."""
-    controller = build_controller(machine)
-    for word in words:
-        scripts = choice_scripts(machine, word)
-        assert len(scripts) == machine.n
-        for q in range(machine.n):
-            assert scripts[q] == _script(controller, word, q), (machine, word, q)
-
-
-def test_choice_scripts_on_normal_form_corpora(nf_corpus, alt_nf_corpus):
-    for machine in list(nf_corpus) + list(alt_nf_corpus) + [E1]:
-        assert_scripts_match(machine, all_words(machine.alphabet, 4))
-
-
-def test_choice_scripts_on_normalized_raw_machines(raw_corpus, raw_alt_corpus):
-    machines = [normalize_onfa(m) for m in raw_corpus[:15]]
-    machines += [normalize_oafa(m) for m in raw_alt_corpus[:10]]
-    for machine in machines:
-        assert_scripts_match(machine, all_words(machine.alphabet, 4))
-
-
-def test_choice_scripts_on_long_sweepers():
-    mod_p = mod_p_sweeper((3, 4, 5))
-    assert_scripts_match(mod_p, ["a" * k for k in (498, 499, 500)])
-    # the last rightward sweep halts on the b, cutting its backward tree short
-    chain = chain_sweeper(3)
-    assert_scripts_match(chain, ["a" * 250 + "b" + "a" * 249, "ab" * 250, "a" * 500])
-    # qI launches c3_0, c4_0 and c5_0; only the counts mod 4 and mod 5 return, to r4 and r5
-    r3, r4, r5 = 4, 9, 15
-    scripts = choice_scripts(mod_p, "a" * 500)
-    assert [(0,) in scripts[r] for r in (r3, r4, r5)] == [False, True, True]
-
-
-def test_choice_scripts_agree_with_the_return_table(nf_corpus, alt_nf_corpus):
-    # p is a candidate somewhere in the search into q iff one of p's
-    # rightward launches first returns to the left endmarker in q
-    for machine in list(nf_corpus[:20]) + list(alt_nf_corpus[:20]) + [E1, chain_sweeper(2)]:
-        final = next(iter(machine.accepting))
-        for word in all_words(machine.alphabet, 4):
-            scripts = choice_scripts(machine, word)
-            returns = return_table(machine, word).returns
-            for q in range(machine.n):
-                if q == final:
-                    continue
-                candidates = {p for point in scripts[q] for p in point}
-                expected = {p for p in range(machine.n)
-                            if any(d == RIGHT and returns[x] == q
-                                   for (x, d) in machine.successors(p, LEFT_ENDMARKER))}
-                assert candidates == expected, (machine, word, q)
-
-
-def test_choice_scripts_check_their_input():
-    for word in ("ac", "a<", "b>a"):
-        with pytest.raises(NotApplicable, match="not in the machine's alphabet"):
-            choice_scripts(E1, word)
-    with pytest.raises(NotNormalForm):
-        choice_scripts(bent_e1(), "a")

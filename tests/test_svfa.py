@@ -4,21 +4,33 @@ import pytest
 
 from outerfa import (
     BudgetExceeded,
+    DecisionReport,
     InvariantViolation,
     NotApplicable,
     TraceUnderflow,
     Verdict,
     accepts_oracle,
     all_words,
+    build_controller,
+    build_segment_graph,
     complement_decide,
+    decide_det,
+    gap_decide,
+    normalize_oafa,
+    normalize_onfa,
+    oafa_decide,
+    parse,
+    return_table,
     svfa_decide,
     svfa_run,
     svfa_state_accounting,
 )
 from outerfa.normalform import NotNormalForm
 from outerfa.fixtures import build_e1, build_e2, build_trivial_all, build_trivial_empty
+from outerfa.reach import _script
+from outerfa.svfa import _decider_scripts
 
-from conftest import chain_sweeper, mod_p_sweeper
+from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper
 
 E1 = build_e1()
 
@@ -90,7 +102,8 @@ def test_corpus_verdicts_match_oracle(nf_corpus):
 def test_decide_matches_trace_replay_enumeration(nf_corpus):
     # dual route: exhaustively replaying traces through svfa_run must land on
     # exactly the tallies the direct tree walk of svfa_decide reports
-    for machine in list(nf_corpus[:4]) + [build_trivial_all()]:
+    machines = list(nf_corpus[:4]) + [build_trivial_all(), mod_p_sweeper((2, 3)), chain_sweeper(2)]
+    for machine in machines:
         for word in all_words(machine.alphabet, 3):
             tallies = {verdict: 0 for verdict in Verdict}
             stack = [()]
@@ -107,6 +120,31 @@ def test_decide_matches_trace_replay_enumeration(nf_corpus):
             assert report.verdict_exists_no == (tallies[Verdict.REJECT] > 0)
             assert report.dont_know_count == tallies[Verdict.DONT_KNOW]
             assert report.branches_explored == sum(tallies.values())
+
+
+def assert_decider_scripts_match(machine, words):
+    """The decider's choice points are the controller walk's points that list a candidate."""
+    controller = build_controller(machine)
+    for word in words:
+        scripts = _decider_scripts(return_table(machine, word))
+        assert len(scripts) == machine.n
+        for q in range(machine.n):
+            walked = [point for point in _script(controller, word, q) if point]
+            assert sorted(map(tuple, scripts[q])) == sorted(walked), (machine, word, q)
+
+
+def test_decider_scripts_match_the_controller_walks(nf_corpus, alt_nf_corpus, raw_corpus,
+                                                    raw_alt_corpus):
+    machines = list(nf_corpus) + list(alt_nf_corpus) + [E1]
+    machines += [normalize_onfa(m) for m in raw_corpus[:15]]
+    machines += [normalize_oafa(m) for m in raw_alt_corpus[:10]]
+    for machine in machines:
+        assert_decider_scripts_match(machine, all_words(machine.alphabet, 4))
+    lengths = (498, 499, 500)
+    assert_decider_scripts_match(mod_p_sweeper((3, 4, 5)), ["a" * k for k in lengths])
+    # the last rightward sweep halts on the b, cutting its backward tree short
+    assert_decider_scripts_match(chain_sweeper(3), ["a" * (k - 250) + "b" + "a" * 249
+                                                    for k in lengths] + ["ab" * 250])
 
 
 def test_complement_examples():
@@ -209,18 +247,34 @@ def _refuse_controller(automaton):
     (chain_sweeper(2), "aab", (False, True, 72, 73), (0,) * 6 + (2, 0, 1) * 6, Verdict.REJECT),
 ], ids=["e1_aa", "e1_ab", "mod23_accept", "mod23_reject", "chain_accept", "chain_reject"])
 def test_decisions_build_no_controller(monkeypatch, machine, word, report, trace, verdict):
-    # the choice scripts come from one pass over the backward forest; the
-    # reports and the replayed trace are the ones the controller walks gave
+    # the decider reads its choice points off the return table; the reports
+    # are the ones the controller walks gave, and a trace still replays
+    # through the walk's order
     import importlib
 
     from outerfa import svfa
 
     reach = importlib.import_module("outerfa.reach")  # the package's `reach` is a function
-    monkeypatch.setattr(reach, "build_controller", _refuse_controller)
-    monkeypatch.setattr(svfa, "build_controller", _refuse_controller)
-    decided = svfa_decide(machine, word)
-    assert (decided.verdict_exists_yes, decided.verdict_exists_no,
-            decided.dont_know_count, decided.branches_explored) == report
-    assert decided.all_halting and decided.complete
+    with monkeypatch.context() as refusal:
+        refusal.setattr(reach, "build_controller", _refuse_controller)
+        refusal.setattr(svfa, "build_controller", _refuse_controller)
+        decided = svfa_decide(machine, word)
+        assert (decided.verdict_exists_yes, decided.verdict_exists_no,
+                decided.dont_know_count, decided.branches_explored) == report
+        assert decided.all_halting and decided.complete
+        assert complement_decide(machine, word) == (verdict is Verdict.REJECT)
     assert svfa_run(machine, word, trace) is verdict
-    assert complement_decide(machine, word) == (verdict is Verdict.REJECT)
+
+
+@pytest.mark.parametrize("name", sorted(INITIAL_ACCEPTING))
+def test_initial_accepting_state_accepts_at_once(name):
+    # every method agrees with the oracle; svfa accepts before its first choice
+    machine = parse(INITIAL_ACCEPTING[name])
+    for word in all_words(machine.alphabet, 2):
+        assert accepts_oracle(machine, word)
+        assert svfa_decide(machine, word) == DecisionReport(True, False, 0, 1, True)
+        assert svfa_run(machine, word, []) is Verdict.ACCEPT
+        assert not complement_decide(machine, word)
+        assert decide_det(machine, word)
+        assert gap_decide(build_segment_graph(machine, word, alternating=False))
+        assert oafa_decide(machine, word)
