@@ -25,6 +25,8 @@ from outerfa import (
     t_reach,
 )
 from outerfa.normalform import NotNormalForm
+from outerfa.reach import _script
+from outerfa.svfa import _decider_scripts
 from outerfa.fixtures import (
     P_A,
     P_B,
@@ -35,6 +37,8 @@ from outerfa.fixtures import (
     build_e1,
     build_trivial_empty,
 )
+
+from conftest import chain_sweeper, mod_p_sweeper
 
 E1 = build_e1()
 
@@ -314,3 +318,39 @@ def test_return_table_on_long_mod3_sweeper():
         assert table.returns[c0] == (back if len(word) % 3 == 0 else None)
         assert table.returns[c1] == (back if len(word) % 3 == 2 else None)
     assert_table_matches(machine, words)
+
+
+def assert_scripts_match(machine, words):
+    """svfa's choice points, read off the return table, are the controller walk's points that list a candidate."""
+    controller = build_controller(machine)
+    for word in words:
+        scripts = _decider_scripts(return_table(machine, word))
+        assert len(scripts) == machine.n
+        for q in range(machine.n):
+            walked = [point for point in _script(controller, word, q) if point]
+            assert sorted(map(tuple, scripts[q])) == sorted(walked), (machine, word, q)
+
+
+def test_choice_scripts_on_normal_form_corpora(nf_corpus, alt_nf_corpus):
+    for machine in list(nf_corpus) + list(alt_nf_corpus) + [E1]:
+        assert_scripts_match(machine, all_words(machine.alphabet, 4))
+
+
+def test_choice_scripts_on_normalized_raw_machines(raw_corpus, raw_alt_corpus):
+    machines = [normalize_onfa(m) for m in raw_corpus[:15]]
+    machines += [normalize_oafa(m) for m in raw_alt_corpus[:10]]
+    for machine in machines:
+        assert_scripts_match(machine, all_words(machine.alphabet, 4))
+
+
+def test_choice_scripts_on_long_sweepers():
+    lengths = (498, 499, 500)
+    mod_p = mod_p_sweeper((3, 4, 5))
+    assert_scripts_match(mod_p, ["a" * k for k in lengths])
+    # the last rightward sweep halts on the b, cutting its backward tree short
+    assert_scripts_match(chain_sweeper(3), ["a" * (k - 250) + "b" + "a" * 249 for k in lengths]
+                         + ["ab" * 250])
+    # qI launches c3_0, c4_0 and c5_0; only the counts mod 4 and mod 5 return, to r4 and r5
+    r3, r4, r5 = 4, 9, 15
+    scripts = _decider_scripts(return_table(mod_p, "a" * 500))
+    assert [[0] in scripts[r] for r in (r3, r4, r5)] == [False, True, True]

@@ -11,24 +11,18 @@ from outerfa import (
     Verdict,
     accepts_oracle,
     all_words,
-    build_controller,
     build_segment_graph,
     complement_decide,
     decide_det,
     gap_decide,
-    normalize_oafa,
-    normalize_onfa,
     oafa_decide,
     parse,
-    return_table,
     svfa_decide,
     svfa_run,
     svfa_state_accounting,
 )
 from outerfa.normalform import NotNormalForm
 from outerfa.fixtures import build_e1, build_e2, build_trivial_all, build_trivial_empty
-from outerfa.reach import _script
-from outerfa.svfa import _decider_scripts
 
 from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper
 
@@ -120,31 +114,6 @@ def test_decide_matches_trace_replay_enumeration(nf_corpus):
             assert report.verdict_exists_no == (tallies[Verdict.REJECT] > 0)
             assert report.dont_know_count == tallies[Verdict.DONT_KNOW]
             assert report.branches_explored == sum(tallies.values())
-
-
-def assert_decider_scripts_match(machine, words):
-    """The decider's choice points are the controller walk's points that list a candidate."""
-    controller = build_controller(machine)
-    for word in words:
-        scripts = _decider_scripts(return_table(machine, word))
-        assert len(scripts) == machine.n
-        for q in range(machine.n):
-            walked = [point for point in _script(controller, word, q) if point]
-            assert sorted(map(tuple, scripts[q])) == sorted(walked), (machine, word, q)
-
-
-def test_decider_scripts_match_the_controller_walks(nf_corpus, alt_nf_corpus, raw_corpus,
-                                                    raw_alt_corpus):
-    machines = list(nf_corpus) + list(alt_nf_corpus) + [E1]
-    machines += [normalize_onfa(m) for m in raw_corpus[:15]]
-    machines += [normalize_oafa(m) for m in raw_alt_corpus[:10]]
-    for machine in machines:
-        assert_decider_scripts_match(machine, all_words(machine.alphabet, 4))
-    lengths = (498, 499, 500)
-    assert_decider_scripts_match(mod_p_sweeper((3, 4, 5)), ["a" * k for k in lengths])
-    # the last rightward sweep halts on the b, cutting its backward tree short
-    assert_decider_scripts_match(chain_sweeper(3), ["a" * (k - 250) + "b" + "a" * 249
-                                                    for k in lengths] + ["ab" * 250])
 
 
 def test_complement_examples():
