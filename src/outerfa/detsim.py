@@ -1,13 +1,18 @@
 """Deterministic simulation by divide and conquer over segment chains.
 
-Whether some chain of at most t segments joins two states splits into two
-half-length questions through a guessed midpoint, so acceptance (a chain of
-at most n - 1 segments from the initial to the accepting state) resolves
-with a stack whose height is only ceil(log2(n - 1)).  One explicit stack
-machine, `_divide`, does this work for both users.  `reachable` (and so
-`decide_det`) runs it to a verdict, answering each base case from the
-word's return table.  `materialize_dfa` mints it into an actual
-deterministic two-way machine: its leaf answers only the base cases that
+Whether some chain of at most 2^h segments joins two states splits into two
+questions about 2^(h-1) segments through a guessed midpoint, so acceptance
+(a chain of at most n - 1 segments from the initial to the accepting state)
+resolves with a stack whose height is only ceil(log2(n - 1)).  One explicit
+stack machine, `_divide`, does this work for both users.  It reads the base
+cases off bit rows of the base-case relation (`_BaseRows`): a set bit in a
+true row holds, one in an open row needs the tape.  A frame whose two
+halves are base cases settles all its remaining midpoints with a few
+big-integer operations, and the machine counts the base cases the
+midpoint-by-midpoint scan would have asked.  `reachable` (and so
+`decide_det`) runs it to a verdict, with rows built from the word's return
+table and no open bits.  `materialize_dfa` mints it into an actual
+deterministic two-way machine: its rows settle only the base cases that
 need no tape, so the machine suspends at the others, and each emitted state
 packs the suspended stack together with the backward-search cursor that
 answers that base case on the tape.
@@ -17,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log, log2
-from typing import Callable
 
 from .core import LEFT_ENDMARKER, STAY, InvariantViolation, TwoWayAutomaton
 from .normalform import require_normal_form
@@ -39,7 +43,11 @@ class TooLarge(ValueError):
 
 @dataclass
 class ReachableStats:
-    """Observed behavior of one reachable() evaluation."""
+    """Work of the stack machine over one evaluation.
+
+    `base_calls` counts the base cases a midpoint-by-midpoint scan asks;
+    `max_stack_height` is the highest stack of halvings.
+    """
 
     max_stack_height: int = 0
     base_calls: int = 0
@@ -61,66 +69,149 @@ class BoundReport:
     stack_configurations_bound: int
     rough_bound: int
     c_exponent: float
+    degenerate: bool
 
 
 def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-def _divide(stack: list[list[int]], height: int, n: int,
-            leaf: Callable[[int, int], bool | None], answer: bool | None = None,
+def _stack_height(n: int) -> int:
+    """Halvings for a chain of at most n - 1 segments: ceil(log2(n - 1)), and 0 for n <= 2."""
+    return _ceil_log2(max(n - 1, 1))
+
+
+# The stack machine's base-case relation over range(n), as four lists of bit
+# rows (true_rows, open_rows, true_cols, open_cols): bit b of true_rows[a]
+# says the base case (a, b) holds, bit b of open_rows[a] that it needs the
+# tape, and a base case with neither fails.  The cols are the transposes.
+# A plain tuple: every decision builds one, and a NamedTuple's constructor cost
+# about 3% of the time of a decision on a machine with 2 to 4 states.
+_BaseRows = tuple[list[int], list[int], list[int], list[int]]
+
+
+def _base_rows(cells: list[list[bool | None]]) -> _BaseRows:
+    """Bit rows of an n x n table of base-case answers, None where the tape is needed."""
+    n = len(cells)
+    true_rows, open_rows, true_cols, open_cols = ([0] * n for _ in range(4))
+    for a, row in enumerate(cells):
+        for b, cell in enumerate(row):
+            if cell is None:
+                open_rows[a] |= 1 << b
+                open_cols[b] |= 1 << a
+            elif cell:
+                true_rows[a] |= 1 << b
+                true_cols[b] |= 1 << a
+    return true_rows, open_rows, true_cols, open_cols
+
+
+def _segment_rows(automaton: TwoWayAutomaton, word: str) -> _BaseRows:
+    """Base cases on `word`: a equals b, or one segment runs from a to b.
+
+    Read off the word's return table in O(n + segments); none needs the tape.
+    """
+    table = return_table(automaton, word)
+    n = automaton.n
+    rows = [1 << a for a in range(n)]
+    cols = rows.copy()
+    for a in range(n):
+        for b in table.outcomes(a):
+            if b is not None:
+                rows[a] |= 1 << b
+                cols[b] |= 1 << a
+    zeros = [0] * n
+    return rows, zeros, cols, zeros
+
+
+def _divide(stack: list[list[int]], height: int, rows: _BaseRows, answer: bool | None = None,
             stats: ReachableStats | None = None) -> bool | None:
-    """Run the divide-and-conquer stack machine to a verdict or a suspended leaf.
+    """Run the divide-and-conquer stack machine to a verdict or a suspended base case.
 
     Each frame [q, p, r, phase] asks for a chain from q to p through the
     midpoint r: phase 1 poses its first half (q, r), phase 2 its second half
-    (r, p).  The bottom frame [q, p, q, 2] poses the root question (q, p)
+    (r, p).  The root frame [q, p, q, 2] poses the root question (q, p)
     itself and is never stepped; the frames above it are the halvings, at
     most `height` of them, and the questions posed by the top frame at that
-    height are base cases, answered by `leaf`.  With `answer` None the top
-    frame's question is still open; otherwise it has just been answered.
-    Returns the root verdict, or None, leaving the stack as it is, when
-    `leaf` answers None; resume by calling again with that base case's answer.
+    height are base cases, read off `rows`.  A bottom frame, one whose two
+    halves are base cases, stepped in phase 1 from midpoint r settles every
+    midpoint from r on at once: with the rows shifted by r,
+    stops = open1 | (true1 & (open2 | true2)) marks where the midpoint scan
+    would suspend (on an open half) or succeed, its lowest bit is the stop
+    the scan reaches first, and with no bit set no midpoint works.  `stats`
+    gets the base cases that scan asks, by popcount, and the highest stack
+    of halvings.  With `answer` None the top frame's question is still
+    open; otherwise it has just been answered.  Returns the root verdict,
+    or None, leaving the stack as it is, at a base case with an open bit;
+    resume by calling again with that base case's answer.
     """
-    while True:
-        frame = stack[-1]
-        if answer is None:
-            q, p, r, phase = frame
-            if phase == 1:
-                p = r
-            else:
-                q = r
-            if len(stack) > height:
-                answer = leaf(q, p)
-                if answer is None:
+    true_rows, open_rows, true_cols, open_cols = rows
+    n = len(true_rows)
+    calls = top = 0
+    try:
+        while True:
+            frame = stack[-1]
+            if answer is None:
+                q, p, r, phase = frame
+                if len(stack) <= height:
+                    if len(stack) > top:
+                        top = len(stack)  # the height of halvings after this push
+                    stack.append([q, r, 0, 1] if phase == 1 else [r, p, 0, 1])
+                    continue
+                if phase == 2:  # the one base case (r, p): a height-0 root, or resumed
+                    calls += 1
+                    if open_rows[r] >> p & 1:
+                        return None
+                    answer = bool(true_rows[r] >> p & 1)
+                    continue
+                true1 = true_rows[q] >> r
+                stops = (open_rows[q] | true_rows[q] & (open_cols[p] | true_cols[p])) >> r
+                if not stops:
+                    calls += n - r + true1.bit_count()  # two asks where the first half holds
+                    stack.pop()
+                    answer = False
+                    continue
+                k = (stops & -stops).bit_length() - 1
+                calls += k + (true1 & ((1 << k) - 1)).bit_count() + 1
+                frame[2] = r = r + k
+                if open_rows[q] >> r & 1:
+                    frame[3] = 1
                     return None
+                calls += 1
+                if open_cols[p] >> r & 1:
+                    frame[3] = 2
+                    return None
+                stack.pop()  # both halves hold, so does the frame's question
+                answer = True
+            elif len(stack) == 1:
+                return answer
+            elif answer and frame[3] == 2:
+                stack.pop()  # both halves hold, so does the frame's question
+            elif answer:
+                frame[3] = 2
+                answer = None
+            elif frame[2] + 1 < n:
+                frame[2] += 1
+                frame[3] = 1
+                answer = None
             else:
-                stack.append([q, p, 0, 1])
-                if stats is not None:
-                    stats.max_stack_height = max(stats.max_stack_height, len(stack) - 1)
-        elif len(stack) == 1:
-            return answer
-        elif answer and frame[3] == 2:
-            stack.pop()  # both halves hold, so does the frame's question
-        elif answer:
-            frame[3] = 2
-            answer = None
-        elif frame[2] + 1 < n:
-            frame[2] += 1
-            frame[3] = 1
-            answer = None
-        else:
-            stack.pop()  # no midpoint works
+                stack.pop()  # no midpoint works
+    finally:
+        if stats is not None:
+            stats.base_calls += calls
+            stats.max_stack_height = max(stats.max_stack_height, top)
 
 
 def reachable(automaton: TwoWayAutomaton, word: str, q: int, p: int, t: int,
               stats: ReachableStats | None = None) -> bool:
     """Is there a chain of at most t segments from q to p on `word`?
 
-    t = 1 asks for equality or a single segment; larger budgets try every
-    midpoint with two ceil(t/2) sub-questions.  The evaluation runs the
-    stack machine `_divide`, whose observed height never exceeds
-    ceil(log2(t)).  Base cases look the segment up in the word's return
+    Such a chain is, for each power 2^e in t's binary expansion in turn, a
+    chain of at most 2^e segments.  Each of those questions is one run of
+    the stack machine `_divide` at height e: 2^0 = 1 asks for equality or a
+    single segment, and 2^e splits into two 2^(e-1) halves at every
+    midpoint.  A chain longer than n - 1 segments repeats a state and so
+    shortens, so t is first capped at n - 1, and the observed height never
+    exceeds floor(log2(min(t, n - 1))).  Base cases read the word's return
     table, computed once per call.  State ids outside range(n) raise
     ValueError.
     """
@@ -128,49 +219,52 @@ def reachable(automaton: TwoWayAutomaton, word: str, q: int, p: int, t: int,
         raise ValueError("the segment budget t must be at least 1")
     require_normal_form(automaton, alternating=False)
     _check_states(automaton, q, p)
-    return _reachable(automaton, word, q, p, t, stats)
-
-
-def _reachable(automaton: TwoWayAutomaton, word: str, q: int, p: int, t: int,
-               stats: ReachableStats | None) -> bool:
-    """The body of `reachable`, for callers that have already checked the machine and ids."""
-    table = return_table(automaton, word)
-    targets = [frozenset(table.outcomes(a)) for a in range(automaton.n)]
-
-    def base(a: int, b: int) -> bool:
-        if stats is not None:
-            stats.base_calls += 1
-        return a == b or b in targets[a]
-
-    return _divide([[q, p, q, 2]], _ceil_log2(t), automaton.n, base, stats=stats)
+    n = automaton.n
+    t = min(t, max(n - 1, 1))
+    rows = _segment_rows(automaton, word)
+    *lower, last = [e for e in range(t.bit_length()) if t >> e & 1]
+    frontier = {q}
+    for e in lower:
+        frontier = {b for a in frontier for b in range(n)
+                    if _divide([[a, b, a, 2]], e, rows, stats=stats)}
+    return any(_divide([[a, p, a, 2]], last, rows, stats=stats) for a in frontier)
 
 
 def decide_det(automaton: TwoWayAutomaton, word: str,
                stats: ReachableStats | None = None) -> bool:
     """Deterministic acceptance: a chain of at most n - 1 segments reaches the accepting state.
 
-    A machine whose initial state is the accepting one accepts at once.
+    One run of `_divide` at height ceil(log2(n - 1)) answers it: its chains
+    of at most 2^height >= n - 1 segments reach no further, as a shortest
+    chain repeats no state.  A machine whose initial state is the accepting
+    one accepts at once.
     """
     require_normal_form(automaton, alternating=False)
-    q_final = next(iter(automaton.accepting))
-    if automaton.initial == q_final:
+    q_init, q_final = automaton.initial, next(iter(automaton.accepting))
+    if q_init == q_final:
         return True
-    return _reachable(automaton, word, automaton.initial, q_final, automaton.n - 1, stats)
+    return _divide([[q_init, q_final, q_init, 2]], _ceil_log2(automaton.n - 1),
+                   _segment_rows(automaton, word), stats=stats)
 
 
 def dfa_state_bound(n: int, normal_form: bool) -> BoundReport:
-    """Exact integer evaluation of the simulating machine's size formulas."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    stack_bound = 4 * n * (2 * n) ** _ceil_log2(n - 1)
+    """Exact integer evaluation of the simulating machine's size formulas.
+
+    A 1-state machine accepts at once; its report is flagged `degenerate`,
+    and its `c_exponent`, which no power of n = 1 can fit, reads 0.0.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    stack_bound = 4 * n * (2 * n) ** _stack_height(n)
     rough = 4 * (3 * n) ** (_ceil_log2(3 * n - 1) + 2)
-    c_exponent = log(rough) / log(n) - log2(n)
+    c_exponent = log(rough) / log(n) - log2(n) if n > 1 else 0.0
     return BoundReport(
         n=n,
         normal_form_assumed=normal_form,
         stack_configurations_bound=stack_bound,
         rough_bound=rough,
         c_exponent=c_exponent,
+        degenerate=n < 2,
     )
 
 
@@ -181,22 +275,21 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = 10**6) -> TwoW
     terminals; all bookkeeping between base cases happens in stationary
     moves at the left endmarker, where the backward search starts and ends.
     Guarded to tiny sources; the state count never exceeds
-    4n * (2n) ** ceil(log2(n - 1)).
+    4n * (2n) ** ceil(log2(n - 1)).  A 1-state machine yields the machine
+    that accepts at once.
     """
     require_normal_form(automaton, alternating=False)
     n = automaton.n
-    if not 2 <= n <= 5:
-        raise ValueError("materialization is guarded to machines with 2 to 5 states")
-    height = _ceil_log2(n - 1)
+    if not 1 <= n <= 5:
+        raise ValueError("materialization is guarded to machines with 1 to 5 states")
+    height = _stack_height(n)
     bound = 4 * n * (2 * n) ** height
     if bound > max_states:
         raise TooLarge(f"state bound {bound} exceeds the ceiling {max_states}")
     controller = build_controller(automaton)
     q_final = controller.final_state
-
-    def leaf_without_tape(q: int, p: int) -> bool | None:
-        """Resolve a base case without touching the tape, if possible; None needs a search."""
-        return True if q == p else _tape_free_segment(controller, q, p)
+    rows = _base_rows([[True if q == p else _tape_free_segment(controller, q, p)
+                        for p in range(n)] for q in range(n)])
 
     ids: dict[object, int] = {}
     names: list[str] = []
@@ -215,7 +308,7 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = 10**6) -> TwoW
 
     def resume(stack: list[list[int]], answer: bool | None) -> int:
         """The state after running the stack machine to its next tape-bound base case."""
-        verdict = _divide(stack, height, n, leaf_without_tape, answer)
+        verdict = _divide(stack, height, rows, answer)
         if verdict is not None:
             return accept_id if verdict else reject_id
         q, p, r, phase = stack[-1]

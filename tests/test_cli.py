@@ -149,6 +149,21 @@ def test_bounds(e1_file, capsys):
     assert "svfa_total: 14117880" in out
 
 
+def test_one_state_machine_bounds_and_emit_dfa(tmp_path, capsys):
+    path = tmp_path / "one.2wa"
+    path.write_text(INITIAL_ACCEPTING["one_state"])
+    assert main(["bounds", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "dfa_degenerate: true" in out
+    assert "svfa_degenerate: true" in out
+    out_path = tmp_path / "one-dfa.2wa"
+    assert main(["emit-dfa", str(path), "--out", str(out_path)]) == 0
+    machine = parse(out_path.read_text())
+    assert machine.declared_flavor == "dfa"
+    assert main(["run", str(out_path), "--word", "aa", "--method", "oracle"]) == 0
+    assert "result: true" in capsys.readouterr().out
+
+
 def test_emit_dfa(tmp_path, capsys):
     src = tmp_path / "ea.2wa"
     src.write_text(serialize(build_ea()))

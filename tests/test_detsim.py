@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +18,16 @@ from outerfa import (
     decide_det,
     dfa_state_bound,
     materialize_dfa,
+    parse,
     reachable,
     segment_exists_oracle,
     serialize,
 )
+from outerfa.detsim import _base_rows, _ceil_log2, _divide, _segment_rows, _stack_height
 from outerfa.fixtures import P_B, Q_F, Q_I, build_e1, build_ea, build_trivial_empty
+from outerfa.reach import return_table
 
-from conftest import random_nf_onfa
+from conftest import INITIAL_ACCEPTING, random_nf_onfa
 
 E1 = build_e1()
 EA = build_ea()
@@ -39,12 +43,121 @@ def chain_reachable(machine, word, q, p, t):
     return p in frontier
 
 
+def reference_divide(stack, height, n, leaf, answer=None, stats=None):
+    """The stack machine with a per-question leaf callback, one midpoint at a time.
+
+    Reference for `_divide`: the same frames and phases, with every base case
+    asked of `leaf` (None suspends) as the sequential midpoint scan reaches it.
+    """
+    while True:
+        frame = stack[-1]
+        if answer is None:
+            q, p, r, phase = frame
+            if phase == 1:
+                p = r
+            else:
+                q = r
+            if len(stack) > height:
+                answer = leaf(q, p)
+                if answer is None:
+                    return None
+            else:
+                stack.append([q, p, 0, 1])
+                if stats is not None:
+                    stats.max_stack_height = max(stats.max_stack_height, len(stack) - 1)
+        elif len(stack) == 1:
+            return answer
+        elif answer and frame[3] == 2:
+            stack.pop()
+        elif answer:
+            frame[3] = 2
+            answer = None
+        elif frame[2] + 1 < n:
+            frame[2] += 1
+            frame[3] = 1
+            answer = None
+        else:
+            stack.pop()
+
+
+def counted_leaf(cells, stats):
+    """A leaf callback over a table of answers that counts its calls in `stats`."""
+    def leaf(a, b):
+        stats.base_calls += 1
+        return cells[a][b]
+    return leaf
+
+
+def test_divide_matches_the_callback_machine_on_segments():
+    """Bit rows settle each bottom frame as the midpoint scan does: same verdicts and counters."""
+    for seed in range(24):
+        machine = random_nf_onfa(seed, n_max=9)
+        n = machine.n
+        heights = {_ceil_log2(t) for t in range(1, n)}
+        for word in all_words(machine.alphabet, 2):
+            rows = _segment_rows(machine, word)
+            table = return_table(machine, word)
+            cells = [[a == b or b in table.outcomes(a) for b in range(n)] for a in range(n)]
+            for height in heights:
+                for q in range(n):
+                    for p in range(n):
+                        want, got = ReachableStats(), ReachableStats()
+                        verdict = reference_divide([[q, p, q, 2]], height, n,
+                                                   counted_leaf(cells, want), stats=want)
+                        assert _divide([[q, p, q, 2]], height, rows, stats=got) == verdict
+                        assert got == want, (seed, word, height, q, p)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_divide_suspends_and_resumes_like_the_callback_machine(seed):
+    """Open bits suspend at the stacks the midpoint scan suspends at, and resumption agrees."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    height = rng.randint(1, 3)
+    cells = [[rng.choice((True, False, None)) for _ in range(n)] for _ in range(n)]
+    rows = _base_rows(cells)
+    want, got = ReachableStats(), ReachableStats()
+    leaf = counted_leaf(cells, want)
+    q, p = rng.randrange(n), rng.randrange(n)
+    expected, actual = [[q, p, q, 2]], [[q, p, q, 2]]
+    answer = None
+    for _ in range(10**4):
+        verdict = reference_divide(expected, height, n, leaf, answer, stats=want)
+        assert _divide(actual, height, rows, answer, stats=got) == verdict
+        assert actual == expected
+        assert got == want
+        if verdict is not None:
+            break
+        answer = rng.random() < 0.5
+    else:
+        pytest.fail("the stack machine did not reach a verdict")
+
+
+def test_divide_counters_are_pinned(nf_corpus):
+    """The paper's cost measures for divide: base calls and stack height must not be redefined."""
+    calls, heights = [], []
+    for machine in nf_corpus:
+        for word in all_words(machine.alphabet, 4):
+            stats = ReachableStats()
+            decide_det(machine, word, stats=stats)
+            calls.append(stats.base_calls)
+            heights.append(stats.max_stack_height)
+    assert len(calls) == 1860
+    assert (sum(calls), max(calls)) == (31568, 44)
+    assert (sum(heights), max(heights)) == (3131, 2)
+
+
 def test_reachable_base_cases():
     assert reachable(E1, "aa", P_B, P_B, 1)  # equal endpoints, no segment needed
     assert reachable(E1, "aa", Q_I, Q_F, 2)
     assert not reachable(E1, "ab", Q_I, Q_F, 5)
     with pytest.raises(ValueError):
         reachable(E1, "aa", Q_I, Q_F, 0)
+    # a budget past n - 1 segments adds no chain, nor any stack height
+    stats = ReachableStats()
+    assert not reachable(E1, "ab", Q_I, Q_F, 2**30, stats=stats)
+    assert stats.max_stack_height <= math.floor(math.log2(E1.n - 1))
+    assert reachable(E1, "aa", Q_I, Q_F, 2**30)
 
 
 def test_reachable_matches_chain_oracle(nf_corpus):
@@ -55,6 +168,26 @@ def test_reachable_matches_chain_oracle(nf_corpus):
                     for p in range(machine.n):
                         assert reachable(machine, word, q, p, t) == \
                             chain_reachable(machine, word, q, p, t)
+    # budgets that are not powers of two, on machines with up to 9 states
+    for seed in (7, 9, 11, 83):
+        machine = random_nf_onfa(seed, n_max=9)
+        for word in all_words(machine.alphabet, 2):
+            for t in (3, 5, 6):
+                for q in range(machine.n):
+                    for p in range(machine.n):
+                        assert reachable(machine, word, q, p, t) == \
+                            chain_reachable(machine, word, q, p, t), (seed, word, t, q, p)
+
+
+def test_reachable_budget_is_exact_below_a_power_of_two():
+    """Three segments do not join 4 to 8 on the empty word, though four would."""
+    machine = random_nf_onfa(83, n_max=9)
+    assert not chain_reachable(machine, "", 4, 8, 3)
+    assert chain_reachable(machine, "", 4, 8, 4)
+    stats = ReachableStats()
+    assert not reachable(machine, "", 4, 8, 3, stats=stats)
+    assert stats.max_stack_height <= 1  # runs at heights 0 and 1, for 3 = 1 + 2
+    assert reachable(machine, "", 4, 8, 4)
 
 
 @settings(max_examples=30, deadline=None)
@@ -84,6 +217,7 @@ def test_decide_det_matches_oracle(nf_corpus):
 def test_stack_height_stays_logarithmic(nf_corpus):
     for machine in list(nf_corpus[:10]) + [build_ea(), build_trivial_empty()]:
         limit = math.ceil(math.log2(machine.n - 1)) if machine.n > 2 else 0
+        assert _stack_height(machine.n) == limit
         for word in all_words(machine.alphabet, 3):
             stats = ReachableStats()
             decide_det(machine, word, stats=stats)
@@ -92,6 +226,10 @@ def test_stack_height_stays_logarithmic(nf_corpus):
 
 def test_bound_formulas():
     assert dfa_state_bound(5, True).stack_configurations_bound == 2000
+    assert not dfa_state_bound(2, True).degenerate
+    assert dfa_state_bound(1, True).degenerate
+    with pytest.raises(ValueError):
+        dfa_state_bound(0, True)
     assert dfa_state_bound(2, True).stack_configurations_bound == 8
     assert dfa_state_bound(5, False).rough_bound == 45562500
     report = dfa_state_bound(5, False)
@@ -123,6 +261,15 @@ def test_materialize_corpus_machines(nf_corpus):
         assert classify(emitted).is_deterministic
         for word in all_words(machine.alphabet, 4):
             assert accepts_oracle(emitted, word) == accepts_oracle(machine, word)
+
+
+def test_materialize_one_state_machine():
+    """A 1-state machine accepts every word at once, and so does its materialization."""
+    machine = parse(INITIAL_ACCEPTING["one_state"])
+    emitted = materialize_dfa(machine)
+    assert classify(emitted).is_deterministic
+    assert emitted.n <= dfa_state_bound(1, True).stack_configurations_bound
+    assert all(accepts_oracle(emitted, word) for word in all_words("a", 4))
 
 
 def test_materialized_machines_are_pinned():
