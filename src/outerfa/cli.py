@@ -208,9 +208,11 @@ def _cmd_emit_dfa(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    if args.max_len < 0:
+        raise ValueError("--max-len must be at least 0")
     left = _load(args.file1)
     right = _load(args.file2)
-    if left.alphabet != right.alphabet:
+    if set(left.alphabet) != set(right.alphabet):
         raise NotApplicable("the two machines use different alphabets")
     for word in all_words(left.alphabet, args.max_len):
         if _oracle(left, word) != _oracle(right, word):

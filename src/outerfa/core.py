@@ -14,12 +14,17 @@ oracle for machines with universal states, and a restricted-path oracle for
 computation segments (left endmarker to left endmarker, with no
 left-endmarker visit in between; the right endmarker may be crossed freely).
 Every oracle rejects a word with a letter outside the machine's alphabet
-(`check_word`).
+(`check_word`).  The oracles index a configuration (state, head) as the
+integer head * n + state on the endmarked tape and look up its successors
+in the transition table when they expand it (`_tape_rule`), so each pays
+only for the configurations it visits.  `step` and `Configuration` are the
+same model spelled out one configuration at a time.
 
 `and_or_reach` is the package's one and-or reachability solver: the least
 fixpoint of the and-or path predicate by a worklist over reverse edges, in
-time linear in nodes plus edges.  The alternating oracle runs it over
-configurations and `graphred.agap_decide` over segment graphs.
+time linear in nodes plus edges.  The alternating oracle runs it over the
+configurations reachable from the start and `graphred.agap_decide` over
+segment graphs.
 """
 
 from __future__ import annotations
@@ -303,22 +308,39 @@ def classify(automaton: TwoWayAutomaton) -> FlavorReport:
     )
 
 
+def _tape_rule(automaton: TwoWayAutomaton, word: str) -> tuple[int, str, Callable]:
+    """The one successor rule every oracle steps configurations by, as (n, tape, get).
+
+    Configuration (state, head) is the integer c = head * n + state, so
+    head 0 holds exactly the ids below n, and `tape` is the endmarked word,
+    `tape[head]` the symbol under the head.  The successors of c are
+    (head + d) * n + p for each (p, d) in get((state, tape[head]), ()),
+    looked up when c is expanded.  Validation keeps every move on the tape.
+    A letter outside the alphabet raises NotApplicable.
+    """
+    check_word(automaton, word)
+    return automaton.n, LEFT_ENDMARKER + word + RIGHT_ENDMARKER, automaton._delta.get
+
+
 def accepts_oracle(automaton: TwoWayAutomaton, word: str) -> bool:
     """BFS ground truth: is some accepting state reachable from (initial, 0)?"""
     if automaton.universal:
         raise NotApplicable("machine has universal states; use alternating_accepts_oracle")
-    check_word(automaton, word)
-    start = Configuration(automaton.initial, 0)
-    if start.state in automaton.accepting:
+    n, tape, get = _tape_rule(automaton, word)
+    accepting = automaton.accepting
+    start = automaton.initial  # (initial, 0)
+    if start in accepting:
         return True
     seen = {start}
     queue = deque([start])
     while queue:
-        config = queue.popleft()
-        for succ in step(automaton, config, word):
+        c = queue.popleft()
+        head, state = divmod(c, n)
+        for (p, d) in get((state, tape[head]), ()):
+            succ = (head + d) * n + p
             if succ in seen:
                 continue
-            if succ.state in automaton.accepting:
+            if p in accepting:
                 return True
             seen.add(succ)
             queue.append(succ)
@@ -334,24 +356,25 @@ def accepts_bounded_visits(automaton: TwoWayAutomaton, word: str, k: int) -> boo
     """
     if automaton.universal:
         raise NotApplicable("machine has universal states; use alternating_accepts_oracle")
-    check_word(automaton, word)
+    n, tape, get = _tape_rule(automaton, word)
     if k <= 0:
         return False
-    start = (automaton.initial, 0, 1)
-    if automaton.initial in automaton.accepting:
+    accepting = automaton.accepting
+    if automaton.initial in accepting:
         return True
+    start = (automaton.initial, 1)  # (configuration, left-endmarker visits so far)
     seen = {start}
     queue = deque([start])
     while queue:
-        state, head, visits = queue.popleft()
-        for succ in step(automaton, Configuration(state, head), word):
-            v = visits + (1 if succ.head == 0 else 0)
-            if v > k:
+        c, visits = queue.popleft()
+        head, state = divmod(c, n)
+        for (p, d) in get((state, tape[head]), ()):
+            succ = (head + d) * n + p
+            v = visits + 1 if succ < n else visits
+            node = (succ, v)
+            if v > k or node in seen:
                 continue
-            node = (succ.state, succ.head, v)
-            if node in seen:
-                continue
-            if succ.state in automaton.accepting:
+            if p in accepting:
                 return True
             seen.add(node)
             queue.append(node)
@@ -368,22 +391,20 @@ def segment_exists_oracle(automaton: TwoWayAutomaton, word: str,
     stationary move at the left endmarker is the shortest possible segment.
     The existential/universal partition is ignored; only delta matters.
     """
-    check_word(automaton, word)
-    end = Configuration(q, 0)
-    frontier = deque()
+    n, tape, get = _tape_rule(automaton, word)
+    for state in (p, q):
+        if not 0 <= state < n:
+            raise ValueError(f"unknown state id {state}")
+    # (p, 0) and (q, 0) are the ids p and q; an id below n sits at position 0
     seen = set()
-    for succ in step(automaton, Configuration(p, 0), word):
-        if succ.head == 0:
-            if succ == end:
-                return True
-        elif succ not in seen:
-            seen.add(succ)
-            frontier.append(succ)
+    frontier = deque([p])
     while frontier:
-        config = frontier.popleft()
-        for succ in step(automaton, config, word):
-            if succ.head == 0:
-                if succ == end:
+        c = frontier.popleft()
+        head, state = divmod(c, n)
+        for (x, d) in get((state, tape[head]), ()):
+            succ = (head + d) * n + x
+            if succ < n:
+                if succ == q:
                     return True
                 continue  # touching the left endmarker mid-path is not a segment
             if succ not in seen:
@@ -436,17 +457,40 @@ def alternating_accepts_oracle(automaton: TwoWayAutomaton, word: str) -> bool:
     outright.  Otherwise an existential configuration needs one accepted
     successor and a universal configuration needs at least one successor
     with all of them accepted; in particular a dead non-accepting
-    configuration of either kind is rejecting, and so is any loop.  The
-    fixpoint is `and_or_reach` over all n * (|w| + 2) configurations, so
-    the cost is linear in the configuration graph.
+    configuration of either kind is rejecting, and so is any loop.
+
+    The fixpoint is `and_or_reach` over the closure of (initial, 0): the
+    configurations reachable from it without stepping out of an accepting
+    leaf, with their successor lists and their accepting members as goals.
+    This is exact.  The least fixpoint is the union of rounds G_0 = goals,
+    G_(i+1) = G_i plus every node whose rule holds over G_i, and the rule
+    for a node reads only its own successors.  By induction on i, a node's
+    membership in G_i depends only on the nodes it can reach, and every
+    one of them is in the closure with the same successors; a leaf's
+    successors are never read, since a goal is in every round.  So the
+    start is in the fixpoint over its closure exactly when it is in the
+    fixpoint over all n * (|w| + 2) configurations, and the cost is linear
+    in the closure, not in the whole configuration graph.
     """
-    check_word(automaton, word)
-    configs = [Configuration(s, h) for s in range(automaton.n) for h in range(len(word) + 2)]
-    succs = {c: step(automaton, c, word) for c in configs}
-    accepting = [c for c in configs if c.state in automaton.accepting]
+    n, tape, get = _tape_rule(automaton, word)
+    accepting = automaton.accepting
+    start = automaton.initial  # (initial, 0)
+    succs: dict[int, list[int]] = {start: []}
+    goals = []
+    stack = [start]
+    while stack:
+        c = stack.pop()
+        head, state = divmod(c, n)
+        if state in accepting:
+            goals.append(c)  # a leaf
+            continue
+        out = succs[c] = [(head + d) * n + p for (p, d) in get((state, tape[head]), ())]
+        for succ in out:
+            if succ not in succs:
+                succs[succ] = []
+                stack.append(succ)
     universal = automaton.universal
-    good = and_or_reach(succs, accepting, lambda c: c.state in universal)
-    return Configuration(automaton.initial, 0) in good
+    return start in and_or_reach(succs, goals, lambda c: c % n in universal)
 
 
 def all_words(alphabet: Iterable[str], max_len: int) -> Iterable[str]:

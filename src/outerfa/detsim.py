@@ -114,8 +114,8 @@ def _segment_rows(automaton: TwoWayAutomaton, word: str) -> _BaseRows:
     n = automaton.n
     rows = [1 << a for a in range(n)]
     cols = rows.copy()
-    for a in range(n):
-        for b in table.outcomes(a):
+    for a, outcomes in enumerate(table.rows):
+        for b in outcomes:
             if b is not None:
                 rows[a] |= 1 << b
                 cols[b] |= 1 << a

@@ -56,8 +56,7 @@ def build_segment_graph(automaton: TwoWayAutomaton, word: str,
         alternating = bool(automaton.universal)
     table = return_table(automaton, word)
     edges: set[tuple[int, int]] = set()
-    for p in range(automaton.n):
-        outcomes = table.outcomes(p)
+    for p, outcomes in enumerate(table.rows):
         edges.update((p, q) for q in outcomes if q is not None and (alternating or q != p))
         if alternating and p in automaton.universal and (not outcomes or None in outcomes):
             edges.add((p, p))

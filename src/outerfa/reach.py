@@ -342,17 +342,18 @@ _UNSEEN = -1
 class ReturnTable:
     """`returns[x]`: the state in which the run from (x, 1) first reaches position 0, on one word.
 
-    None if that run halts or loops first, or if no choice launches x rightward.
+    None if that run halts or loops first, or if no choice launches x
+    rightward.  `rows[p]` is `outcomes(p)` for every state p, built once.
     """
 
     automaton: TwoWayAutomaton
     returns: tuple[int | None, ...]
+    rows: tuple[tuple[int | None, ...], ...]
 
     def outcomes(self, p: int) -> tuple[int | None, ...]:
         """End state of each left-endmarker choice of p, or None; p -> q iff q is one."""
         _check_states(self.automaton, p)
-        return tuple(x if d == STAY else self.returns[x]
-                     for (x, d) in self.automaton.successors(p, LEFT_ENDMARKER))
+        return self.rows[p]
 
 
 def return_table(automaton: TwoWayAutomaton, word: str) -> ReturnTable:
@@ -371,8 +372,8 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> ReturnTable:
     tape = word + RIGHT_ENDMARKER
     get = automaton.delta.get  # the table stores no empty successor tuples
     moves = {sym: [get((q, sym), (None,))[0] for q in range(n)] for sym in set(tape)}
-    rows = [None] + [moves[sym] for sym in tape]  # position 0 is never read
-    fate: list[int | None] = [_UNSEEN] * (n * len(rows))
+    steps = [None] + [moves[sym] for sym in tape]  # position 0 is never read
+    fate: list[int | None] = [_UNSEEN] * (n * len(steps))
     fate[:n] = range(n)  # back at position 0, in the current state
     returns: list[int | None] = [None] * n
     for x in {x for p in range(n)
@@ -381,16 +382,20 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> ReturnTable:
         while fate[key] == _UNSEEN:
             fate[key] = None  # met again on this walk: a loop
             path.append(key)
-            if rows[pos][q] is None:
+            if steps[pos][q] is None:
                 break  # the run halts
-            q, d = rows[pos][q]
+            q, d = steps[pos][q]
             pos += d
             key = pos * n + q
         out = fate[key]
         for key in path:
             fate[key] = out
         returns[x] = out
-    return ReturnTable(automaton, tuple(returns))
+    # built from lists: a tuple filled from a generator is resized as it grows,
+    # and in long benchmark runs that made peak RSS creep up pass after pass
+    rows = tuple([tuple([x if d == STAY else returns[x] for (x, d) in get((p, LEFT_ENDMARKER), ())])
+                  for p in range(n)])
+    return ReturnTable(automaton, tuple(returns), rows)
 
 
 def _chain(controller: ReachController, word: str, q: int, t: int,

@@ -92,7 +92,7 @@ class _SimContext:
         self.initial = automaton.initial
         self.final = next(iter(automaton.accepting))
         table = return_table(automaton, word)  # rejects foreign letters
-        self.segment = [frozenset(table.outcomes(p)) for p in range(automaton.n)]
+        self.segment = [frozenset(row) for row in table.rows]
         if replay:
             controller = build_controller(automaton)
             self.scripts = [_script(controller, word, q) for q in range(automaton.n)]

@@ -205,6 +205,28 @@ def test_equiv_detects_seeded_mutation(e1_file, tmp_path, capsys):
     assert "counterexample:" in out
 
 
+def test_equiv_ignores_the_order_of_alphabet_letters(e1_file, tmp_path, capsys):
+    text = serialize(build_e1())
+    assert "alphabet: a b\n" in text
+    path = tmp_path / "e1_ba.2wa"
+    path.write_text(text.replace("alphabet: a b\n", "alphabet: b a\n"))
+    assert parse(path.read_text()).alphabet == ("b", "a")
+    assert main(["equiv", e1_file, str(path), "--max-len", "4"]) == 0
+    assert "equivalent: true" in capsys.readouterr().out
+    # a different letter set is still refused
+    other = tmp_path / "e1_abc.2wa"
+    other.write_text(text.replace("alphabet: a b\n", "alphabet: a b c\n"))
+    assert main(["equiv", e1_file, str(other), "--max-len", "4"]) == 3
+    assert "different alphabets" in capsys.readouterr().err
+
+
+def test_equiv_rejects_a_negative_length(e1_file, capsys):
+    assert main(["equiv", e1_file, e1_file, "--max-len", "-3"]) == 3
+    captured = capsys.readouterr()
+    assert "equivalent" not in captured.out
+    assert "--max-len" in captured.err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.2wa"
     bad.write_text("type: onfa\nstates q\n")
