@@ -122,6 +122,9 @@ class TwoWayAutomaton:
             if succs
         }
         self._validate()
+        # the symbols some state has a choice on; `classify` and the normal-form flags read it
+        self._choice_symbols = frozenset(sym for (_, sym), succs in self._delta.items()
+                                         if len(succs) > 1)
         self._form_flags: list = [None, None]  # normal-form flags, by `alternating`
         self._letters = "".join(self.alphabet)  # for check_word; a set per machine slowed set-up
 
@@ -251,12 +254,7 @@ def _normal_form_flags(automaton: TwoWayAutomaton, alternating: bool) -> tuple[b
     flags = automaton._form_flags[alternating]
     if flags is not None:
         return flags
-    interior = automaton.alphabet + (RIGHT_ENDMARKER,)
-    prop1 = all(
-        len(automaton.successors(q, sym)) <= 1
-        for q in range(automaton.n)
-        for sym in interior
-    )
+    prop1 = automaton._choice_symbols <= {LEFT_ENDMARKER}
 
     unique_final = len(automaton.accepting) == 1
     q_final = next(iter(automaton.accepting)) if unique_final else None
@@ -281,28 +279,14 @@ def _normal_form_flags(automaton: TwoWayAutomaton, alternating: bool) -> tuple[b
 
 
 def classify(automaton: TwoWayAutomaton) -> FlavorReport:
-    """Scan the transition table and report where choice can occur."""
-    letters = automaton.alphabet
-    deterministic = all(
-        len(automaton.successors(q, sym)) <= 1
-        for q in range(automaton.n)
-        for sym in automaton.symbols()
-    )
-    outer = all(
-        len(automaton.successors(q, a)) <= 1
-        for q in range(automaton.n)
-        for a in letters
-    )
-    outer_left = outer and all(
-        len(automaton.successors(q, RIGHT_ENDMARKER)) <= 1
-        for q in range(automaton.n)
-    )
+    """Report where choice can occur, from the symbols some state has a choice on."""
+    choice = automaton._choice_symbols
     alternating = bool(automaton.universal)
     flags = _normal_form_flags(automaton, alternating=alternating)
     return FlavorReport(
-        is_deterministic=deterministic,
-        is_outer=outer,
-        is_outer_left=outer_left,
+        is_deterministic=not choice,
+        is_outer=choice.isdisjoint(automaton.alphabet),
+        is_outer_left=choice <= {LEFT_ENDMARKER},
         is_alternating=alternating,
         satisfies_normal_form=all(flags),
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log, log2
 
-from .core import LEFT_ENDMARKER, STAY, InvariantViolation, TwoWayAutomaton
+from .core import LEFT_ENDMARKER, STAY, InvariantViolation, TwoWayAutomaton, check_word
 from .normalform import require_normal_form
 from .reach import (
     ACCEPT,
@@ -237,9 +237,10 @@ def decide_det(automaton: TwoWayAutomaton, word: str,
     One run of `_divide` at height ceil(log2(n - 1)) answers it: its chains
     of at most 2^height >= n - 1 segments reach no further, as a shortest
     chain repeats no state.  A machine whose initial state is the accepting
-    one accepts at once.
+    one accepts at once, once the word has passed the alphabet check.
     """
     require_normal_form(automaton, alternating=False)
+    check_word(automaton, word)
     q_init, q_final = automaton.initial, next(iter(automaton.accepting))
     if q_init == q_final:
         return True
@@ -276,8 +277,10 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = 10**6) -> TwoW
     moves at the left endmarker, where the backward search starts and ends.
     Guarded to tiny sources; the state count never exceeds
     4n * (2n) ** ceil(log2(n - 1)).  A 1-state machine yields the machine
-    that accepts at once.
+    that accepts at once.  A negative `max_states` raises ValueError.
     """
+    if max_states < 0:
+        raise ValueError("the state ceiling must be at least 0")
     require_normal_form(automaton, alternating=False)
     n = automaton.n
     if not 1 <= n <= 5:

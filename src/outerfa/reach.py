@@ -31,11 +31,11 @@ The controller is the paper's constant-memory device.  The deciders, which
 may spend memory linear in the tape, instead read the whole segment
 relation of one word off `return_table`: the same backward-search argument
 read forward, one memoized pass over the configurations.  It is the only
-per-word pass: the backward tree of (q_to, 0) holds a node (x, 1) exactly
-when the run from (x, 1) first returns to the left endmarker in q_to, so
-the self-verifying simulation's decider reads its choice points off the
-table as well.  Replaying one of its choice traces, whose order matters,
-walks the controller.
+per-word pass.  The self-verifying simulation's decider reads its
+candidates off the table's rows as well, one choice point per target, as
+its report does not depend on how the walk spreads them over points.
+Replaying one of its choice traces, whose order matters, walks the
+controller.
 """
 
 from __future__ import annotations

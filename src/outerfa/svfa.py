@@ -18,8 +18,9 @@ and another walks the whole choice tree without re-running shared prefixes
 the controller's walk order.  The tree walk needs no order: a search's
 keep-or-emit chain has one subtree per listed candidate plus one
 don't-know leaf, so the verdicts realized and the leaf counts depend only
-on the multiset of points, and the walk reads them off the word's return
-table without building the controller.  The simulation itself needs only
+on which candidates there are.  The walk gives each search one point
+listing them all, read off the word's segment relation (`ReturnTable.rows`)
+without building the controller.  The simulation itself needs only
 six state-bounded variables plus the backward-search cursor, which is what
 `svfa_state_accounting` prices out; the equivalent single transition table
 is astronomically large and is never materialized.
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import LEFT_ENDMARKER, RIGHT, InvariantViolation, TwoWayAutomaton, Verdict
+from .core import InvariantViolation, TwoWayAutomaton, Verdict
 from .normalform import require_normal_form
 from .reach import ReturnTable, TraceUnderflow, _script, build_controller, return_table
 from .reach import segment_reach  # noqa: F401  (perfbench/tracing.py wraps it here by name)
@@ -82,8 +83,8 @@ class _SimContext:
     return table.  `scripts[q]` lists the choice points of the guessing
     search for segments into q, each as the states that may be emitted
     there.  A replayed trace (`replay`) needs them in the order of the
-    controller's walk, which builds the controller; the decider reads them
-    off the return table (`_decider_scripts`).
+    controller's walk, which builds the controller; the decider needs only
+    the candidates (`_decider_scripts`).
     """
 
     def __init__(self, automaton: TwoWayAutomaton, word: str, replay: bool):
@@ -101,27 +102,22 @@ class _SimContext:
 
 
 def _decider_scripts(table: ReturnTable) -> list[list[list[int]]]:
-    """Each target's search choice points that list a candidate, in no fixed order.
+    """Each target's search choice points for the decider: one point listing every candidate.
 
-    The controller's walk into q lists, at each node (x, 1) of its backward
-    tree, the states launching x rightward, and (x, 1) is in that tree
-    exactly when the run from it first returns to the left endmarker in q.
-    So the search into a non-accepting q has one point per such x, and the
-    search into the accepting state keeps its one stationary point.
+    The point for q lists p once per entry q of `rows[p]`, in state order;
+    a target without candidates has no point.  In the strict normal form
+    each such entry is one rightward choice of p whose run first returns
+    in q, or p's stationary move into the accepting state: one listing of
+    p in the controller's walk into q.  A keep-or-emit chain roots one
+    subtree per candidate and ends in one don't-know leaf however its
+    candidates are spread over points, so the report is the walk's.
     """
-    automaton = table.automaton
-    final = next(iter(automaton.accepting))
-    launchers: dict[tuple[int, int], list[int]] = {}
-    for p in range(automaton.n):
-        for move in automaton.successors(p, LEFT_ENDMARKER):
-            launchers.setdefault(move, []).append(p)
-    scripts: list[list[list[int]]] = [[] for _ in range(automaton.n)]
-    for (x, d), states in launchers.items():
-        if d == RIGHT and table.returns[x] is not None:
-            scripts[table.returns[x]].append(states)
-        elif x == final:
-            scripts[x].append(states)
-    return scripts
+    candidates: list[list[int]] = [[] for _ in range(table.automaton.n)]
+    for p, row in enumerate(table.rows):
+        for q in row:
+            if q is not None:
+                candidates[q].append(p)
+    return [[point] if point else [] for point in candidates]
 
 
 # A paused branch is ("choice", snapshot, options); a finished one is
@@ -217,13 +213,16 @@ def svfa_run(automaton: TwoWayAutomaton, word: str, trace: Sequence[int]) -> Ver
 def svfa_decide(automaton: TwoWayAutomaton, word: str, budget: int = 10**6) -> DecisionReport:
     """Exhaust every choice trace depth-first and aggregate the verdicts.
 
-    The enumeration is finite because every branch halts.  Its search
-    choice points are read off the return table, in no particular order
-    and without the walk's points that list no candidate, which changes
+    The enumeration is finite because every branch halts.  Each search
+    has at most one choice point, listing every candidate the controller's
+    walk spreads over its points (`_decider_scripts`), which changes
     neither the verdicts realized nor the leaf counts.  A budget of the
     branch points so visited guards against misuse on oversized machines;
-    exceeding it raises BudgetExceeded carrying the partial report.
+    exceeding it raises BudgetExceeded carrying the partial report.  A
+    negative budget raises ValueError.
     """
+    if budget < 0:
+        raise ValueError("the branch budget must be at least 0")
     ctx = _SimContext(automaton, word, replay=False)
     accepts = rejects = dont_knows = 0
 

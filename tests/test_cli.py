@@ -63,6 +63,10 @@ def test_initial_accepting_state_via_cli(name, tmp_path, capsys):
         assert "result: true" in capsys.readouterr().out
     assert main(["complement", str(path), "--word", "a"]) == 0
     assert "result: false" in capsys.readouterr().out
+    # the accept-at-once shortcut still refuses a foreign letter
+    for method in METHODS:
+        assert main(["run", str(path), "--word", "zz", "--method", method]) == 3, method
+        assert "not in the machine's alphabet" in capsys.readouterr().err
 
 
 def test_run_json_output(e1_file, capsys):
@@ -178,10 +182,18 @@ def test_emit_dfa_budget_exit_code(tmp_path, capsys):
     src.write_text(serialize(build_ea()))
     assert main(["emit-dfa", str(src), "--out", str(tmp_path / "x"),
                  "--max-states", "10"]) == 4
+    # a negative ceiling is a bad argument, not an exhausted budget
+    assert main(["emit-dfa", str(src), "--out", str(tmp_path / "x"),
+                 "--max-states", "-1"]) == 3
+    assert "ceiling must be at least 0" in capsys.readouterr().err
 
 
 def test_run_budget_exit_code(e1_file, capsys):
     assert main(["run", e1_file, "--word", "aa", "--method", "svfa", "--budget", "2"]) == 4
+    # a negative budget is a bad argument, not an exhausted budget
+    assert main(["run", e1_file, "--word", "aa", "--method", "svfa", "--budget", "-5"]) == 3
+    assert main(["complement", e1_file, "--word", "aa", "--budget", "-1"]) == 3
+    assert capsys.readouterr().err.count("budget must be at least 0") == 2
 
 
 def test_equiv_identical(e1_file, capsys):

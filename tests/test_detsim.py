@@ -297,8 +297,20 @@ def test_materialize_guards_size():
         materialize_dfa(blown)
 
 
+def test_materialize_rejects_a_negative_ceiling():
+    with pytest.raises(ValueError, match="at least 0") as info:
+        materialize_dfa(EA, max_states=-1)
+    assert not isinstance(info.value, TooLarge)
+    with pytest.raises(TooLarge):  # a ceiling of 0 still means no state fits
+        materialize_dfa(EA, max_states=0)
+
+
 def test_foreign_letters_raise():
     with pytest.raises(NotApplicable, match="not in the machine's alphabet"):
         decide_det(E1, "ac")
     with pytest.raises(NotApplicable, match="not in the machine's alphabet"):
         reachable(E1, "ca", Q_I, Q_F, 2)
+    # the initial state is the accepting one: the alphabet check still comes first
+    for text in INITIAL_ACCEPTING.values():
+        with pytest.raises(NotApplicable, match="not in the machine's alphabet"):
+            decide_det(parse(text), "zz")

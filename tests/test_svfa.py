@@ -11,6 +11,7 @@ from outerfa import (
     Verdict,
     accepts_oracle,
     all_words,
+    build_controller,
     build_segment_graph,
     complement_decide,
     decide_det,
@@ -22,6 +23,7 @@ from outerfa import (
     svfa_state_accounting,
 )
 from outerfa.normalform import NotNormalForm
+from outerfa.reach import _script
 from outerfa.fixtures import build_e1, build_e2, build_trivial_all, build_trivial_empty
 
 from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper
@@ -95,10 +97,16 @@ def test_corpus_verdicts_match_oracle(nf_corpus):
 
 def test_decide_matches_trace_replay_enumeration(nf_corpus):
     # dual route: exhaustively replaying traces through svfa_run must land on
-    # exactly the tallies the direct tree walk of svfa_decide reports
+    # exactly the tallies the direct tree walk of svfa_decide reports, also
+    # where the decider's one point for a target merges two or more of the
+    # walk's points (nf_corpus[2], n = 4, on "a" into state 2 is one)
     machines = list(nf_corpus[:4]) + [build_trivial_all(), mod_p_sweeper((2, 3)), chain_sweeper(2)]
+    merged = 0
     for machine in machines:
+        controller = build_controller(machine)
         for word in all_words(machine.alphabet, 3):
+            merged += any(sum(1 for point in _script(controller, word, q) if point) >= 2
+                          for q in range(machine.n))
             tallies = {verdict: 0 for verdict in Verdict}
             stack = [()]
             while stack:
@@ -114,6 +122,7 @@ def test_decide_matches_trace_replay_enumeration(nf_corpus):
             assert report.verdict_exists_no == (tallies[Verdict.REJECT] > 0)
             assert report.dont_know_count == tallies[Verdict.DONT_KNOW]
             assert report.branches_explored == sum(tallies.values())
+    assert merged >= 1
 
 
 def test_complement_examples():
@@ -134,6 +143,14 @@ def test_budget_exhaustion_reports_partial():
     report = info.value.report
     assert not report.complete
     assert report.branches_explored <= 3
+
+
+def test_negative_budgets_raise():
+    for decide in (svfa_decide, complement_decide):
+        with pytest.raises(ValueError, match="at least 0"):
+            decide(E1, "aa", budget=-1)
+        with pytest.raises(BudgetExceeded):  # a budget of 0 still admits no branch point
+            decide(E1, "aa", budget=0)
 
 
 def test_accounting_values():
