@@ -114,6 +114,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.budget < 0:
+        raise ValueError("the branch budget must be at least 0")
     automaton = _load(args.file)
     started = time.perf_counter()
     result, extras = _decide(automaton, args.word, args.method, args.budget)
@@ -242,7 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--word", required=True)
     p.add_argument("--method", choices=METHODS, default="oracle")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=10**6,
+                   help="branch budget, consumed only by --method svfa; negative is an error")
 
     p = add("normalize", _cmd_normalize, "convert into the structured normal form")
     p.add_argument("file")

@@ -214,7 +214,12 @@ def check_word(automaton: TwoWayAutomaton, word: str) -> str:
 
 
 def symbol_at(word: str, position: int) -> str:
-    """Tape symbol under the head: endmarkers at 0 and len(word)+1."""
+    """Tape symbol under the head: endmarkers at 0 and len(word)+1.
+
+    A position off the tape raises ValueError.
+    """
+    if not 0 <= position <= len(word) + 1:
+        raise ValueError(f"position {position} is off the tape of a {len(word)}-letter word")
     if position == 0:
         return LEFT_ENDMARKER
     if position == len(word) + 1:
@@ -226,8 +231,12 @@ def step(automaton: TwoWayAutomaton, config: Configuration, word: str) -> set[Co
     """All successor configurations of `config` on `word`.
 
     An empty set means the path halts.  A successor that would leave the
-    tape indicates a malformed (unvalidated) machine and raises.
+    tape indicates a malformed (unvalidated) machine and raises.  An unknown
+    state id raises ValueError, a letter outside the alphabet NotApplicable.
     """
+    if not 0 <= config.state < automaton.n:
+        raise ValueError(f"unknown state id {config.state}")
+    check_word(automaton, word)
     if not 0 <= config.head <= len(word) + 1:
         raise MalformedAutomaton(f"head position {config.head} outside the tape")
     symbol = symbol_at(word, config.head)

@@ -244,7 +244,7 @@ def decide_det(automaton: TwoWayAutomaton, word: str,
     q_init, q_final = automaton.initial, next(iter(automaton.accepting))
     if q_init == q_final:
         return True
-    return _divide([[q_init, q_final, q_init, 2]], _ceil_log2(automaton.n - 1),
+    return _divide([[q_init, q_final, q_init, 2]], _stack_height(automaton.n),
                    _segment_rows(automaton, word), stats=stats)
 
 
@@ -275,20 +275,17 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = 10**6) -> TwoW
     States are (stack configuration, backward-search cursor) pairs plus two
     terminals; all bookkeeping between base cases happens in stationary
     moves at the left endmarker, where the backward search starts and ends.
-    Guarded to tiny sources; the state count never exceeds
-    4n * (2n) ** ceil(log2(n - 1)).  A 1-state machine yields the machine
-    that accepts at once.  A negative `max_states` raises ValueError.
+    The worklist mints only the states reachable from the start, and
+    minting one past `max_states` raises TooLarge; the count never exceeds
+    `dfa_state_bound(n, True).stack_configurations_bound`, 4n * (2n) **
+    ceil(log2(n - 1)).  A 1-state machine yields the machine that accepts at
+    once.  A negative `max_states` raises ValueError.
     """
     if max_states < 0:
         raise ValueError("the state ceiling must be at least 0")
     require_normal_form(automaton, alternating=False)
     n = automaton.n
-    if not 1 <= n <= 5:
-        raise ValueError("materialization is guarded to machines with 1 to 5 states")
     height = _stack_height(n)
-    bound = 4 * n * (2 * n) ** height
-    if bound > max_states:
-        raise TooLarge(f"state bound {bound} exceeds the ceiling {max_states}")
     controller = build_controller(automaton)
     q_final = controller.final_state
     rows = _base_rows([[True if q == p else _tape_free_segment(controller, q, p)
@@ -300,6 +297,8 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = 10**6) -> TwoW
 
     def state_id(key, name_hint: str) -> int:
         if key not in ids:
+            if len(names) >= max_states:
+                raise TooLarge(f"the machine needs more than {max_states} states")
             ids[key] = len(names)
             names.append(name_hint)
             if isinstance(key, tuple):
@@ -347,6 +346,7 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = 10**6) -> TwoW
         accepting=[accept_id],
         declared_flavor="dfa",
     )
+    bound = dfa_state_bound(n, True).stack_configurations_bound
     if result.n > bound:
         raise InvariantViolation(
             f"materialized machine has {result.n} states, over its bound {bound}")

@@ -340,14 +340,14 @@ _UNSEEN = -1
 
 @dataclass(frozen=True)
 class ReturnTable:
-    """`returns[x]`: the state in which the run from (x, 1) first reaches position 0, on one word.
+    """The segment relation of one word: `rows[p]` is `outcomes(p)` for every state p, built once.
 
-    None if that run halts or loops first, or if no choice launches x
-    rightward.  `rows[p]` is `outcomes(p)` for every state p, built once.
+    A rightward choice into x ends in the state in which the run from
+    (x, 1) first reaches position 0, or in None if that run halts or loops
+    first; a stationary choice into x ends in x.
     """
 
     automaton: TwoWayAutomaton
-    returns: tuple[int | None, ...]
     rows: tuple[tuple[int | None, ...], ...]
 
     def outcomes(self, p: int) -> tuple[int | None, ...]:
@@ -395,7 +395,7 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> ReturnTable:
     # and in long benchmark runs that made peak RSS creep up pass after pass
     rows = tuple([tuple([x if d == STAY else returns[x] for (x, d) in get((p, LEFT_ENDMARKER), ())])
                   for p in range(n)])
-    return ReturnTable(automaton, tuple(returns), rows)
+    return ReturnTable(automaton, rows)
 
 
 def _chain(controller: ReachController, word: str, q: int, t: int,

@@ -79,12 +79,13 @@ class SvfaStateAccounting:
 class _SimContext:
     """Per-(machine, word) tables shared by every replayed branch.
 
-    `segment[p]` holds the states one segment away from p, from the word's
-    return table.  `scripts[q]` lists the choice points of the guessing
-    search for segments into q, each as the states that may be emitted
-    there.  A replayed trace (`replay`) needs them in the order of the
-    controller's walk, which builds the controller; the decider needs only
-    the candidates (`_decider_scripts`).
+    `rows` is the word's return table: q is one segment away from p exactly
+    when q is in `rows[p]`, which the chain check tests directly.
+    `scripts[q]` lists the choice points of the guessing search for
+    segments into q, each as the states that may be emitted there.  A
+    replayed trace (`replay`) needs them in the order of the controller's
+    walk, which builds the controller; the decider needs only the
+    candidates (`_decider_scripts`).
     """
 
     def __init__(self, automaton: TwoWayAutomaton, word: str, replay: bool):
@@ -93,7 +94,7 @@ class _SimContext:
         self.initial = automaton.initial
         self.final = next(iter(automaton.accepting))
         table = return_table(automaton, word)  # rejects foreign letters
-        self.segment = [frozenset(row) for row in table.rows]
+        self.rows = table.rows
         if replay:
             controller = build_controller(automaton)
             self.scripts = [_script(controller, word, q) for q in range(automaton.n)]
@@ -160,7 +161,7 @@ def _drive(ctx: _SimContext, t: int, m: int, m_new: int, q_target: int,
         if cur != ctx.initial:
             return ("done", Verdict.DONT_KNOW)
         # the guessed state survived the filter; is the target one segment away?
-        if q_target in ctx.segment[q_prev]:
+        if q_target in ctx.rows[q_prev]:
             if q_target == ctx.final:
                 return ("done", Verdict.ACCEPT)
             return _next_cell(ctx, t, m, m_new + 1, q_target + 1)

@@ -188,12 +188,28 @@ def test_emit_dfa_budget_exit_code(tmp_path, capsys):
     assert "ceiling must be at least 0" in capsys.readouterr().err
 
 
+def test_emit_dfa_on_e1(e1_file, tmp_path, capsys):
+    """E1 has 6 states; only the 1 120 states the worklist emits count against the ceiling."""
+    out_path = tmp_path / "e1-dfa.2wa"
+    assert main(["emit-dfa", e1_file, "--out", str(out_path)]) == 0
+    assert "states: 1120" in capsys.readouterr().out
+    assert main(["equiv", e1_file, str(out_path), "--max-len", "6"]) == 0
+    assert main(["emit-dfa", e1_file, "--out", str(tmp_path / "x"), "--max-states", "100"]) == 4
+    assert "more than 100 states" in capsys.readouterr().err
+
+
 def test_run_budget_exit_code(e1_file, capsys):
     assert main(["run", e1_file, "--word", "aa", "--method", "svfa", "--budget", "2"]) == 4
     # a negative budget is a bad argument, not an exhausted budget
     assert main(["run", e1_file, "--word", "aa", "--method", "svfa", "--budget", "-5"]) == 3
     assert main(["complement", e1_file, "--word", "aa", "--budget", "-1"]) == 3
     assert capsys.readouterr().err.count("budget must be at least 0") == 2
+
+
+@pytest.mark.parametrize("method", ["oracle", "svfa", "divide", "gap", "agap"])
+def test_run_rejects_a_negative_budget_for_every_method(e1_file, method, capsys):
+    assert main(["run", e1_file, "--word", "aa", "--method", method, "--budget", "-5"]) == 3
+    assert "budget must be at least 0" in capsys.readouterr().err
 
 
 def test_equiv_identical(e1_file, capsys):

@@ -24,6 +24,7 @@ from outerfa import (
     oafa_decide,
     segment_exists_oracle,
     step,
+    symbol_at,
 )
 from outerfa import core
 from outerfa.fixtures import Q_F, Q_I, P_A, P_B, R_A, R_B, build_e1, build_e2, build_trivial_empty
@@ -52,6 +53,26 @@ def test_step_interior_sweep():
 def test_step_rejects_off_tape_positions():
     with pytest.raises(MalformedAutomaton):
         step(E1, Configuration(Q_I, 9), "aa")
+
+
+@pytest.mark.parametrize("state", [99, E1.n, -1])
+def test_step_rejects_unknown_state_ids(state):
+    with pytest.raises(ValueError, match="unknown state id"):
+        step(E1, Configuration(state, 0), "a")
+
+
+def test_step_rejects_foreign_letters():
+    with pytest.raises(NotApplicable, match="not in the machine's alphabet"):
+        step(E1, Configuration(P_A, 1), "z")
+    with pytest.raises(NotApplicable):  # also when the head is elsewhere
+        step(E1, Configuration(Q_I, 0), "az")
+
+
+def test_symbol_at_reads_only_the_tape():
+    assert [symbol_at("ab", i) for i in range(4)] == ["<", "a", "b", ">"]
+    for position in (-1, 4, 7):
+        with pytest.raises(ValueError, match="off the tape"):
+            symbol_at("ab", position)
 
 
 def test_validation_rejects_moves_off_the_tape():

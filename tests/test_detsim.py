@@ -18,6 +18,7 @@ from outerfa import (
     decide_det,
     dfa_state_bound,
     materialize_dfa,
+    normalize_onfa,
     parse,
     reachable,
     segment_exists_oracle,
@@ -27,7 +28,7 @@ from outerfa.detsim import _base_rows, _ceil_log2, _divide, _segment_rows, _stac
 from outerfa.fixtures import P_B, Q_F, Q_I, build_e1, build_ea, build_trivial_empty
 from outerfa.reach import return_table
 
-from conftest import INITIAL_ACCEPTING, random_nf_onfa
+from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, random_nf_onfa
 
 E1 = build_e1()
 EA = build_ea()
@@ -289,12 +290,28 @@ def test_materialize_respects_ceiling():
         materialize_dfa(build_ea(), max_states=10)
 
 
-def test_materialize_guards_size():
-    from outerfa import normalize_onfa
+@pytest.mark.parametrize("build", [
+    build_e1, lambda: chain_sweeper(2), lambda: chain_sweeper(3), lambda: mod_p_sweeper((2, 3)),
+], ids=["E1", "chain_sweeper_2", "chain_sweeper_3", "mod_p_sweeper_2_3"])
+def test_materialize_sources_above_five_states(build):
+    """Only the states the worklist emits count: 6- to 9-state sources materialize."""
+    machine = build()
+    assert machine.n > 5
+    emitted = materialize_dfa(machine)
+    assert classify(emitted).is_deterministic
+    assert emitted.n <= dfa_state_bound(machine.n, True).stack_configurations_bound
+    for word in all_words(machine.alphabet, 6):
+        assert accepts_oracle(emitted, word) == accepts_oracle(machine, word), word
 
-    blown = normalize_onfa(build_e1())  # 12 states, above the guard
-    with pytest.raises(ValueError):
-        materialize_dfa(blown)
+
+def test_materialize_stops_at_the_ceiling():
+    blown = normalize_onfa(build_e1())  # 12 states; the worklist would emit 345 439
+    with pytest.raises(TooLarge, match="more than 1000 states"):
+        materialize_dfa(blown, max_states=1000)
+    # the ceiling bounds the emitted machine itself: E1's emits 1 120 states
+    assert materialize_dfa(E1, max_states=1120).n == 1120
+    with pytest.raises(TooLarge):
+        materialize_dfa(E1, max_states=1119)
 
 
 def test_materialize_rejects_a_negative_ceiling():

@@ -286,12 +286,10 @@ def test_return_table_marks_loops_with_none():
         },
         q_i, [q_f],
     )
-    assert return_table(machine, "").returns[p] == r
+    # qI's two choices launch p and b, in that order
+    assert return_table(machine, "").outcomes(q_i) == (r, None)
     for word in ("a", "aa", "aaa"):
-        table = return_table(machine, word)
-        assert table.returns[p] is None
-        assert table.returns[b] == b
-        assert table.outcomes(q_i) == (None, b)
+        assert return_table(machine, word).outcomes(q_i) == (None, b)
     assert_table_matches(machine, all_words("a", 4))
 
 
@@ -315,8 +313,9 @@ def test_return_table_on_long_mod3_sweeper():
     words = ["a" * k for k in (498, 499, 500)]
     for word in words:
         table = return_table(machine, word)
-        assert table.returns[c0] == (back if len(word) % 3 == 0 else None)
-        assert table.returns[c1] == (back if len(word) % 3 == 2 else None)
+        # qI launches c0; back relaunches c1 or moves into qF
+        assert table.outcomes(q_i) == (back if len(word) % 3 == 0 else None,)
+        assert table.outcomes(back) == (back if len(word) % 3 == 2 else None, q_f)
     assert_table_matches(machine, words)
 
 
