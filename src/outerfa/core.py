@@ -213,6 +213,13 @@ def check_word(automaton: TwoWayAutomaton, word: str) -> str:
     return word
 
 
+def _check_states(automaton: TwoWayAutomaton, *states: int) -> None:
+    """Raise ValueError for any state id outside range(n)."""
+    for q in states:
+        if not 0 <= q < automaton.n:
+            raise ValueError(f"unknown state id {q}: the machine has states 0 to {automaton.n - 1}")
+
+
 def symbol_at(word: str, position: int) -> str:
     """Tape symbol under the head: endmarkers at 0 and len(word)+1.
 
@@ -234,8 +241,7 @@ def step(automaton: TwoWayAutomaton, config: Configuration, word: str) -> set[Co
     tape indicates a malformed (unvalidated) machine and raises.  An unknown
     state id raises ValueError, a letter outside the alphabet NotApplicable.
     """
-    if not 0 <= config.state < automaton.n:
-        raise ValueError(f"unknown state id {config.state}")
+    _check_states(automaton, config.state)
     check_word(automaton, word)
     if not 0 <= config.head <= len(word) + 1:
         raise MalformedAutomaton(f"head position {config.head} outside the tape")
@@ -385,9 +391,7 @@ def segment_exists_oracle(automaton: TwoWayAutomaton, word: str,
     The existential/universal partition is ignored; only delta matters.
     """
     n, tape, get = _tape_rule(automaton, word)
-    for state in (p, q):
-        if not 0 <= state < n:
-            raise ValueError(f"unknown state id {state}")
+    _check_states(automaton, p, q)
     # (p, 0) and (q, 0) are the ids p and q; an id below n sits at position 0
     seen = set()
     frontier = deque([p])

@@ -23,13 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log, log2
 
-from .core import LEFT_ENDMARKER, STAY, InvariantViolation, TwoWayAutomaton, check_word
+from .core import LEFT_ENDMARKER, STAY, InvariantViolation, TwoWayAutomaton, _check_states, check_word
 from .normalform import require_normal_form
 from .reach import (
     ACCEPT,
     ControllerState,
     DONE_LEFT,
-    _check_states,
     _tape_free_segment,
     build_controller,
     return_table,
@@ -239,9 +238,8 @@ def decide_det(automaton: TwoWayAutomaton, word: str,
     chain repeats no state.  A machine whose initial state is the accepting
     one accepts at once, once the word has passed the alphabet check.
     """
-    require_normal_form(automaton, alternating=False)
+    q_init, q_final = automaton.initial, require_normal_form(automaton, alternating=False)
     check_word(automaton, word)
-    q_init, q_final = automaton.initial, next(iter(automaton.accepting))
     if q_init == q_final:
         return True
     return _divide([[q_init, q_final, q_init, 2]], _stack_height(automaton.n),

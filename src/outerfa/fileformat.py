@@ -178,8 +178,16 @@ def _infer_flavor(automaton: TwoWayAutomaton) -> str:
 
 
 def serialize(automaton: TwoWayAutomaton) -> str:
-    """Canonical document for the machine; stable down to the byte."""
+    """Canonical document for the machine; stable down to the byte.
+
+    The format splits tokens at whitespace and cuts comments at `#`, so an
+    empty state name, or a name or letter holding whitespace or `#`, cannot
+    be written and raises ValueError.
+    """
     names = automaton.state_names
+    for token in (*names, *automaton.alphabet):
+        if token.split() != [token] or "#" in token:
+            raise ValueError(f"cannot write {token!r}: tokens are nonempty, without whitespace or '#'")
     symbol_rank = {letter: (0, i) for i, letter in enumerate(automaton.alphabet)}
     symbol_rank[LEFT_ENDMARKER] = (1, 0)
     symbol_rank[RIGHT_ENDMARKER] = (2, 0)

@@ -118,7 +118,7 @@ def segment_graph_to_dot(graph: SegmentGraph) -> str:
     """Graphviz rendering: boxes for universal states, source bold, target doubled."""
 
     def quote(name: str) -> str:
-        return '"' + name.replace('"', '\\"') + '"'
+        return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     lines = ["digraph segments {", "  rankdir=LR;"]
     universal = graph.universal or frozenset()

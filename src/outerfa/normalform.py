@@ -69,17 +69,20 @@ def check_normal_form(automaton: TwoWayAutomaton, alternating: bool = False) -> 
     )
 
 
-def require_normal_form(automaton: TwoWayAutomaton, alternating: bool) -> None:
-    """Raise NotNormalForm unless the machine is in the normal form.
+def require_normal_form(automaton: TwoWayAutomaton, alternating: bool) -> int:
+    """The machine's unique accepting state; NotNormalForm unless it is in the normal form.
 
     Without `alternating` that is the strict form, on a machine without
     universal states; with it, the relaxed form, universal states allowed.
+    Either form has exactly one accepting state, which every construction
+    that passes this gate reads from here.
     """
     if not alternating and automaton.universal:
         raise NotNormalForm("this operation takes machines without universal states")
     if not all(_normal_form_flags(automaton, alternating)):
         variant = "relaxed" if alternating else "strict"
         raise NotNormalForm(f"this operation requires the {variant} normal form")
+    return next(iter(automaton.accepting))
 
 
 def _stationary_closure(rows: dict, q: int, symbol: str) -> set[tuple[int, int]]:

@@ -18,14 +18,14 @@ rightward, which the controller reads off one reverse launch index.
 Questions that need no tape go through one shortcut rule,
 `_tape_free_segment`, shared with the materialized deterministic machine.
 
-One stepper, `_walk`, runs the controller over a tape and reports each
-scan-left visit to the left endmarker.  The plain search (`segment_reach`)
-stops at the first visit its q_from launches; the guessing variant records
-every visit as a choice point (`_script`).  The guessing variant
-(`n_reach`) emits some state with a segment into q_to; its iterated form
-(`t_reach`) checks a chain of exactly t segments out of the initial state,
-and `n_reach` is its one-segment case.  Both are driven by explicit choice
-traces so that callers can replay or exhaust them.
+One stepper, `_walk`, runs the controller over a tape and reports the
+launch candidates of each scan-left visit to the left endmarker.  The plain
+search (`segment_reach`) stops at the first visit listing its q_from; the
+guessing variant records every visit as a choice point (`_script`).  The
+guessing variant (`n_reach`) emits some state with a segment into q_to;
+its iterated form (`t_reach`) checks a chain of exactly t segments out of
+the initial state, and `n_reach` is its one-segment case.  Both are driven
+by explicit choice traces so that callers can replay or exhaust them.
 
 The controller is the paper's constant-memory device.  The deciders, which
 may spend memory linear in the tape, instead read the whole segment
@@ -52,6 +52,7 @@ from .core import (
     InvariantViolation,
     TwoWayAutomaton,
     Verdict,
+    _check_states,
     check_word,
 )
 from .normalform import require_normal_form
@@ -146,8 +147,7 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
     """Fill in the 4n - 3 state transition table for the backward search."""
     # The relaxed variant suffices: segments only need determinism away
     # from the left endmarker plus the halting accepting-state shape.
-    require_normal_form(automaton, alternating=True)
-    q_final = next(iter(automaton.accepting))
+    q_final = require_normal_form(automaton, alternating=True)
     n = automaton.n
     letters = automaton.alphabet
     searchable = [q for q in range(n) if q != q_final]
@@ -227,15 +227,17 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
     )
 
 
-def _walk(controller: ReachController, word: str, q_to: int) -> Iterator[int]:
-    """Step the backward search for q_to over the tape, yielding q at each SCAN_LEFT(q) on it.
+def _walk(controller: ReachController, word: str, q_to: int) -> Iterator[tuple[int, ...]]:
+    """Step the backward search for q_to over the tape, yielding each visit's launch candidates.
 
-    Only those moves, on the left endmarker, depend on the segment's start:
-    the plain search accepts there if q_from launches q rightward, so it
-    stops consuming at that visit.  The walk itself always keeps searching,
-    which visits every such point of the backward tree exactly once, and
-    halts within (4n - 3)(|w| + 2) steps.
+    A visit is a SCAN_LEFT(q) on the left endmarker, the only move that
+    depends on the segment's start; its candidates, `launchers[(q, RIGHT)]`
+    in state order, are the starts whose search accepts there.  The plain
+    search stops consuming at the first visit listing its q_from.  The walk
+    itself always keeps searching, which visits every such point of the
+    backward tree exactly once, and halts within (4n - 3)(|w| + 2) steps.
     """
+    launchers = controller.launchers
     table = controller.fixed_table
     bound = controller.state_count * (len(word) + 2)
     tape = LEFT_ENDMARKER + word + RIGHT_ENDMARKER
@@ -243,7 +245,7 @@ def _walk(controller: ReachController, word: str, q_to: int) -> Iterator[int]:
     pos = 0
     for _ in range(bound + 1):
         if pos == 0 and cs.kind == SCAN_LEFT:
-            yield cs.state
+            yield launchers.get((cs.state, RIGHT), ())
             entry = (ControllerState(DONE_LEFT, cs.state), RIGHT)
         else:
             entry = table.get((cs, tape[pos]))
@@ -274,23 +276,15 @@ def _tape_free_segment(controller: ReachController, q_from: int, q_to: int) -> b
 def _script(controller: ReachController, word: str, q_to: int) -> tuple[tuple[int, ...], ...]:
     """Choice points of the guessing search for segments into q_to, in execution order.
 
-    The walk behaves as if "keep searching" were chosen at every left
-    endmarker encounter, which visits every choice point of the backward
-    tree exactly once.  Each recorded entry lists, in state order, the
-    states that may be emitted there.  A segment into the accepting state
-    is a single stationary move, so its search has one choice point at most.
+    They are the visits of `_walk`, which keeps searching at every one, each
+    listing in state order the states that may be emitted there.  A segment
+    into the accepting state is a single stationary move, so its search has
+    one choice point at most, listing the stationary launchers.
     """
-    launchers = controller.launchers
     if q_to == controller.final_state:
-        cands = launchers.get((q_to, STAY), ())
+        cands = controller.launchers.get((q_to, STAY), ())
         return (cands,) if cands else ()
-    return tuple(launchers.get((q, RIGHT), ()) for q in _walk(controller, word, q_to))
-
-
-def _check_states(automaton: TwoWayAutomaton, *states: int) -> None:
-    for q in states:
-        if not 0 <= q < automaton.n:
-            raise ValueError(f"unknown state id {q}: the machine has states 0 to {automaton.n - 1}")
+    return tuple(_walk(controller, word, q_to))
 
 
 def _check_call(automaton: TwoWayAutomaton, word: str, controller: ReachController | None,
@@ -314,10 +308,10 @@ def reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
     and a controller built for another machine raise ValueError, letters
     outside the alphabet NotApplicable.
     """
-    _check_call(automaton, word, controller, q_from, q_to)
-    if q_from == q_to:
-        return True
-    return segment_reach(automaton, word, q_from, q_to, controller)
+    if q_from != q_to:
+        return segment_reach(automaton, word, q_from, q_to, controller)
+    _check_call(automaton, word, controller, q_from)
+    return True
 
 
 def segment_reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
@@ -329,10 +323,7 @@ def segment_reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
     answer = _tape_free_segment(controller, q_from, q_to)
     if answer is not None:
         return answer
-    for q in _walk(controller, word, q_to):
-        if q_from in controller.launchers.get((q, RIGHT), ()):
-            return True  # SCAN_LEFT(q) moves into ACCEPT
-    return False
+    return any(q_from in candidates for candidates in _walk(controller, word, q_to))
 
 
 _UNSEEN = -1

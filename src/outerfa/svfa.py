@@ -12,18 +12,19 @@ branch halts, at most one of the two definite verdicts is realizable for a
 given word, and the realizable one matches plain acceptance.
 
 Branches are driven through an explicit state machine whose snapshots sit
-between choice points, so one driver replays a single trace (`svfa_run`)
-and another walks the whole choice tree without re-running shared prefixes
-(`svfa_decide`).  The replay steps the backward searches' choice points in
-the controller's walk order.  The tree walk needs no order: a search's
-keep-or-emit chain has one subtree per listed candidate plus one
-don't-know leaf, so the verdicts realized and the leaf counts depend only
-on which candidates there are.  The walk gives each search one point
-listing them all, read off the word's segment relation (`ReturnTable.rows`)
-without building the controller.  The simulation itself needs only
-six state-bounded variables plus the backward-search cursor, which is what
-`svfa_state_accounting` prices out; the equivalent single transition table
-is astronomically large and is never materialized.
+between choice points, stepped by one function (`_advance`), so one driver
+replays a single trace (`svfa_run`) and another walks the whole choice tree
+without re-running shared prefixes (`svfa_decide`).  The replay steps the
+backward searches' choice points in the controller's walk order.  The tree
+walk needs no order: a search's keep-or-emit chain has one subtree per
+listed candidate plus one don't-know leaf, so the verdicts realized and
+the leaf counts depend only on which candidates there are.  The walk gives
+each search one point listing them all, read off the word's segment
+relation (`ReturnTable.rows`) without building the controller.  A snapshot
+is exactly the simulation's state, nine fields: six state-bounded counting
+variables, the chain check's counter and the two-field backward-search
+cursor, which is what `svfa_state_accounting` prices out; the equivalent
+single transition table is astronomically large and is never materialized.
 """
 
 from __future__ import annotations
@@ -89,10 +90,9 @@ class _SimContext:
     """
 
     def __init__(self, automaton: TwoWayAutomaton, word: str, replay: bool):
-        require_normal_form(automaton, alternating=False)
+        self.final = require_normal_form(automaton, alternating=False)
         self.n = automaton.n
         self.initial = automaton.initial
-        self.final = next(iter(automaton.accepting))
         table = return_table(automaton, word)  # rejects foreign letters
         self.rows = table.rows
         if replay:
@@ -122,29 +122,23 @@ def _decider_scripts(table: ReturnTable) -> list[list[list[int]]]:
 
 
 # A paused branch is ("choice", snapshot, options); a finished one is
-# ("done", verdict).  Snapshots hold the six counting variables plus the
-# guessing-search cursor: (phase, t, m, m_new, q_target, i, q_prev, k, cur, idx)
-# where phase distinguishes a state guess from a keep-or-emit pick, k is the
-# number of backward walks still owed by the chain check, cur the state whose
-# walk is in progress, and idx its position.
-
-_GUESS = 0
-_PICK = 1
+# ("done", verdict).  A snapshot is the state `svfa_state_accounting` prices:
+# the six counting variables (t, m, m_new, q_target, i, q_prev), then the
+# chain check's counter k and the guessing-search cursor (cur, idx).  Level t
+# holds m states, m_new of level t + 1 are counted so far, q_target is the
+# cell's target and i the rank of the level-t state being guessed, above
+# q_prev (-1 before the first guess).  k is the number of backward walks
+# still owed, cur the state whose walk is in progress and idx its position.
+# Picks are made only while walks are owed, so k == 0 marks a state guess.
 
 
 def _next_cell(ctx: _SimContext, t: int, m: int, m_new: int, q_target: int):
-    """Move to the next (level, target-state) cell; levels with m = 0 are empty."""
-    n = ctx.n
-    while True:
-        if q_target < n:
-            if m >= 1:
-                return ("choice", (_GUESS, t, m, m_new, q_target, 1, -1, 0, 0, 0), n)
-            q_target += 1
-            continue
-        t += 1
-        if t >= n - 1:
+    """Move to the next (level, target-state) cell; an empty level rejects at once."""
+    if q_target == ctx.n:  # the level is finished: open the next one
+        t, m, m_new, q_target = t + 1, m_new, 0, 0
+        if t >= ctx.n - 1 or m == 0:
             return ("done", Verdict.REJECT)
-        m, m_new, q_target = m_new, 0, 0
+    return ("choice", (t, m, m_new, q_target, 1, -1, 0, 0, 0), ctx.n)
 
 
 def _start(ctx: _SimContext):
@@ -154,37 +148,32 @@ def _start(ctx: _SimContext):
     return _next_cell(ctx, 0, 1, 0, 0)
 
 
-def _drive(ctx: _SimContext, t: int, m: int, m_new: int, q_target: int,
-           i: int, q_prev: int, k: int, cur: int, idx: int):
-    """Run the chain check forward to its next choice point or a verdict."""
-    if k == 0:
-        if cur != ctx.initial:
-            return ("done", Verdict.DONT_KNOW)
-        # the guessed state survived the filter; is the target one segment away?
-        if q_target in ctx.rows[q_prev]:
-            if q_target == ctx.final:
-                return ("done", Verdict.ACCEPT)
-            return _next_cell(ctx, t, m, m_new + 1, q_target + 1)
-        if i < m:
-            return ("choice", (_GUESS, t, m, m_new, q_target, i + 1, q_prev, 0, 0, 0), ctx.n)
-        return _next_cell(ctx, t, m, m_new, q_target + 1)
-    script = ctx.scripts[cur]
-    if idx >= len(script):
-        return ("done", Verdict.DONT_KNOW)  # backward tree exhausted
-    return ("choice", (_PICK, t, m, m_new, q_target, i, q_prev, k, cur, idx),
-            1 + len(script[idx]))
-
-
 def _advance(ctx: _SimContext, snapshot, choice: int):
-    phase, t, m, m_new, q_target, i, q_prev, k, cur, idx = snapshot
-    if phase == _GUESS:
-        if i > 1 and choice <= q_prev:
+    """Apply `choice` at a paused branch, then run it to its next choice point or a verdict."""
+    t, m, m_new, q_target, i, q_prev, k, cur, idx = snapshot
+    if k == 0:  # guesses come in increasing state order
+        if choice <= q_prev:
             return ("done", Verdict.DONT_KNOW)
-        return _drive(ctx, t, m, m_new, q_target, i, choice, t, choice, 0)
-    candidates = ctx.scripts[cur][idx]
-    if choice == 0:  # ignore these launch states and keep searching backward
-        return _drive(ctx, t, m, m_new, q_target, i, q_prev, k, cur, idx + 1)
-    return _drive(ctx, t, m, m_new, q_target, i, q_prev, k - 1, candidates[choice - 1], 0)
+        q_prev, k, cur, idx = choice, t, choice, 0
+    elif choice == 0:  # ignore these launch states and keep searching backward
+        idx += 1
+    else:
+        k, cur, idx = k - 1, ctx.scripts[cur][idx][choice - 1], 0
+    if k:
+        script = ctx.scripts[cur]
+        if idx >= len(script):
+            return ("done", Verdict.DONT_KNOW)  # backward tree exhausted
+        return ("choice", (t, m, m_new, q_target, i, q_prev, k, cur, idx), 1 + len(script[idx]))
+    if cur != ctx.initial:
+        return ("done", Verdict.DONT_KNOW)
+    # the guessed state survived the filter; is the target one segment away?
+    if q_target in ctx.rows[q_prev]:
+        if q_target == ctx.final:
+            return ("done", Verdict.ACCEPT)
+        return _next_cell(ctx, t, m, m_new + 1, q_target + 1)
+    if i < m:
+        return ("choice", (t, m, m_new, q_target, i + 1, q_prev, 0, 0, 0), ctx.n)
+    return _next_cell(ctx, t, m, m_new, q_target + 1)
 
 
 def svfa_run(automaton: TwoWayAutomaton, word: str, trace: Sequence[int]) -> Verdict:

@@ -111,3 +111,20 @@ def test_empty_alphabet_round_trip():
     machine = TwoWayAutomaton(["q", "f"], "", {(0, "<"): [(1, 0)]}, 0, [1],
                               declared_flavor="onfa")
     assert parse(serialize(machine)) == machine
+
+
+@pytest.mark.parametrize("names, alphabet", [
+    (["q 0", "qF"], "a"),
+    (["x#1", "qF"], "a"),
+    (["q#", "qF"], "a"),
+    (["", "qF"], "a"),
+    (["q\n", "qF"], "a"),
+    (["q", "qF"], "a#"),
+    (["q", "qF"], "a "),
+], ids=["space", "hash", "trailing_hash", "empty", "newline", "hash_letter", "space_letter"])
+def test_serialize_refuses_untokenizable_names(names, alphabet):
+    # parse would reject or misread such a document, so none is written
+    machine = TwoWayAutomaton(names, alphabet, {(0, "<"): [(1, 0)]}, 0, [1],
+                              declared_flavor="onfa")
+    with pytest.raises(ValueError, match="cannot write"):
+        serialize(machine)

@@ -13,6 +13,7 @@ from outerfa import (
     gap_decide,
     normalize_oafa,
     oafa_decide,
+    parse,
     segment_exists_oracle,
     segment_graph_to_dot,
 )
@@ -134,6 +135,17 @@ def test_dot_export_parses(nf_corpus, alt_nf_corpus):
     for machine in list(nf_corpus[:4]) + list(alt_nf_corpus[:4]):
         graph = build_segment_graph(machine, "ab")
         assert_dot_wellformed(segment_graph_to_dot(graph))
+    # a state name may end in a backslash, which must not escape the closing quote
+    backslash = parse(r"""type: onfa
+alphabet: a
+states: q\ x qF
+initial: q\
+accepting: qF
+trans: q\ < x R
+trans: x > x L
+trans: x < qF S
+""")
+    assert_dot_wellformed(segment_graph_to_dot(build_segment_graph(backslash, "")))
 
 
 @pytest.mark.parametrize("decide", [

@@ -22,7 +22,7 @@ from outerfa import (
     require_normal_form,
     svfa_run,
 )
-from outerfa.fixtures import P_A, P_B, Q_I, build_e1, build_e2
+from outerfa.fixtures import P_A, P_B, Q_F, Q_I, build_e1, build_e2
 
 E1 = build_e1()
 E2 = build_e2()
@@ -189,11 +189,12 @@ OUTSIDE_STRICT_FORM = {
 
 
 def test_require_normal_form():
-    require_normal_form(E1, alternating=False)
-    require_normal_form(E1, alternating=True)
-    require_normal_form(E2, alternating=True)
+    # the gate returns the unique accepting state
+    assert require_normal_form(E1, alternating=False) == Q_F
+    assert require_normal_form(E1, alternating=True) == Q_F
+    assert require_normal_form(E2, alternating=True) == Q_F
     relaxed_only = OUTSIDE_STRICT_FORM["stationary_into_non_final"]
-    require_normal_form(relaxed_only, alternating=True)
+    assert require_normal_form(relaxed_only, alternating=True) == Q_F
     for machine in OUTSIDE_STRICT_FORM.values():
         with pytest.raises(NotNormalForm):
             require_normal_form(machine, alternating=False)

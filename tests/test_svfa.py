@@ -30,6 +30,18 @@ from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper
 
 E1 = build_e1()
 
+# level 1 is {y}, which launches nothing, so level 2 is empty at t = 2 < n - 1
+EMPTY_LEVEL = parse("""type: onfa
+alphabet: a
+states: qI x y z qF
+initial: qI
+accepting: qF
+trans: qI < x R
+trans: x a x R
+trans: x > y L
+trans: y a y L
+""")
+
 
 def test_run_examples_on_e1():
     # some trace accepts "aa"; none rejects it (and vice versa for "ab")
@@ -231,7 +243,9 @@ def _refuse_controller(automaton):
     (chain_sweeper(2), "aa", (True, False, 138, 139),
      (0,) * 6 + (2, 0, 1) * 6 + (4, 0, 1, 0, 1) * 6, Verdict.ACCEPT),
     (chain_sweeper(2), "aab", (False, True, 72, 73), (0,) * 6 + (2, 0, 1) * 6, Verdict.REJECT),
-], ids=["e1_aa", "e1_ab", "mod23_accept", "mod23_reject", "chain_accept", "chain_reject"])
+    (EMPTY_LEVEL, "a", (False, True, 45, 46), (0,) * 5 + (2, 0, 1) * 5, Verdict.REJECT),
+], ids=["e1_aa", "e1_ab", "mod23_accept", "mod23_reject", "chain_accept", "chain_reject",
+        "empty_level"])
 def test_decisions_build_no_controller(monkeypatch, machine, word, report, trace, verdict):
     # the decider reads its choice points off the return table; the reports
     # are the ones the controller walks gave, and a trace still replays
