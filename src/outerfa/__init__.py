@@ -1,6 +1,7 @@
 """Toolkit for two-way automata making choices only at the tape endmarkers."""
 
 from .core import (
+    BudgetExceeded,
     Configuration,
     DIRECTIONS,
     FlavorReport,
@@ -71,7 +72,6 @@ from .reach import (
     t_reach,
 )
 from .svfa import (
-    BudgetExceeded,
     DecisionReport,
     SvfaStateAccounting,
     complement_decide,

@@ -18,6 +18,7 @@ import time
 from dataclasses import asdict
 
 from .core import (
+    BudgetExceeded,
     InvariantViolation,
     MalformedAutomaton,
     NotApplicable,
@@ -39,7 +40,7 @@ from .normalform import (
     require_normal_form,
 )
 from .reach import build_controller, reach
-from .svfa import BudgetExceeded, complement_decide, svfa_decide, svfa_state_accounting
+from .svfa import complement_decide, svfa_decide, svfa_state_accounting
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -84,19 +85,24 @@ def _oracle(automaton: TwoWayAutomaton, word: str) -> bool:
     return accepts_oracle(automaton, word)
 
 
-def _decide(automaton: TwoWayAutomaton, word: str, method: str, budget: int):
-    """Boolean acceptance through one of the decision pipelines."""
+def _decide(automaton: TwoWayAutomaton, word: str, method: str, budget: int | None):
+    """Boolean acceptance through one of the decision pipelines.
+
+    `budget` bounds svfa's branch points and divide's base cases; None
+    keeps each method's library default.
+    """
     extras: dict = {}
     if method == "oracle":
         return _oracle(automaton, word), extras
     if method == "agap":
         return oafa_decide(_ensure_normal_form(automaton, alternating=True), word), extras
     machine = _ensure_normal_form(automaton, alternating=False)
-    if method == "divide":
-        return decide_det(machine, word), extras
     if method == "gap":
         return gap_decide(build_segment_graph(machine, word, alternating=False)), extras
-    report = svfa_decide(machine, word, budget=budget)
+    limit = {} if budget is None else {"budget": budget}
+    if method == "divide":
+        return decide_det(machine, word, **limit), extras
+    report = svfa_decide(machine, word, **limit)
     extras = {
         "accept_branch_exists": report.verdict_exists_yes,
         "reject_branch_exists": report.verdict_exists_no,
@@ -114,8 +120,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.budget < 0:
-        raise ValueError("the branch budget must be at least 0")
+    if args.budget is not None and args.budget < 0:
+        raise ValueError("the work budget must be at least 0")
     automaton = _load(args.file)
     started = time.perf_counter()
     result, extras = _decide(automaton, args.word, args.method, args.budget)
@@ -244,8 +250,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--word", required=True)
     p.add_argument("--method", choices=METHODS, default="oracle")
-    p.add_argument("--budget", type=int, default=10**6,
-                   help="branch budget, consumed only by --method svfa; negative is an error")
+    p.add_argument("--budget", type=int, default=None,
+                   help="work budget: branch points for --method svfa (default 10^6), base "
+                        "cases for --method divide (default 10^7); exhausting it exits 4, "
+                        "the other methods ignore it, and negative is an error")
 
     p = add("normalize", _cmd_normalize, "convert into the structured normal form")
     p.add_argument("file")

@@ -53,6 +53,14 @@ class NotApplicable(ValueError):
     """The operation does not apply to this kind of automaton."""
 
 
+class BudgetExceeded(Exception):
+    """A work budget ran out; `report` holds the partial tallies, where the caller keeps any."""
+
+    def __init__(self, message: str, report: object = None):
+        super().__init__(message)
+        self.report = report
+
+
 class InvariantViolation(AssertionError):
     """A bound or property the constructions guarantee failed to hold.
 

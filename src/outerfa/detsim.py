@@ -9,9 +9,13 @@ cases off bit rows of the base-case relation (`_BaseRows`): a set bit in a
 true row holds, one in an open row needs the tape.  A frame whose two
 halves are base cases settles all its remaining midpoints with a few
 big-integer operations, and the machine counts the base cases the
-midpoint-by-midpoint scan would have asked.  `reachable` (and so
-`decide_det`) runs it to a verdict, with rows built from the word's return
-table and no open bits.  `materialize_dfa` mints it into an actual
+midpoint-by-midpoint scan would have asked.  A frame one level above,
+whose two halves are such bottom frames, scans its midpoints in one inline
+loop with the same arithmetic and pushes a bottom frame only where a half
+suspends.  `reachable` and `decide_det` run it to a verdict, with rows
+built from the word's return table and no open bits, under a budget of
+base cases (`DIVIDE_BUDGET` by default) past which they raise
+BudgetExceeded.  `materialize_dfa` mints it into an actual
 deterministic two-way machine: its rows settle only the base cases that
 need no tape, so the machine suspends at the others, and each emitted state
 packs the suspended stack together with the backward-search cursor that
@@ -21,9 +25,17 @@ answers that base case on the tape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, log2
+from math import inf, log, log2
 
-from .core import LEFT_ENDMARKER, STAY, InvariantViolation, TwoWayAutomaton, _check_states, check_word
+from .core import (
+    LEFT_ENDMARKER,
+    STAY,
+    BudgetExceeded,
+    InvariantViolation,
+    TwoWayAutomaton,
+    _check_states,
+    check_word,
+)
 from .normalform import require_normal_form
 from .reach import (
     ACCEPT,
@@ -69,6 +81,17 @@ class BoundReport:
     rough_bound: int
     c_exponent: float
     degenerate: bool
+
+
+# The base cases one divide-and-conquer decision may ask by default.  The
+# benchmark's costliest item asks about 2.0 * 10**6; a mod-(5, 7, 11) sweeper
+# (28 states) rejecting a^31 would ask 17.9 * 10**6.
+DIVIDE_BUDGET = 10**7
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError("the base-call budget must be at least 0")
 
 
 def _ceil_log2(x: int) -> int:
@@ -123,7 +146,7 @@ def _segment_rows(automaton: TwoWayAutomaton, word: str) -> _BaseRows:
 
 
 def _divide(stack: list[list[int]], height: int, rows: _BaseRows, answer: bool | None = None,
-            stats: ReachableStats | None = None) -> bool | None:
+            stats: ReachableStats | None = None, budget: float = inf) -> bool | None:
     """Run the divide-and-conquer stack machine to a verdict or a suspended base case.
 
     Each frame [q, p, r, phase] asks for a chain from q to p through the
@@ -136,12 +159,18 @@ def _divide(stack: list[list[int]], height: int, rows: _BaseRows, answer: bool |
     midpoint from r on at once: with the rows shifted by r,
     stops = open1 | (true1 & (open2 | true2)) marks where the midpoint scan
     would suspend (on an open half) or succeed, its lowest bit is the stop
-    the scan reaches first, and with no bit set no midpoint works.  `stats`
-    gets the base cases that scan asks, by popcount, and the highest stack
-    of halvings.  With `answer` None the top frame's question is still
-    open; otherwise it has just been answered.  Returns the root verdict,
-    or None, leaving the stack as it is, at a base case with an open bit;
-    resume by calling again with that base case's answer.
+    the scan reaches first, and with no bit set no midpoint works.  A
+    next-to-bottom frame, a halving at stack length `height` >= 2 whose two
+    halves are bottom frames, scans its remaining midpoints in one local
+    loop: each midpoint settles the bottom questions (q, r) and (r, p) from
+    midpoint 0 with the same arithmetic, inline, and no frame is pushed
+    unless a half suspends.  `stats` gets the base cases the
+    midpoint-by-midpoint scan asks, by popcount, and the highest stack of
+    halvings.  With `answer` None the top frame's question is still open;
+    otherwise it has just been answered.  Returns the root verdict, or None,
+    leaving the stack as that scan would, at a base case with an open bit;
+    resume by calling again with that base case's answer.  Base cases past
+    `budget` raise BudgetExceeded when a frame settles, never mid-scan.
     """
     true_rows, open_rows, true_cols, open_cols = rows
     n = len(true_rows)
@@ -151,10 +180,60 @@ def _divide(stack: list[list[int]], height: int, rows: _BaseRows, answer: bool |
             frame = stack[-1]
             if answer is None:
                 q, p, r, phase = frame
-                if len(stack) <= height:
-                    if len(stack) > top:
-                        top = len(stack)  # the height of halvings after this push
+                depth = len(stack)
+                if depth < height or depth == 1 and height:
+                    if depth > top:
+                        top = depth  # the height of halvings after this push
                     stack.append([q, r, 0, 1] if phase == 1 else [r, p, 0, 1])
+                    continue
+                if depth == height:  # a next-to-bottom frame: scan its midpoints from r
+                    top = height
+                    true_q, open_q = true_rows[q], open_rows[q]
+                    open_p = open_cols[p]
+                    ends_p = open_p | true_cols[p]
+                    while True:
+                        if phase == 1:  # the first half (q, r)
+                            open_r = open_cols[r]
+                            stops = open_q | true_q & (open_r | true_cols[r])
+                            if stops:
+                                k = (stops & -stops).bit_length() - 1
+                                calls += k + (true_q & ((1 << k) - 1)).bit_count() + 1
+                                if open_q >> k & 1:
+                                    frame[2], frame[3] = r, 1
+                                    stack.append([q, r, k, 1])
+                                    return None
+                                calls += 1
+                                if open_r >> k & 1:
+                                    frame[2], frame[3] = r, 1
+                                    stack.append([q, r, k, 2])
+                                    return None
+                                phase = 2
+                            else:
+                                calls += n + true_q.bit_count()
+                        if phase == 2:  # the second half (r, p)
+                            true_r, open_r = true_rows[r], open_rows[r]
+                            stops = open_r | true_r & ends_p
+                            if stops:
+                                k = (stops & -stops).bit_length() - 1
+                                calls += k + (true_r & ((1 << k) - 1)).bit_count() + 1
+                                if open_r >> k & 1:
+                                    frame[2], frame[3] = r, 2
+                                    stack.append([r, p, k, 1])
+                                    return None
+                                calls += 1
+                                if open_p >> k & 1:
+                                    frame[2], frame[3] = r, 2
+                                    stack.append([r, p, k, 2])
+                                    return None
+                                answer = True
+                                break
+                            calls += n + true_r.bit_count()
+                        r += 1
+                        if r == n:
+                            answer = False
+                            break
+                        phase = 1
+                    stack.pop()
                     continue
                 if phase == 2:  # the one base case (r, p): a height-0 root, or resumed
                     calls += 1
@@ -181,6 +260,8 @@ def _divide(stack: list[list[int]], height: int, rows: _BaseRows, answer: bool |
                     return None
                 stack.pop()  # both halves hold, so does the frame's question
                 answer = True
+            elif calls > budget:
+                raise BudgetExceeded("the stack machine ran past its budget of base cases")
             elif len(stack) == 1:
                 return answer
             elif answer and frame[3] == 2:
@@ -201,7 +282,7 @@ def _divide(stack: list[list[int]], height: int, rows: _BaseRows, answer: bool |
 
 
 def reachable(automaton: TwoWayAutomaton, word: str, q: int, p: int, t: int,
-              stats: ReachableStats | None = None) -> bool:
+              stats: ReachableStats | None = None, budget: int = DIVIDE_BUDGET) -> bool:
     """Is there a chain of at most t segments from q to p on `word`?
 
     Such a chain is, for each power 2^e in t's binary expansion in turn, a
@@ -211,39 +292,49 @@ def reachable(automaton: TwoWayAutomaton, word: str, q: int, p: int, t: int,
     midpoint.  A chain longer than n - 1 segments repeats a state and so
     shortens, so t is first capped at n - 1, and the observed height never
     exceeds floor(log2(min(t, n - 1))).  Base cases read the word's return
-    table, computed once per call.  State ids outside range(n) raise
-    ValueError.
+    table, computed once per call.  `budget` caps the base cases of all
+    those runs together; past it BudgetExceeded is raised.  State ids
+    outside range(n) and a negative budget raise ValueError.
     """
     if t < 1:
         raise ValueError("the segment budget t must be at least 1")
+    _check_budget(budget)
     require_normal_form(automaton, alternating=False)
     _check_states(automaton, q, p)
     n = automaton.n
     t = min(t, max(n - 1, 1))
     rows = _segment_rows(automaton, word)
+    work = stats if stats is not None else ReachableStats()
+    limit = work.base_calls + budget
+
+    def run(a: int, b: int, e: int) -> bool:
+        return _divide([[a, b, a, 2]], e, rows, stats=work, budget=limit - work.base_calls)
+
     *lower, last = [e for e in range(t.bit_length()) if t >> e & 1]
     frontier = {q}
     for e in lower:
-        frontier = {b for a in frontier for b in range(n)
-                    if _divide([[a, b, a, 2]], e, rows, stats=stats)}
-    return any(_divide([[a, p, a, 2]], last, rows, stats=stats) for a in frontier)
+        frontier = {b for a in frontier for b in range(n) if run(a, b, e)}
+    return any(run(a, p, last) for a in frontier)
 
 
 def decide_det(automaton: TwoWayAutomaton, word: str,
-               stats: ReachableStats | None = None) -> bool:
+               stats: ReachableStats | None = None, budget: int = DIVIDE_BUDGET) -> bool:
     """Deterministic acceptance: a chain of at most n - 1 segments reaches the accepting state.
 
     One run of `_divide` at height ceil(log2(n - 1)) answers it: its chains
     of at most 2^height >= n - 1 segments reach no further, as a shortest
     chain repeats no state.  A machine whose initial state is the accepting
-    one accepts at once, once the word has passed the alphabet check.
+    one accepts at once, once the word has passed the alphabet check.  A
+    run that asks more than `budget` base cases raises BudgetExceeded; a
+    negative budget raises ValueError.
     """
+    _check_budget(budget)
     q_init, q_final = automaton.initial, require_normal_form(automaton, alternating=False)
     check_word(automaton, word)
     if q_init == q_final:
         return True
     return _divide([[q_init, q_final, q_init, 2]], _stack_height(automaton.n),
-                   _segment_rows(automaton, word), stats=stats)
+                   _segment_rows(automaton, word), stats=stats, budget=budget)
 
 
 def dfa_state_bound(n: int, normal_form: bool) -> BoundReport:

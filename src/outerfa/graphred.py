@@ -60,13 +60,12 @@ def build_segment_graph(automaton: TwoWayAutomaton, word: str,
         edges.update((p, q) for q in outcomes if q is not None and (alternating or q != p))
         if alternating and p in automaton.universal and (not outcomes or None in outcomes):
             edges.add((p, p))
-    q_final = next(iter(automaton.accepting))
     return SegmentGraph(
         state_names=tuple(automaton.state_names),
         edges=frozenset(edges),
         universal=automaton.universal if alternating else None,
         source=automaton.initial,
-        target=q_final,
+        target=table.final,
     )
 
 

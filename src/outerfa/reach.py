@@ -98,11 +98,11 @@ class ReachController:
     `fixed_table` never depends on the segment endpoints.  `launchers` is
     the reverse launch index: `launchers[(q, d)]` lists, in state order, the
     states with a left-endmarker choice into q moving in direction d (RIGHT
-    or STAY).  It fixes the one parameter-dependent move: SCAN_LEFT(q) on
-    the left endmarker accepts in the search for segments out of q_from iff
-    q_from is among `launchers[(q, RIGHT)]`, and otherwise keeps searching.
-    Every entry is deterministic and the controller is immutable, so it can
-    be shared across runs.
+    or STAY).  It fixes the one parameter-dependent move, which `scan_left`
+    owns: SCAN_LEFT(q) on the left endmarker accepts in the search for
+    segments out of q_from iff q_from is among `launchers[(q, RIGHT)]`, and
+    otherwise keeps searching.  Every entry is deterministic and the
+    controller is immutable, so it can be shared across runs.
     """
 
     automaton: TwoWayAutomaton
@@ -115,12 +115,15 @@ class ReachController:
     def state_count(self) -> int:
         return len(self.states)
 
+    def scan_left(self, q: int) -> tuple[tuple[int, ...], Entry]:
+        """SCAN_LEFT(q) on `<`: the starts whose search accepts there, and the move for the rest."""
+        return self.launchers.get((q, RIGHT), ()), (ControllerState(DONE_LEFT, q), RIGHT)
+
     def entry(self, cs: ControllerState, sym: str, q_from: int) -> Entry | None:
         """The move of `cs` on `sym` in the search for segments out of q_from; None halts."""
         if cs.kind == SCAN_LEFT and sym == LEFT_ENDMARKER:
-            if q_from in self.launchers.get((cs.state, RIGHT), ()):
-                return ACCEPT_STATE, STAY
-            return ControllerState(DONE_LEFT, cs.state), RIGHT
+            candidates, miss = self.scan_left(cs.state)
+            return (ACCEPT_STATE, STAY) if q_from in candidates else miss
         return self.fixed_table.get((cs, sym))
 
     def dump(self) -> str:
@@ -231,13 +234,13 @@ def _walk(controller: ReachController, word: str, q_to: int) -> Iterator[tuple[i
     """Step the backward search for q_to over the tape, yielding each visit's launch candidates.
 
     A visit is a SCAN_LEFT(q) on the left endmarker, the only move that
-    depends on the segment's start; its candidates, `launchers[(q, RIGHT)]`
-    in state order, are the starts whose search accepts there.  The plain
-    search stops consuming at the first visit listing its q_from.  The walk
-    itself always keeps searching, which visits every such point of the
-    backward tree exactly once, and halts within (4n - 3)(|w| + 2) steps.
+    depends on the segment's start; its candidates, which
+    `controller.scan_left` lists in state order, are the starts whose
+    search accepts there.  The plain search stops consuming at the first
+    visit listing its q_from.  The walk itself always keeps searching, which
+    visits every such point of the backward tree exactly once, and halts
+    within (4n - 3)(|w| + 2) steps.
     """
-    launchers = controller.launchers
     table = controller.fixed_table
     bound = controller.state_count * (len(word) + 2)
     tape = LEFT_ENDMARKER + word + RIGHT_ENDMARKER
@@ -245,8 +248,8 @@ def _walk(controller: ReachController, word: str, q_to: int) -> Iterator[tuple[i
     pos = 0
     for _ in range(bound + 1):
         if pos == 0 and cs.kind == SCAN_LEFT:
-            yield launchers.get((cs.state, RIGHT), ())
-            entry = (ControllerState(DONE_LEFT, cs.state), RIGHT)
+            candidates, entry = controller.scan_left(cs.state)
+            yield candidates
         else:
             entry = table.get((cs, tape[pos]))
         if entry is None:
@@ -335,11 +338,13 @@ class ReturnTable:
 
     A rightward choice into x ends in the state in which the run from
     (x, 1) first reaches position 0, or in None if that run halts or loops
-    first; a stationary choice into x ends in x.
+    first; a stationary choice into x ends in x.  `final` is the machine's
+    accepting state, as the normal-form gate returned it.
     """
 
     automaton: TwoWayAutomaton
     rows: tuple[tuple[int | None, ...], ...]
+    final: int
 
     def outcomes(self, p: int) -> tuple[int | None, ...]:
         """End state of each left-endmarker choice of p, or None; p -> q iff q is one."""
@@ -357,7 +362,7 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> ReturnTable:
     is walked twice: O(n * |w|) steps and n * (|w| + 2) memo slots.
     A letter outside the alphabet raises NotApplicable.
     """
-    require_normal_form(automaton, alternating=True)
+    q_final = require_normal_form(automaton, alternating=True)
     check_word(automaton, word)
     n = automaton.n
     tape = word + RIGHT_ENDMARKER
@@ -386,7 +391,7 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> ReturnTable:
     # and in long benchmark runs that made peak RSS creep up pass after pass
     rows = tuple([tuple([x if d == STAY else returns[x] for (x, d) in get((p, LEFT_ENDMARKER), ())])
                   for p in range(n)])
-    return ReturnTable(automaton, rows)
+    return ReturnTable(automaton, rows, q_final)
 
 
 def _chain(controller: ReachController, word: str, q: int, t: int,

@@ -32,18 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import InvariantViolation, TwoWayAutomaton, Verdict
+from .core import BudgetExceeded, InvariantViolation, TwoWayAutomaton, Verdict
 from .normalform import require_normal_form
 from .reach import ReturnTable, TraceUnderflow, _script, build_controller, return_table
 from .reach import segment_reach  # noqa: F401  (perfbench/tracing.py wraps it here by name)
-
-
-class BudgetExceeded(Exception):
-    """Branch enumeration hit its budget; `report` holds the partial tallies."""
-
-    def __init__(self, report: "DecisionReport"):
-        super().__init__("trace enumeration budget exceeded")
-        self.report = report
 
 
 @dataclass(frozen=True)
@@ -232,7 +224,7 @@ def svfa_decide(automaton: TwoWayAutomaton, word: str, budget: int = 10**6) -> D
         state = stack.pop()
         nodes += 1
         if nodes > budget:
-            raise BudgetExceeded(report(complete=False))
+            raise BudgetExceeded("trace enumeration budget exceeded", report(complete=False))
         if state[0] == "done":
             if state[1] is Verdict.DONT_KNOW:
                 dont_knows += 1

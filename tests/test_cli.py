@@ -8,7 +8,7 @@ from outerfa import parse, serialize
 from outerfa.cli import METHODS, main
 from outerfa.fixtures import build_e1, build_e2, build_ea
 
-from conftest import INITIAL_ACCEPTING
+from conftest import INITIAL_ACCEPTING, mod_p_sweeper
 
 
 @pytest.fixture()
@@ -204,6 +204,21 @@ def test_run_budget_exit_code(e1_file, capsys):
     assert main(["run", e1_file, "--word", "aa", "--method", "svfa", "--budget", "-5"]) == 3
     assert main(["complement", e1_file, "--word", "aa", "--budget", "-1"]) == 3
     assert capsys.readouterr().err.count("budget must be at least 0") == 2
+
+
+def test_run_divide_budget_exit_code(tmp_path, capsys):
+    """divide counts base cases against --budget, by default against its own 10^7."""
+    deep, deeper = tmp_path / "mod-3-5-7.2wa", tmp_path / "mod-5-7-11.2wa"
+    deep.write_text(serialize(mod_p_sweeper((3, 5, 7))))
+    deeper.write_text(serialize(mod_p_sweeper((5, 7, 11))))
+    deep, deeper, word = str(deep), str(deeper), "a" * 31
+    # 3 377 776 base cases: past svfa's default of 10^6, within divide's own
+    assert main(["run", deep, "--word", word, "--method", "divide"]) == 0
+    assert "result: false" in capsys.readouterr().out
+    assert main(["run", deep, "--word", word, "--method", "divide", "--budget", "1000"]) == 4
+    # the 28-state sweeper would ask 17 872 304
+    assert main(["run", deeper, "--word", word, "--method", "divide"]) == 4
+    assert capsys.readouterr().err.count("budget of base cases") == 2
 
 
 @pytest.mark.parametrize("method", ["oracle", "svfa", "divide", "gap", "agap"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outerfa import (
+    BudgetExceeded,
     NotApplicable,
     ReachableStats,
     TooLarge,
@@ -111,10 +112,13 @@ def test_divide_matches_the_callback_machine_on_segments():
 
 @pytest.mark.parametrize("seed", range(40))
 def test_divide_suspends_and_resumes_like_the_callback_machine(seed):
-    """Open bits suspend at the stacks the midpoint scan suspends at, and resumption agrees."""
+    """Open bits suspend at the stacks the midpoint scan suspends at, and resumption agrees.
+
+    Heights 2 to 4 suspend inside the next-to-bottom frames' inline scans too.
+    """
     rng = random.Random(seed)
-    n = rng.randint(2, 6)
-    height = rng.randint(1, 3)
+    n = rng.randint(2, 9)
+    height = rng.randint(1, 4)
     cells = [[rng.choice((True, False, None)) for _ in range(n)] for _ in range(n)]
     rows = _base_rows(cells)
     want, got = ReachableStats(), ReachableStats()
@@ -146,6 +150,47 @@ def test_divide_counters_are_pinned(nf_corpus):
     assert len(calls) == 1860
     assert (sum(calls), max(calls)) == (31568, 44)
     assert (sum(heights), max(heights)) == (3131, 2)
+
+
+@pytest.mark.parametrize("periods, calls, height", [
+    ((2, 3, 5), 54_518, 4),
+    ((3, 5, 7), 3_377_776, 5),
+], ids=["mod_2_3_5", "mod_3_5_7"])
+def test_rejected_sweepers_are_pinned(periods, calls, height):
+    """Deep rejections: a^31 fits no period, so every midpoint of every frame is scanned."""
+    stats = ReachableStats()
+    assert not decide_det(mod_p_sweeper(periods), "a" * 31, stats=stats)
+    assert (stats.base_calls, stats.max_stack_height) == (calls, height)
+
+
+def test_divide_budget_counts_base_cases():
+    """The budget bounds base cases, checked as frames settle; the default refuses n = 28."""
+    machine = mod_p_sweeper((2, 3, 5))
+    assert not decide_det(machine, "a" * 31, budget=54_518)
+    with pytest.raises(BudgetExceeded):
+        decide_det(machine, "a" * 31, budget=54_517)
+    stats = ReachableStats()
+    with pytest.raises(BudgetExceeded, match="budget of base cases"):
+        decide_det(mod_p_sweeper((5, 7, 11)), "a" * 31, stats=stats)  # 17 872 304 to finish
+    assert 10**7 < stats.base_calls < 10**7 + 10**4
+    for decide in (lambda b: decide_det(machine, "a", budget=b),
+                   lambda b: reachable(machine, "a", 0, 1, 3, budget=b)):
+        with pytest.raises(ValueError, match="at least 0"):
+            decide(-1)
+
+
+def test_reachable_budget_spans_its_runs():
+    """t = 5 runs the machine at heights 0 and 2; the budget covers both together."""
+    machine = mod_p_sweeper((2, 3))
+    q_final = machine.n - 1
+    stats = ReachableStats()
+    assert not reachable(machine, "a" * 7, 0, q_final, 5, stats=stats)
+    total = stats.base_calls
+    assert not reachable(machine, "a" * 7, 0, q_final, 5, budget=total)
+    with pytest.raises(BudgetExceeded):
+        reachable(machine, "a" * 7, 0, q_final, 5, budget=total - 1)
+    # one height-2 run fits in that budget; t = 5's runs only fit together
+    assert not reachable(machine, "a" * 7, 0, q_final, 4, budget=total - 1)
 
 
 def test_reachable_base_cases():
