@@ -89,11 +89,6 @@ class BoundReport:
 DIVIDE_BUDGET = 10**7
 
 
-def _check_budget(budget: int) -> None:
-    if budget < 0:
-        raise ValueError("the base-call budget must be at least 0")
-
-
 def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
@@ -191,48 +186,36 @@ def _divide(stack: list[list[int]], height: int, rows: _BaseRows, answer: bool |
                     true_q, open_q = true_rows[q], open_rows[q]
                     open_p = open_cols[p]
                     ends_p = open_p | true_cols[p]
-                    while True:
+                    while True:  # settle one bottom question from its midpoint 0
                         if phase == 1:  # the first half (q, r)
-                            open_r = open_cols[r]
-                            stops = open_q | true_q & (open_r | true_cols[r])
-                            if stops:
-                                k = (stops & -stops).bit_length() - 1
-                                calls += k + (true_q & ((1 << k) - 1)).bit_count() + 1
-                                if open_q >> k & 1:
-                                    frame[2], frame[3] = r, 1
-                                    stack.append([q, r, k, 1])
-                                    return None
-                                calls += 1
-                                if open_r >> k & 1:
-                                    frame[2], frame[3] = r, 1
-                                    stack.append([q, r, k, 2])
-                                    return None
-                                phase = 2
-                            else:
-                                calls += n + true_q.bit_count()
-                        if phase == 2:  # the second half (r, p)
-                            true_r, open_r = true_rows[r], open_rows[r]
-                            stops = open_r | true_r & ends_p
-                            if stops:
-                                k = (stops & -stops).bit_length() - 1
-                                calls += k + (true_r & ((1 << k) - 1)).bit_count() + 1
-                                if open_r >> k & 1:
-                                    frame[2], frame[3] = r, 2
-                                    stack.append([r, p, k, 1])
-                                    return None
-                                calls += 1
-                                if open_p >> k & 1:
-                                    frame[2], frame[3] = r, 2
-                                    stack.append([r, p, k, 2])
-                                    return None
-                                answer = True
+                            true_a, open_a, open_b = true_q, open_q, open_cols[r]
+                            stops = open_a | true_a & (open_b | true_cols[r])
+                        else:  # the second half (r, p)
+                            true_a, open_a, open_b = true_rows[r], open_rows[r], open_p
+                            stops = open_a | true_a & ends_p
+                        if not stops:
+                            calls += n + true_a.bit_count()
+                            r += 1
+                            if r == n:
+                                answer = False
                                 break
-                            calls += n + true_r.bit_count()
-                        r += 1
-                        if r == n:
-                            answer = False
+                            phase = 1
+                            continue
+                        k = (stops & -stops).bit_length() - 1
+                        calls += k + (true_a & ((1 << k) - 1)).bit_count() + 1
+                        if open_a >> k & 1:
+                            frame[2], frame[3] = r, phase
+                            stack.append([q, r, k, 1] if phase == 1 else [r, p, k, 1])
+                            return None
+                        calls += 1
+                        if open_b >> k & 1:
+                            frame[2], frame[3] = r, phase
+                            stack.append([q, r, k, 2] if phase == 1 else [r, p, k, 2])
+                            return None
+                        if phase == 2:
+                            answer = True
                             break
-                        phase = 1
+                        phase = 2
                     stack.pop()
                     continue
                 if phase == 2:  # the one base case (r, p): a height-0 root, or resumed
@@ -282,7 +265,7 @@ def _divide(stack: list[list[int]], height: int, rows: _BaseRows, answer: bool |
 
 
 def reachable(automaton: TwoWayAutomaton, word: str, q: int, p: int, t: int,
-              stats: ReachableStats | None = None, budget: int = DIVIDE_BUDGET) -> bool:
+              stats: ReachableStats | None = None) -> bool:
     """Is there a chain of at most t segments from q to p on `word`?
 
     Such a chain is, for each power 2^e in t's binary expansion in turn, a
@@ -292,29 +275,24 @@ def reachable(automaton: TwoWayAutomaton, word: str, q: int, p: int, t: int,
     midpoint.  A chain longer than n - 1 segments repeats a state and so
     shortens, so t is first capped at n - 1, and the observed height never
     exceeds floor(log2(min(t, n - 1))).  Base cases read the word's return
-    table, computed once per call.  `budget` caps the base cases of all
-    those runs together; past it BudgetExceeded is raised.  State ids
-    outside range(n) and a negative budget raise ValueError.
+    table, computed once per call.  A run that asks more than
+    `DIVIDE_BUDGET` base cases raises BudgetExceeded.  State ids outside
+    range(n) raise ValueError.
     """
     if t < 1:
         raise ValueError("the segment budget t must be at least 1")
-    _check_budget(budget)
     require_normal_form(automaton, alternating=False)
     _check_states(automaton, q, p)
     n = automaton.n
     t = min(t, max(n - 1, 1))
     rows = _segment_rows(automaton, word)
-    work = stats if stats is not None else ReachableStats()
-    limit = work.base_calls + budget
-
-    def run(a: int, b: int, e: int) -> bool:
-        return _divide([[a, b, a, 2]], e, rows, stats=work, budget=limit - work.base_calls)
-
     *lower, last = [e for e in range(t.bit_length()) if t >> e & 1]
     frontier = {q}
     for e in lower:
-        frontier = {b for a in frontier for b in range(n) if run(a, b, e)}
-    return any(run(a, p, last) for a in frontier)
+        frontier = {b for a in frontier for b in range(n)
+                    if _divide([[a, b, a, 2]], e, rows, stats=stats, budget=DIVIDE_BUDGET)}
+    return any(_divide([[a, p, a, 2]], last, rows, stats=stats, budget=DIVIDE_BUDGET)
+               for a in frontier)
 
 
 def decide_det(automaton: TwoWayAutomaton, word: str,
@@ -328,7 +306,8 @@ def decide_det(automaton: TwoWayAutomaton, word: str,
     run that asks more than `budget` base cases raises BudgetExceeded; a
     negative budget raises ValueError.
     """
-    _check_budget(budget)
+    if budget < 0:
+        raise ValueError("the base-call budget must be at least 0")
     q_init, q_final = automaton.initial, require_normal_form(automaton, alternating=False)
     check_word(automaton, word)
     if q_init == q_final:

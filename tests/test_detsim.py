@@ -173,24 +173,16 @@ def test_divide_budget_counts_base_cases():
     with pytest.raises(BudgetExceeded, match="budget of base cases"):
         decide_det(mod_p_sweeper((5, 7, 11)), "a" * 31, stats=stats)  # 17 872 304 to finish
     assert 10**7 < stats.base_calls < 10**7 + 10**4
-    for decide in (lambda b: decide_det(machine, "a", budget=b),
-                   lambda b: reachable(machine, "a", 0, 1, 3, budget=b)):
-        with pytest.raises(ValueError, match="at least 0"):
-            decide(-1)
+    with pytest.raises(ValueError, match="at least 0"):
+        decide_det(machine, "a", budget=-1)
 
 
-def test_reachable_budget_spans_its_runs():
-    """t = 5 runs the machine at heights 0 and 2; the budget covers both together."""
+def test_reachable_runs_under_the_divide_budget(monkeypatch):
     machine = mod_p_sweeper((2, 3))
-    q_final = machine.n - 1
-    stats = ReachableStats()
-    assert not reachable(machine, "a" * 7, 0, q_final, 5, stats=stats)
-    total = stats.base_calls
-    assert not reachable(machine, "a" * 7, 0, q_final, 5, budget=total)
-    with pytest.raises(BudgetExceeded):
-        reachable(machine, "a" * 7, 0, q_final, 5, budget=total - 1)
-    # one height-2 run fits in that budget; t = 5's runs only fit together
-    assert not reachable(machine, "a" * 7, 0, q_final, 4, budget=total - 1)
+    assert not reachable(machine, "a" * 7, 0, machine.n - 1, 5)
+    monkeypatch.setattr("outerfa.detsim.DIVIDE_BUDGET", 10)
+    with pytest.raises(BudgetExceeded, match="budget of base cases"):
+        reachable(machine, "a" * 7, 0, machine.n - 1, 5)
 
 
 def test_reachable_base_cases():
