@@ -190,7 +190,8 @@ def _cmd_segment_graph(args) -> int:
 def _cmd_complement(args) -> int:
     automaton = _load(args.file)
     machine = _ensure_normal_form(automaton, alternating=False)
-    _emit({"result": complement_decide(machine, args.word, budget=args.budget)}, args.json)
+    limit = {} if args.budget is None else {"budget": args.budget}
+    _emit({"result": complement_decide(machine, args.word, **limit)}, args.json)
     return EXIT_OK
 
 
@@ -274,7 +275,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("complement", _cmd_complement, "decide membership in the complement language")
     p.add_argument("file")
     p.add_argument("--word", required=True)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=None,
+                   help="branch points (default 10^6); exhausting it exits 4, and negative "
+                        "is an error")
 
     p = add("bounds", _cmd_bounds, "state-count formulas for this machine's size")
     p.add_argument("file")

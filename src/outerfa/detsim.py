@@ -29,6 +29,7 @@ from math import inf, log, log2
 
 from .core import (
     LEFT_ENDMARKER,
+    RIGHT,
     STAY,
     BudgetExceeded,
     InvariantViolation,
@@ -41,7 +42,6 @@ from .reach import (
     ACCEPT,
     ControllerState,
     DONE_LEFT,
-    _tape_free_segment,
     build_controller,
     return_table,
 )
@@ -356,8 +356,21 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = 10**6) -> TwoW
     height = _stack_height(n)
     controller = build_controller(automaton)
     q_final = controller.final_state
-    rows = _base_rows([[True if q == p else _tape_free_segment(controller, q, p)
-                        for p in range(n)] for q in range(n)])
+
+    def base_case(q: int, p: int) -> bool | None:
+        """Whether a chain of at most one segment joins q to p; None when only the tape can tell.
+
+        A stationary launch is a segment by itself, and the only kind into
+        the accepting state; every other segment starts with a rightward one.
+        """
+        launches = automaton.successors(q, LEFT_ENDMARKER)
+        if q == p or (p, STAY) in launches:
+            return True
+        if p != q_final and any(d == RIGHT for _, d in launches):
+            return None
+        return False
+
+    rows = _base_rows([[base_case(q, p) for p in range(n)] for q in range(n)])
 
     ids: dict[object, int] = {}
     names: list[str] = []

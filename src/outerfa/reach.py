@@ -15,14 +15,13 @@ predecessors one cell to the right, with one start and one finish state per
 mode.  Only one move depends on the q_from parameter: SCAN_LEFT(q) on the
 left endmarker accepts exactly when a choice of q_from launches q
 rightward, which the controller reads off one reverse launch index.
-Questions that need no tape go through one shortcut rule,
-`_tape_free_segment`, shared with the materialized deterministic machine.
 
-One stepper, `_walk`, runs the controller over a tape and reports the
-launch candidates of each scan-left visit to the left endmarker.  The plain
-search (`segment_reach`) stops at the first visit listing its q_from; the
-guessing variant records every visit as a choice point (`_script`).  The
-guessing variant (`n_reach`) emits some state with a segment into q_to;
+One stepper, `_walk`, is the only source of the search's choice points: it
+first lists the stationary launchers of q_to, then runs the controller over
+a tape and reports the launch candidates of each scan-left visit to the
+left endmarker.  The plain search (`segment_reach`) stops at the first
+point listing its q_from.  The guessing variant (`n_reach`) takes every
+point as a choice and emits some state with a segment into q_to;
 its iterated form (`t_reach`) checks a chain of exactly t segments out of
 the initial state, and `n_reach` is its one-segment case.  Both are driven
 by explicit choice traces so that callers can replay or exhaust them.
@@ -231,16 +230,22 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
 
 
 def _walk(controller: ReachController, word: str, q_to: int) -> Iterator[tuple[int, ...]]:
-    """Step the backward search for q_to over the tape, yielding each visit's launch candidates.
+    """The choice points of the backward search for segments into q_to, in execution order.
 
-    A visit is a SCAN_LEFT(q) on the left endmarker, the only move that
-    depends on the segment's start; its candidates, which
-    `controller.scan_left` lists in state order, are the starts whose
-    search accepts there.  The plain search stops consuming at the first
-    visit listing its q_from.  The walk itself always keeps searching, which
-    visits every such point of the backward tree exactly once, and halts
-    within (4n - 3)(|w| + 2) steps.
+    Each point lists in state order the starts of segments into q_to found
+    there.  The first point, when there are any, lists the stationary
+    launchers of q_to: a stationary move at the left endmarker is a segment
+    by itself, and the only kind into the accepting state.  Every further
+    point is a visit to the left endmarker in SCAN_LEFT(q), the only move
+    that depends on the segment's start; its candidates, which
+    `controller.scan_left` lists, are the starts whose search accepts there.
+    The plain search stops consuming at the first point listing its q_from.
+    The walk itself always keeps searching, which visits every such point of
+    the backward tree exactly once, and halts within (4n - 3)(|w| + 2) steps.
     """
+    stationary = controller.launchers.get((q_to, STAY))
+    if stationary:
+        yield stationary
     table = controller.fixed_table
     bound = controller.state_count * (len(word) + 2)
     tape = LEFT_ENDMARKER + word + RIGHT_ENDMARKER
@@ -260,36 +265,6 @@ def _walk(controller: ReachController, word: str, q_to: int) -> Iterator[tuple[i
         f"backward search exceeded its {bound}-step termination bound on {controller.automaton!r}")
 
 
-def _tape_free_segment(controller: ReachController, q_from: int, q_to: int) -> bool | None:
-    """Whether a segment runs from q_from to q_to, when the tape is not needed; else None.
-
-    A stationary launch into q_to is a segment.  Without a rightward launch
-    there is no other, nor is there into the accepting state.
-    """
-    launches = controller.automaton.successors(q_from, LEFT_ENDMARKER)
-    if (q_to, STAY) in launches:
-        return True
-    if q_to != controller.final_state:
-        for (_, d) in launches:
-            if d == RIGHT:
-                return None
-    return False
-
-
-def _script(controller: ReachController, word: str, q_to: int) -> tuple[tuple[int, ...], ...]:
-    """Choice points of the guessing search for segments into q_to, in execution order.
-
-    They are the visits of `_walk`, which keeps searching at every one, each
-    listing in state order the states that may be emitted there.  A segment
-    into the accepting state is a single stationary move, so its search has
-    one choice point at most, listing the stationary launchers.
-    """
-    if q_to == controller.final_state:
-        cands = controller.launchers.get((q_to, STAY), ())
-        return (cands,) if cands else ()
-    return tuple(_walk(controller, word, q_to))
-
-
 def _check_call(automaton: TwoWayAutomaton, word: str, controller: ReachController | None,
                 *states: int) -> None:
     """Reject unknown state ids, foreign letters and a controller built for another machine."""
@@ -303,11 +278,10 @@ def reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
           controller: ReachController | None = None) -> bool:
     """Does the machine have a segment from q_from to q_to on `word`?
 
-    Equal endpoints answer yes immediately.  A stationary move at the left
-    endmarker into q_to is the shortest real segment and also answers yes;
-    this covers every segment into the accepting state.  A state with no
-    rightward launch starts no other segment.  Everything else runs the
-    backward controller, which always halts.  State ids outside range(n)
+    Equal endpoints answer yes immediately.  Everything else runs the
+    backward controller's walk, which always halts; its first point lists
+    the stationary launches into q_to, the shortest segments and the only
+    ones into the accepting state.  State ids outside range(n)
     and a controller built for another machine raise ValueError, letters
     outside the alphabet NotApplicable.
     """
@@ -323,9 +297,6 @@ def segment_reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
     _check_call(automaton, word, controller, q_from, q_to)
     if controller is None:
         controller = build_controller(automaton)
-    answer = _tape_free_segment(controller, q_from, q_to)
-    if answer is not None:
-        return answer
     return any(q_from in candidates for candidates in _walk(controller, word, q_to))
 
 
@@ -405,7 +376,7 @@ def _chain(controller: ReachController, word: str, q: int, t: int,
     """
     pos = 0
     for _ in range(t):
-        for candidates in _script(controller, word, q):
+        for candidates in _walk(controller, word, q):
             if pos == len(trace):
                 raise TraceUnderflow(1 + len(candidates))
             pick = trace[pos]

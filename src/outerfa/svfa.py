@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .core import BudgetExceeded, InvariantViolation, TwoWayAutomaton, Verdict
 from .normalform import require_normal_form
-from .reach import ReturnTable, TraceUnderflow, _script, build_controller, return_table
+from .reach import ReturnTable, TraceUnderflow, _walk, build_controller, return_table
 from .reach import segment_reach  # noqa: F401  (perfbench/tracing.py wraps it here by name)
 
 
@@ -48,6 +48,10 @@ class DecisionReport:
     branches_explored: int
     all_halting: bool
     complete: bool = True
+
+
+# The branch points one self-verifying decision may visit by default.
+SVFA_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ class _SimContext:
         self.rows = table.rows
         if replay:
             controller = build_controller(automaton)
-            self.scripts = [_script(controller, word, q) for q in range(automaton.n)]
+            self.scripts = [list(_walk(controller, word, q)) for q in range(automaton.n)]
         else:
             self.scripts = _decider_scripts(table)
 
@@ -98,12 +102,12 @@ def _decider_scripts(table: ReturnTable) -> list[list[list[int]]]:
     """Each target's search choice points for the decider: one point listing every candidate.
 
     The point for q lists p once per entry q of `rows[p]`, in state order;
-    a target without candidates has no point.  In the strict normal form
-    each such entry is one rightward choice of p whose run first returns
-    in q, or p's stationary move into the accepting state: one listing of
-    p in the controller's walk into q.  A keep-or-emit chain roots one
-    subtree per candidate and ends in one don't-know leaf however its
-    candidates are spread over points, so the report is the walk's.
+    a target without candidates has no point.  Each such entry is one
+    rightward choice of p whose run first returns in q, or p's stationary
+    move into q: one listing of p in the controller's walk into q.  A
+    keep-or-emit chain roots one subtree per candidate and ends in one
+    don't-know leaf however its candidates are spread over points, so the
+    report is the walk's.
     """
     candidates: list[list[int]] = [[] for _ in range(table.automaton.n)]
     for p, row in enumerate(table.rows):
@@ -192,7 +196,7 @@ def svfa_run(automaton: TwoWayAutomaton, word: str, trace: Sequence[int]) -> Ver
     return state[1]
 
 
-def svfa_decide(automaton: TwoWayAutomaton, word: str, budget: int = 10**6) -> DecisionReport:
+def svfa_decide(automaton: TwoWayAutomaton, word: str, budget: int = SVFA_BUDGET) -> DecisionReport:
     """Exhaust every choice trace depth-first and aggregate the verdicts.
 
     The enumeration is finite because every branch halts.  Each search
@@ -240,7 +244,7 @@ def svfa_decide(automaton: TwoWayAutomaton, word: str, budget: int = 10**6) -> D
     return report(complete=True)
 
 
-def complement_decide(automaton: TwoWayAutomaton, word: str, budget: int = 10**6) -> bool:
+def complement_decide(automaton: TwoWayAutomaton, word: str, budget: int = SVFA_BUDGET) -> bool:
     """Membership in the complement language: does a rejecting branch exist?"""
     return svfa_decide(automaton, word, budget=budget).verdict_exists_no
 

@@ -25,7 +25,7 @@ from outerfa import (
     t_reach,
 )
 from outerfa.normalform import NotNormalForm
-from outerfa.reach import _script
+from outerfa.reach import _walk
 from outerfa.svfa import _decider_scripts
 from outerfa.fixtures import (
     P_A,
@@ -128,6 +128,28 @@ def test_n_reach_examples():
     # an empty backward tree aborts without consuming the trace:
     # nothing moves left into pa, so (pa, 0) has no predecessors on "b"
     assert n_reach(E1, "b", P_A, []) is Verdict.DONT_KNOW
+    # in the relaxed normal form a stationary launch into a non-accepting
+    # state is a segment: here the only one into p
+    q_i, p, r, q_f = range(4)
+    machine = TwoWayAutomaton(
+        ["qI", "p", "r", "qF"], "a",
+        {
+            (q_i, "<"): [(p, STAY), (r, RIGHT)],
+            (r, "a"): [(r, RIGHT)],
+            (r, ">"): [(r, LEFT)],
+            (r, "<"): [(q_f, STAY)],
+            (p, "<"): [(q_f, STAY)],
+        },
+        q_i, [q_f],
+    )
+    for word in ("", "a", "aa"):
+        assert segment_exists_oracle(machine, word, q_i, p)
+        assert segment_reach(machine, word, q_i, p)
+        outcomes = enumerate_outcomes(lambda tr: n_reach(machine, word, p, tr))
+        assert set(outcomes) == {q_i, Verdict.DONT_KNOW}
+        # the stationary launchers are the search's first choice point
+        assert n_reach(machine, word, p, [1]) == q_i
+        assert t_reach(machine, word, p, 1, [1]) is True
 
 
 def test_n_reach_trace_underflow():
@@ -135,13 +157,11 @@ def test_n_reach_trace_underflow():
         n_reach(E1, "aa", R_A, [0])
 
 
-def test_n_reach_outcomes_match_segment_oracle(nf_corpus):
-    for machine in list(nf_corpus[:10]) + [E1]:
+def test_n_reach_outcomes_match_segment_oracle(nf_corpus, alt_nf_corpus):
+    for machine in list(nf_corpus[:10]) + list(alt_nf_corpus[:10]) + [E1]:
         controller = build_controller(machine)
         for word in all_words(machine.alphabet, 3):
             for q_to in range(machine.n):
-                if q_to == controller.final_state:
-                    continue
                 outcomes = enumerate_outcomes(
                     lambda tr: n_reach(machine, word, q_to, tr, controller))
                 emitted = {v for v in outcomes if isinstance(v, int)}
@@ -180,8 +200,8 @@ def test_controller_of_another_machine_is_rejected():
             call()
 
 
-def test_t_reach_matches_chain_oracle(nf_corpus):
-    for machine in nf_corpus[:8]:
+def test_t_reach_matches_chain_oracle(nf_corpus, alt_nf_corpus):
+    for machine in list(nf_corpus[:8]) + list(alt_nf_corpus[:8]):
         controller = build_controller(machine)
         n = machine.n
         for word in all_words(machine.alphabet, 3):
@@ -320,21 +340,14 @@ def test_return_table_on_long_mod3_sweeper():
 
 
 def assert_scripts_match(machine, words):
-    """svfa's one choice point per target, read off the return table, lists the walk's candidates.
-
-    Only the relaxed form has stationary launches into a non-accepting q:
-    they are segments into q that the walk does not list.
-    """
+    """svfa's one choice point per target, read off the return table, lists the walk's candidates."""
     controller = build_controller(machine)
-    final = controller.final_state
     for word in words:
         scripts = _decider_scripts(return_table(machine, word))
         assert len(scripts) == machine.n
         for q in range(machine.n):
             assert len(scripts[q]) <= 1 and all(scripts[q]), (machine, word, q)
-            walked = [p for point in _script(controller, word, q) for p in point]
-            if q != final:
-                walked += controller.launchers.get((q, STAY), ())
+            walked = [p for point in _walk(controller, word, q) for p in point]
             listed = [p for point in scripts[q] for p in point]
             assert sorted(listed) == sorted(walked), (machine, word, q)
 

@@ -23,7 +23,7 @@ from outerfa import (
     svfa_state_accounting,
 )
 from outerfa.normalform import NotNormalForm
-from outerfa.reach import _script
+from outerfa.reach import _walk
 from outerfa.fixtures import build_e1, build_e2, build_trivial_all, build_trivial_empty
 
 from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper
@@ -117,7 +117,7 @@ def test_decide_matches_trace_replay_enumeration(nf_corpus):
     for machine in machines:
         controller = build_controller(machine)
         for word in all_words(machine.alphabet, 3):
-            merged += any(sum(1 for point in _script(controller, word, q) if point) >= 2
+            merged += any(sum(1 for point in _walk(controller, word, q) if point) >= 2
                           for q in range(machine.n))
             tallies = {verdict: 0 for verdict in Verdict}
             stack = [()]
