@@ -6,16 +6,15 @@ questions about 2^(h-1) segments through a guessed midpoint, so acceptance
 resolves with a stack whose height is only ceil(log2(n - 1)).  One explicit
 stack machine, `_divide`, does this work for both users.  It reads the base
 cases off bit rows of the base-case relation (`_BaseRows`): a set bit in a
-true row holds, one in an open row needs the tape.  A frame whose two
-halves are base cases settles all its remaining midpoints with a few
-big-integer operations, and the machine counts the base cases the
-midpoint-by-midpoint scan would have asked.  A frame one level above,
-whose two halves are such bottom frames, scans its midpoints in one inline
-loop with the same arithmetic and pushes a bottom frame only where a half
-suspends.  `reachable` and `decide_det` run it to a verdict, with rows
-built from the word's return table and no open bits, under a budget of
-base cases (`DIVIDE_BUDGET` by default) past which they raise
-BudgetExceeded.  `materialize_dfa` mints it into an actual
+true row holds, one in an open row needs the tape.  A frame one level
+above the bottom, whose questions each split into two base cases, scans
+its midpoints in one inline loop: it settles each such bottom question
+with a few big-integer operations, counts the base cases the
+midpoint-by-midpoint scan would have asked, and pushes a bottom frame only
+where a half suspends.  `reachable` and `decide_det` run it to a
+verdict, with rows built from the word's return table and no open bits,
+under a budget of base cases (`DIVIDE_BUDGET` by default) past which they
+raise BudgetExceeded.  `materialize_dfa` mints it into an actual
 deterministic two-way machine: its rows settle only the base cases that
 need no tape, so the machine suspends at the others, and each emitted state
 packs the suspended stack together with the backward-search cursor that
@@ -54,7 +53,7 @@ class TooLarge(ValueError):
 
 @dataclass
 class ReachableStats:
-    """Work of the stack machine over one evaluation.
+    """Work of the stack machine, accumulated over every run it is passed to.
 
     `base_calls` counts the base cases a midpoint-by-midpoint scan asks;
     `max_stack_height` is the highest stack of halvings.
@@ -149,23 +148,26 @@ def _divide(stack: list[list[int]], height: int, rows: _BaseRows, answer: bool |
     (r, p).  The root frame [q, p, q, 2] poses the root question (q, p)
     itself and is never stepped; the frames above it are the halvings, at
     most `height` of them, and the questions posed by the top frame at that
-    height are base cases, read off `rows`.  A bottom frame, one whose two
-    halves are base cases, stepped in phase 1 from midpoint r settles every
-    midpoint from r on at once: with the rows shifted by r,
-    stops = open1 | (true1 & (open2 | true2)) marks where the midpoint scan
-    would suspend (on an open half) or succeed, its lowest bit is the stop
-    the scan reaches first, and with no bit set no midpoint works.  A
-    next-to-bottom frame, a halving at stack length `height` >= 2 whose two
-    halves are bottom frames, scans its remaining midpoints in one local
-    loop: each midpoint settles the bottom questions (q, r) and (r, p) from
-    midpoint 0 with the same arithmetic, inline, and no frame is pushed
-    unless a half suspends.  `stats` gets the base cases the
-    midpoint-by-midpoint scan asks, by popcount, and the highest stack of
-    halvings.  With `answer` None the top frame's question is still open;
-    otherwise it has just been answered.  Returns the root verdict, or None,
-    leaving the stack as that scan would, at a base case with an open bit;
-    resume by calling again with that base case's answer.  Base cases past
-    `budget` raise BudgetExceeded when a frame settles, never mid-scan.
+    height are base cases, read off `rows`.  A next-to-bottom frame, one at
+    stack length `height` >= 1, poses bottom questions, each of which a
+    bottom frame would split into two base cases: a halving poses (q, r)
+    and (r, p) for each of its remaining midpoints, and the root its one
+    question (q, p).  It settles them in one local loop with a few
+    big-integer operations each: for the question (a, b), with the rows of
+    a and the columns of b, stops = open_a | (true_a & (open_b | true_b))
+    marks the midpoints where the midpoint-by-midpoint scan would suspend
+    (on an open half) or succeed, its lowest bit is the stop the scan
+    reaches first, and with no bit set no midpoint works.  No frame is
+    pushed unless a half suspends.  A frame above that, a height-0 root or
+    a bottom frame reached on resume, settles the one base case it poses,
+    and the answers move it on one midpoint at a time.  `stats` gets the
+    base cases the midpoint-by-midpoint scan asks, by popcount, and the
+    highest stack of halvings.  With `answer` None the top frame's question
+    is still open; otherwise it has just been answered.  Returns the root
+    verdict, or None, leaving the stack as that scan would, at a base case
+    with an open bit; resume by calling again with that base case's
+    answer.  Base cases past `budget` raise BudgetExceeded when a frame
+    settles, never mid-scan.
     """
     true_rows, open_rows, true_cols, open_cols = rows
     n = len(true_rows)
@@ -176,13 +178,14 @@ def _divide(stack: list[list[int]], height: int, rows: _BaseRows, answer: bool |
             if answer is None:
                 q, p, r, phase = frame
                 depth = len(stack)
-                if depth < height or depth == 1 and height:
+                if depth < height:
                     if depth > top:
                         top = depth  # the height of halvings after this push
                     stack.append([q, r, 0, 1] if phase == 1 else [r, p, 0, 1])
                     continue
                 if depth == height:  # a next-to-bottom frame: scan its midpoints from r
                     top = height
+                    last = n if depth > 1 else r + 1  # a root poses its one half (q, p)
                     true_q, open_q = true_rows[q], open_rows[q]
                     open_p = open_cols[p]
                     ends_p = open_p | true_cols[p]
@@ -196,7 +199,7 @@ def _divide(stack: list[list[int]], height: int, rows: _BaseRows, answer: bool |
                         if not stops:
                             calls += n + true_a.bit_count()
                             r += 1
-                            if r == n:
+                            if r == last:
                                 answer = False
                                 break
                             phase = 1
@@ -216,33 +219,15 @@ def _divide(stack: list[list[int]], height: int, rows: _BaseRows, answer: bool |
                             answer = True
                             break
                         phase = 2
-                    stack.pop()
+                    if depth > 1:
+                        stack.pop()
                     continue
-                if phase == 2:  # the one base case (r, p): a height-0 root, or resumed
-                    calls += 1
-                    if open_rows[r] >> p & 1:
-                        return None
-                    answer = bool(true_rows[r] >> p & 1)
-                    continue
-                true1 = true_rows[q] >> r
-                stops = (open_rows[q] | true_rows[q] & (open_cols[p] | true_cols[p])) >> r
-                if not stops:
-                    calls += n - r + true1.bit_count()  # two asks where the first half holds
-                    stack.pop()
-                    answer = False
-                    continue
-                k = (stops & -stops).bit_length() - 1
-                calls += k + (true1 & ((1 << k) - 1)).bit_count() + 1
-                frame[2] = r = r + k
-                if open_rows[q] >> r & 1:
-                    frame[3] = 1
-                    return None
+                # the one base case posed: a height-0 root, or a resumed bottom frame
+                a, b = (q, r) if phase == 1 else (r, p)
                 calls += 1
-                if open_cols[p] >> r & 1:
-                    frame[3] = 2
+                if open_rows[a] >> b & 1:
                     return None
-                stack.pop()  # both halves hold, so does the frame's question
-                answer = True
+                answer = bool(true_rows[a] >> b & 1)
             elif calls > budget:
                 raise BudgetExceeded("the stack machine ran past its budget of base cases")
             elif len(stack) == 1:

@@ -161,9 +161,6 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
     if len(states) != 4 * n - 3:
         raise InvariantViolation(f"controller has {len(states)} states, not 4n - 3 = {4 * n - 3}")
 
-    def row(p: int, sym: str) -> tuple[tuple[int, int], ...]:
-        return automaton.successors(p, sym)
-
     table: dict[tuple[ControllerState, str], Entry] = {}
     for q in searchable:
         scan_left = ControllerState(SCAN_LEFT, q)
@@ -175,7 +172,7 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
         # at i - 1.  The left endmarker row lives in the parameter table and
         # the right endmarker is unreachable here.
         for a in letters:
-            preds = [p for p in range(n) if row(p, a) == ((q, RIGHT),)]
+            preds = [p for p in range(n) if automaton.successors(p, a) == ((q, RIGHT),)]
             if preds:
                 table[(scan_left, a)] = (ControllerState(SCAN_LEFT, min(preds)), LEFT)
             else:
@@ -190,7 +187,7 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
 
         # Mode 2: predecessors one cell to the right; the head sits at i + 1.
         for sym in letters + (RIGHT_ENDMARKER,):
-            preds = [p for p in range(n) if row(p, sym) == ((q, LEFT),)]
+            preds = [p for p in range(n) if automaton.successors(p, sym) == ((q, LEFT),)]
             if preds:
                 table[(scan_right, sym)] = (ControllerState(SCAN_LEFT, min(preds)), LEFT)
             else:
@@ -201,13 +198,13 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
         # close the parent's mode.  At the left endmarker the search is back
         # at the root with nothing left, which rejects by halting here.
         for sym in letters + (RIGHT_ENDMARKER,):
-            succs = row(q, sym)
+            succs = automaton.successors(q, sym)
             if not succs:
                 continue  # never reached backward; left undefined
             (r, d) = succs[0]
             if d == STAY:
                 raise InvariantViolation("stationary move away from the left endmarker")
-            siblings = [p for p in range(q + 1, n) if row(p, sym) == ((r, d),)]
+            siblings = [p for p in range(q + 1, n) if automaton.successors(p, sym) == ((r, d),)]
             if siblings:
                 table[(done_right, sym)] = (ControllerState(SCAN_LEFT, min(siblings)), LEFT)
             elif d == RIGHT:
@@ -217,7 +214,7 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
 
     launchers: dict[tuple[int, int], list[int]] = {}
     for p in range(n):
-        for move in row(p, LEFT_ENDMARKER):
+        for move in automaton.successors(p, LEFT_ENDMARKER):
             launchers.setdefault(move, []).append(p)
 
     return ReachController(
@@ -266,24 +263,32 @@ def _walk(controller: ReachController, word: str, q_to: int) -> Iterator[tuple[i
 
 
 def _check_call(automaton: TwoWayAutomaton, word: str, controller: ReachController | None,
-                *states: int) -> None:
-    """Reject unknown state ids, foreign letters and a controller built for another machine."""
+                *states: int) -> ReachController:
+    """The controller for one search, built when None, which checks the normal form.
+
+    Rejects unknown state ids, foreign letters and a controller built for
+    another machine.
+    """
     _check_states(automaton, *states)
     check_word(automaton, word)
-    if controller is not None and controller.automaton is not automaton:
+    if controller is None:
+        return build_controller(automaton)
+    if controller.automaton is not automaton:
         raise ValueError("the controller was built for a different machine")
+    return controller
 
 
 def reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
           controller: ReachController | None = None) -> bool:
     """Does the machine have a segment from q_from to q_to on `word`?
 
-    Equal endpoints answer yes immediately.  Everything else runs the
-    backward controller's walk, which always halts; its first point lists
-    the stationary launches into q_to, the shortest segments and the only
-    ones into the accepting state.  State ids outside range(n)
-    and a controller built for another machine raise ValueError, letters
-    outside the alphabet NotApplicable.
+    Equal endpoints answer yes without a search, once the machine has
+    passed the normal-form gate.  Everything else runs the backward
+    controller's walk, which always halts; its first point lists the
+    stationary launches into q_to, the shortest segments and the only ones
+    into the accepting state.  State ids outside range(n) and a controller
+    built for another machine raise ValueError, letters outside the
+    alphabet NotApplicable, a machine outside the normal form NotNormalForm.
     """
     if q_from != q_to:
         return segment_reach(automaton, word, q_from, q_to, controller)
@@ -294,9 +299,7 @@ def reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
 def segment_reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
                   controller: ReachController | None = None) -> bool:
     """Like `reach` but without the equal-endpoints shortcut: a real segment must exist."""
-    _check_call(automaton, word, controller, q_from, q_to)
-    if controller is None:
-        controller = build_controller(automaton)
+    controller = _check_call(automaton, word, controller, q_from, q_to)
     return any(q_from in candidates for candidates in _walk(controller, word, q_to))
 
 
@@ -400,9 +403,7 @@ def n_reach(automaton: TwoWayAutomaton, word: str, q_to: int, trace: Sequence[in
     backward tree, or demanding a candidate that does not exist, yields
     Verdict.DONT_KNOW.  A too-short trace raises TraceUnderflow.
     """
-    _check_call(automaton, word, controller, q_to)
-    if controller is None:
-        controller = build_controller(automaton)
+    controller = _check_call(automaton, word, controller, q_to)
     result = _chain(controller, word, q_to, 1, trace)
     return Verdict.DONT_KNOW if result is None else result
 
@@ -419,9 +420,7 @@ def t_reach(automaton: TwoWayAutomaton, word: str, q: int, t: int, trace: Sequen
     """
     if t < 0:
         raise ValueError("the chain length t must be at least 0")
-    _check_call(automaton, word, controller, q)
-    if controller is None:
-        controller = build_controller(automaton)
+    controller = _check_call(automaton, word, controller, q)
     if t == 0:
         return q == automaton.initial
     return True if _chain(controller, word, q, t, trace) == automaton.initial else Verdict.DONT_KNOW

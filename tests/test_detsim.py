@@ -1,5 +1,6 @@
 """Divide-and-conquer simulation, size formulas, materialization."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from outerfa import (
     BudgetExceeded,
+    InvariantViolation,
     NotApplicable,
     ReachableStats,
     TooLarge,
@@ -114,28 +116,30 @@ def test_divide_matches_the_callback_machine_on_segments():
 def test_divide_suspends_and_resumes_like_the_callback_machine(seed):
     """Open bits suspend at the stacks the midpoint scan suspends at, and resumption agrees.
 
-    Heights 2 to 4 suspend inside the next-to-bottom frames' inline scans too.
+    Each seed's cells run at every height from 0 to 4: a height-0 root
+    suspends at its one base case, a height-1 root scans as a next-to-bottom
+    frame, and heights 2 to 4 suspend inside the halvings' inline scans too.
     """
     rng = random.Random(seed)
     n = rng.randint(2, 9)
-    height = rng.randint(1, 4)
     cells = [[rng.choice((True, False, None)) for _ in range(n)] for _ in range(n)]
     rows = _base_rows(cells)
-    want, got = ReachableStats(), ReachableStats()
-    leaf = counted_leaf(cells, want)
     q, p = rng.randrange(n), rng.randrange(n)
-    expected, actual = [[q, p, q, 2]], [[q, p, q, 2]]
-    answer = None
-    for _ in range(10**4):
-        verdict = reference_divide(expected, height, n, leaf, answer, stats=want)
-        assert _divide(actual, height, rows, answer, stats=got) == verdict
-        assert actual == expected
-        assert got == want
-        if verdict is not None:
-            break
-        answer = rng.random() < 0.5
-    else:
-        pytest.fail("the stack machine did not reach a verdict")
+    for height in range(5):
+        want, got = ReachableStats(), ReachableStats()
+        leaf = counted_leaf(cells, want)
+        expected, actual = [[q, p, q, 2]], [[q, p, q, 2]]
+        answer = None
+        for _ in range(10**4):
+            verdict = reference_divide(expected, height, n, leaf, answer, stats=want)
+            assert _divide(actual, height, rows, answer, stats=got) == verdict
+            assert actual == expected, height
+            assert got == want, height
+            if verdict is not None:
+                break
+            answer = rng.random() < 0.5
+        else:
+            pytest.fail(f"the stack machine did not reach a verdict at height {height}")
 
 
 def test_divide_counters_are_pinned(nf_corpus):
@@ -349,6 +353,16 @@ def test_materialize_stops_at_the_ceiling():
     assert materialize_dfa(E1, max_states=1120).n == 1120
     with pytest.raises(TooLarge):
         materialize_dfa(E1, max_states=1119)
+
+
+def test_materialize_checks_the_state_bound(monkeypatch):
+    """The emitted machine is checked against the paper's state bound, not assumed to fit it."""
+    def tight_bound(n, normal_form):
+        return dataclasses.replace(dfa_state_bound(n, normal_form), stack_configurations_bound=1)
+
+    monkeypatch.setattr("outerfa.detsim.dfa_state_bound", tight_bound)
+    with pytest.raises(InvariantViolation, match="over its bound 1"):
+        materialize_dfa(EA)
 
 
 def test_materialize_rejects_a_negative_ceiling():

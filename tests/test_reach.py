@@ -1,10 +1,12 @@
 """Backward-search controller, guessing searches, chain checks."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from outerfa import (
+    InvariantViolation,
     LEFT,
     NotApplicable,
     RIGHT,
@@ -77,8 +79,20 @@ def bent_e1() -> TwoWayAutomaton:
 
 
 def test_controller_requires_normal_form():
+    machine = bent_e1()
     with pytest.raises(NotNormalForm):
-        build_controller(bent_e1())
+        build_controller(machine)
+    with pytest.raises(NotNormalForm):  # equal endpoints need no search, but the same gate
+        reach(machine, "a", Q_I, Q_I)
+
+
+def test_walk_checks_its_step_bound():
+    """A controller that never halts is caught at (4n - 3)(|w| + 2) steps, not run forever."""
+    controller = build_controller(E1)
+    stuck = dataclasses.replace(controller, fixed_table={
+        key: (key[0], STAY) for key in controller.fixed_table})
+    with pytest.raises(InvariantViolation, match="termination bound"):
+        segment_reach(E1, "ab", Q_I, R_B, stuck)
 
 
 def test_t_reach_gates_every_chain_length():
