@@ -60,7 +60,6 @@ from .normalform import (
     require_normal_form,
 )
 from .reach import (
-    ControllerState,
     ReachController,
     ReturnTable,
     TraceUnderflow,

@@ -12,19 +12,24 @@ The search is materialized as a deterministic finite-state controller with
 exactly 4n - 3 states, walking the input tape.  Each tree node (q, i) is
 handled in two modes: first the predecessors one cell to the left, then the
 predecessors one cell to the right, with one start and one finish state per
-mode.  Only one move depends on the q_from parameter: SCAN_LEFT(q) on the
-left endmarker accepts exactly when a choice of q_from launches q
-rightward, which the controller reads off one reverse launch index.
+mode.  The states are the integers 0 ... 4n - 4: four kinds times the n - 1
+states other than the accepting one, then ACCEPT.  Their fixed moves fill
+one flat table indexed by state and symbol column.  Only one move depends
+on the q_from parameter: SCAN_LEFT(q) on the left endmarker accepts exactly
+when a choice of q_from launches q rightward, which the controller reads
+off one reverse launch index; the table holds the move for every other
+start.  Only this module knows the numbering.
 
 One stepper, `_walk`, is the only source of the search's choice points: it
 first lists the stationary launchers of q_to, then runs the controller over
-a tape and reports the launch candidates of each scan-left visit to the
-left endmarker.  The plain search (`segment_reach`) stops at the first
-point listing its q_from.  The guessing variant (`n_reach`) takes every
-point as a choice and emits some state with a segment into q_to;
-its iterated form (`t_reach`) checks a chain of exactly t segments out of
-the initial state, and `n_reach` is its one-segment case.  Both are driven
-by explicit choice traces so that callers can replay or exhaust them.
+a tape, mapped to columns once, and reports the launch candidates of each
+scan-left visit to the left endmarker.  The plain search (`segment_reach`)
+stops at the first point listing its q_from.  The guessing variant
+(`n_reach`) takes every point as a choice and emits some state with a
+segment into q_to; its iterated form (`t_reach`) checks a chain of exactly
+t segments out of the initial state, and `n_reach` is its one-segment case.
+Both are driven by explicit choice traces so that callers can replay or
+exhaust them.
 
 The controller is the paper's constant-memory device.  The deciders, which
 may spend memory linear in the tape, instead read the whole segment
@@ -40,7 +45,7 @@ controller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     LEFT,
@@ -56,13 +61,10 @@ from .core import (
 )
 from .normalform import require_normal_form
 
-SCAN_LEFT = "scan_left"
-DONE_LEFT = "done_left"
-SCAN_RIGHT = "scan_right"
-DONE_RIGHT = "done_right"
-ACCEPT = "accept"
+_KINDS = ("SCAN_LEFT", "DONE_LEFT", "SCAN_RIGHT", "DONE_RIGHT")
+_SCAN_LEFT, _DONE_LEFT, _SCAN_RIGHT, _DONE_RIGHT = range(4)
 
-_KIND_ORDER = {SCAN_LEFT: 0, DONE_LEFT: 1, SCAN_RIGHT: 2, DONE_RIGHT: 3, ACCEPT: 4}
+Move = tuple[int, int]
 
 
 class TraceUnderflow(Exception):
@@ -73,75 +75,85 @@ class TraceUnderflow(Exception):
         self.options = options
 
 
-class ControllerState(NamedTuple):
-    """One control state of the backward-search machine."""
-
-    kind: str
-    state: int | None
-
-    def label(self, names: list[str]) -> str:
-        if self.kind == ACCEPT:
-            return "ACCEPT"
-        return f"{self.kind.upper()}({names[self.state]})"
-
-
-ACCEPT_STATE = ControllerState(ACCEPT, None)
-
-Entry = tuple[ControllerState, int]
+def _rank(q: int, q_final: int) -> int:
+    """q's place among the n - 1 states other than the accepting one."""
+    return q - (q > q_final)
 
 
 @dataclass(frozen=True)
 class ReachController:
     """Materialized backward-search controller for one machine.
 
-    `fixed_table` never depends on the segment endpoints.  `launchers` is
-    the reverse launch index: `launchers[(q, d)]` lists, in state order, the
-    states with a left-endmarker choice into q moving in direction d (RIGHT
-    or STAY).  It fixes the one parameter-dependent move, which `scan_left`
-    owns: SCAN_LEFT(q) on the left endmarker accepts in the search for
-    segments out of q_from iff q_from is among `launchers[(q, RIGHT)]`, and
-    otherwise keeps searching.  Every entry is deterministic and the
-    controller is immutable, so it can be shared across runs.
+    Its states are the integers 0 ... 4n - 4.  Kind k of state q, in the
+    order SCAN_LEFT, DONE_LEFT, SCAN_RIGHT, DONE_RIGHT, is
+    k * (n - 1) + rank(q), where rank orders the n - 1 states other than
+    the accepting one, and 4n - 4 is ACCEPT.  `table` holds the fixed
+    moves, (next state, direction) or None to halt, at
+    `state * width + column[symbol]`; ACCEPT's row is all None.  It never
+    depends on the segment endpoints.  `launchers` is the reverse launch
+    index: `launchers[(q, d)]` lists, in state order, the states with a
+    left-endmarker choice into q moving in direction d (RIGHT or STAY).
+    It fixes the one parameter-dependent move: SCAN_LEFT(q) on the left
+    endmarker accepts in the search for segments out of q_from iff q_from
+    is among `hits`, `launchers[(q, RIGHT)]`; the table's cell holds the
+    move for every other start, (DONE_LEFT(q), RIGHT).  Every entry is
+    deterministic and the controller is immutable, so it can be shared
+    across runs.
     """
 
     automaton: TwoWayAutomaton
     final_state: int
-    states: tuple[ControllerState, ...]
-    fixed_table: dict[tuple[ControllerState, str], Entry]
+    column: dict[str, int]
+    table: tuple[Move | None, ...]
     launchers: dict[tuple[int, int], tuple[int, ...]]
 
     @property
+    def accept(self) -> int:
+        return 4 * (self.automaton.n - 1)
+
+    @property
     def state_count(self) -> int:
-        return len(self.states)
+        return self.accept + 1
 
-    def scan_left(self, q: int) -> tuple[tuple[int, ...], Entry]:
-        """SCAN_LEFT(q) on `<`: the starts whose search accepts there, and the move for the rest."""
-        return self.launchers.get((q, RIGHT), ()), (ControllerState(DONE_LEFT, q), RIGHT)
+    def searched(self, s: int) -> int:
+        """The machine state that controller state s below ACCEPT handles."""
+        r = s % (self.automaton.n - 1)
+        return r + (r >= self.final_state)
 
-    def entry(self, cs: ControllerState, sym: str, q_from: int) -> Entry | None:
-        """The move of `cs` on `sym` in the search for segments out of q_from; None halts."""
-        if cs.kind == SCAN_LEFT and sym == LEFT_ENDMARKER:
-            candidates, miss = self.scan_left(cs.state)
-            return (ACCEPT_STATE, STAY) if q_from in candidates else miss
-        return self.fixed_table.get((cs, sym))
+    def start(self, q: int) -> int:
+        """DONE_LEFT(q), where the search for segments into q begins at the left endmarker."""
+        return self.automaton.n - 1 + _rank(q, self.final_state)
+
+    def hits(self, s: int) -> tuple[int, ...]:
+        """The starts whose search accepts in SCAN_LEFT state s on `<`."""
+        return self.launchers.get((self.searched(s), RIGHT), ())
+
+    def entry(self, s: int, sym: str, q_from: int) -> Move | None:
+        """The move of state s on `sym` in the search for segments out of q_from; None halts."""
+        if sym == LEFT_ENDMARKER and s < self.automaton.n - 1 and q_from in self.hits(s):
+            return (self.accept, STAY)
+        return self.table[s * len(self.column) + self.column[sym]]
 
     def dump(self) -> str:
         """Human-readable table, parameter-independent part first."""
         names = self.automaton.state_names
         dirs = {LEFT: "L", STAY: "S", RIGHT: "R"}
+        m = self.automaton.n - 1  # the SCAN_LEFT states are 0 ... m - 1
+
+        def label(s: int) -> str:
+            return "ACCEPT" if s == self.accept else f"{_KINDS[s // m]}({names[self.searched(s)]})"
+
         lines = [f"controller states: {self.state_count}"]
-        for (cs, sym), (nxt, d) in sorted(
-            self.fixed_table.items(),
-            key=lambda item: (_KIND_ORDER[item[0][0].kind], item[0][0].state, item[0][1]),
-        ):
-            lines.append(f"  {cs.label(names)} {sym} -> {nxt.label(names)} {dirs[d]}")
+        for s in range(self.accept):
+            for sym in sorted(self.column):
+                move = self.table[s * len(self.column) + self.column[sym]]
+                if move and not (s < m and sym == LEFT_ENDMARKER):
+                    lines.append(f"  {label(s)} {sym} -> {label(move[0])} {dirs[move[1]]}")
         for q_from in range(self.automaton.n):
             lines.append(f"parameter q_from={names[q_from]}:")
-            for cs in self.states:
-                if cs.kind == SCAN_LEFT:
-                    nxt, d = self.entry(cs, LEFT_ENDMARKER, q_from)
-                    lines.append(
-                        f"  {cs.label(names)} {LEFT_ENDMARKER} -> {nxt.label(names)} {dirs[d]}")
+            for s in range(m):
+                nxt, d = self.entry(s, LEFT_ENDMARKER, q_from)
+                lines.append(f"  {label(s)} {LEFT_ENDMARKER} -> {label(nxt)} {dirs[d]}")
         return "\n".join(lines)
 
 
@@ -152,46 +164,50 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
     q_final = require_normal_form(automaton, alternating=True)
     n = automaton.n
     letters = automaton.alphabet
-    searchable = [q for q in range(n) if q != q_final]
+    column = {sym: c for c, sym in enumerate((LEFT_ENDMARKER, RIGHT_ENDMARKER) + letters)}
+    accept = 4 * (n - 1)
 
-    states: list[ControllerState] = []
-    for kind in (SCAN_LEFT, DONE_LEFT, SCAN_RIGHT, DONE_RIGHT):
-        states.extend(ControllerState(kind, q) for q in searchable)
-    states.append(ACCEPT_STATE)
-    if len(states) != 4 * n - 3:
-        raise InvariantViolation(f"controller has {len(states)} states, not 4n - 3 = {4 * n - 3}")
+    def state(kind: int, q: int) -> int:
+        return kind * (n - 1) + _rank(q, q_final)
 
-    table: dict[tuple[ControllerState, str], Entry] = {}
-    for q in searchable:
-        scan_left = ControllerState(SCAN_LEFT, q)
-        done_left = ControllerState(DONE_LEFT, q)
-        scan_right = ControllerState(SCAN_RIGHT, q)
-        done_right = ControllerState(DONE_RIGHT, q)
+    # only[(sym, move)]: in state order, the states whose one move on sym is
+    # `move`; launchers[move]: those with `move` among their choices on `<`
+    only: dict[tuple[str, Move], list[int]] = {}
+    launchers: dict[tuple[int, int], list[int]] = {}
+    for p in range(n):
+        for move in automaton.successors(p, LEFT_ENDMARKER):
+            launchers.setdefault(move, []).append(p)
+        for sym in letters + (RIGHT_ENDMARKER,):
+            succs = automaton.successors(p, sym)
+            if len(succs) == 1:
+                only.setdefault((sym, succs[0]), []).append(p)
+
+    rows: dict[int, list[Move | None]] = {accept: [None] * len(column)}
+    for q in (q for q in range(n) if q != q_final):
+        scan_left, done_left, scan_right, done_right = (
+            rows.setdefault(state(kind, q), [None] * len(column)) for kind in range(4))
 
         # Mode 1: predecessors one cell to the left of (q, i); the head sits
-        # at i - 1.  The left endmarker row lives in the parameter table and
-        # the right endmarker is unreachable here.
-        for a in letters:
-            preds = [p for p in range(n) if automaton.successors(p, a) == ((q, RIGHT),)]
-            if preds:
-                table[(scan_left, a)] = (ControllerState(SCAN_LEFT, min(preds)), LEFT)
-            else:
-                table[(scan_left, a)] = (done_left, RIGHT)
+        # at i - 1.  The left endmarker, where `only` lists no one, takes
+        # the move of a search that does not accept there (see `hits`); the
+        # right endmarker is unreachable here.
+        for sym in letters + (LEFT_ENDMARKER,):
+            preds = only.get((sym, (q, RIGHT)))
+            scan_left[column[sym]] = ((state(_SCAN_LEFT, preds[0]), LEFT) if preds
+                                      else (state(_DONE_LEFT, q), RIGHT))
 
         # Mode 1 finished: move right onto (q, i) itself and open Mode 2,
         # unless the head already scans the right endmarker, in which case
         # (q, i) has no right predecessors at all.
         for sym in letters + (LEFT_ENDMARKER,):
-            table[(done_left, sym)] = (scan_right, RIGHT)
-        table[(done_left, RIGHT_ENDMARKER)] = (done_right, STAY)
+            done_left[column[sym]] = (state(_SCAN_RIGHT, q), RIGHT)
+        done_left[column[RIGHT_ENDMARKER]] = (state(_DONE_RIGHT, q), STAY)
 
         # Mode 2: predecessors one cell to the right; the head sits at i + 1.
         for sym in letters + (RIGHT_ENDMARKER,):
-            preds = [p for p in range(n) if automaton.successors(p, sym) == ((q, LEFT),)]
-            if preds:
-                table[(scan_right, sym)] = (ControllerState(SCAN_LEFT, min(preds)), LEFT)
-            else:
-                table[(scan_right, sym)] = (done_right, LEFT)
+            preds = only.get((sym, (q, LEFT)))
+            scan_right[column[sym]] = ((state(_SCAN_LEFT, preds[0]), LEFT) if preds
+                                       else (state(_DONE_RIGHT, q), LEFT))
 
         # Both modes done: (q, i) and its whole subtree are exhausted.  Find
         # the next sibling predecessor of the unique successor of (q, i), or
@@ -204,24 +220,21 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
             (r, d) = succs[0]
             if d == STAY:
                 raise InvariantViolation("stationary move away from the left endmarker")
-            siblings = [p for p in range(q + 1, n) if automaton.successors(p, sym) == ((r, d),)]
-            if siblings:
-                table[(done_right, sym)] = (ControllerState(SCAN_LEFT, min(siblings)), LEFT)
-            elif d == RIGHT:
-                table[(done_right, sym)] = (ControllerState(DONE_LEFT, r), RIGHT)
-            else:
-                table[(done_right, sym)] = (ControllerState(DONE_RIGHT, r), LEFT)
+            siblings = [p for p in only[(sym, (r, d))] if p > q]
+            closed = _DONE_LEFT if d == RIGHT else _DONE_RIGHT  # the parent's mode
+            done_right[column[sym]] = ((state(_SCAN_LEFT, siblings[0]), LEFT) if siblings
+                                       else (state(closed, r), d))
 
-    launchers: dict[tuple[int, int], list[int]] = {}
-    for p in range(n):
-        for move in automaton.successors(p, LEFT_ENDMARKER):
-            launchers.setdefault(move, []).append(p)
+    table = tuple(move for s in sorted(rows) for move in rows[s])
+    if len(table) != (4 * n - 3) * len(column) or any(move and move[0] >= accept for move in table):
+        raise InvariantViolation(
+            f"controller table does not number 4n - 3 = {4 * n - 3} states, ACCEPT last")
 
     return ReachController(
         automaton=automaton,
         final_state=q_final,
-        states=tuple(states),
-        fixed_table=table,
+        column=column,
+        table=table,
         launchers={move: tuple(ps) for move, ps in launchers.items()},
     )
 
@@ -232,31 +245,33 @@ def _walk(controller: ReachController, word: str, q_to: int) -> Iterator[tuple[i
     Each point lists in state order the starts of segments into q_to found
     there.  The first point, when there are any, lists the stationary
     launchers of q_to: a stationary move at the left endmarker is a segment
-    by itself, and the only kind into the accepting state.  Every further
-    point is a visit to the left endmarker in SCAN_LEFT(q), the only move
-    that depends on the segment's start; its candidates, which
-    `controller.scan_left` lists, are the starts whose search accepts there.
-    The plain search stops consuming at the first point listing its q_from.
-    The walk itself always keeps searching, which visits every such point of
-    the backward tree exactly once, and halts within (4n - 3)(|w| + 2) steps.
+    by itself, and the only kind into the accepting state, which has no
+    controller states of its own.  Every further point is a visit to the
+    left endmarker in a SCAN_LEFT state, the only move that depends on the
+    segment's start; its candidates, `controller.hits`, are the starts whose
+    search accepts there.  The plain search stops consuming at the first
+    point listing its q_from.  The walk itself always keeps searching, which
+    visits every such point of the backward tree exactly once, and halts
+    within (4n - 3)(|w| + 2) steps.
     """
     stationary = controller.launchers.get((q_to, STAY))
     if stationary:
         yield stationary
-    table = controller.fixed_table
+    if q_to == controller.final_state:
+        return
+    table, width = controller.table, len(controller.column)
+    scans = controller.automaton.n - 1  # the SCAN_LEFT states are 0 ... n - 2
     bound = controller.state_count * (len(word) + 2)
-    tape = LEFT_ENDMARKER + word + RIGHT_ENDMARKER
-    cs = ControllerState(DONE_LEFT, q_to)
+    cols = [controller.column[sym] for sym in LEFT_ENDMARKER + word + RIGHT_ENDMARKER]
+    s = controller.start(q_to)
     pos = 0
     for _ in range(bound + 1):
-        if pos == 0 and cs.kind == SCAN_LEFT:
-            candidates, entry = controller.scan_left(cs.state)
-            yield candidates
-        else:
-            entry = table.get((cs, tape[pos]))
-        if entry is None:
+        if pos == 0 and s < scans:
+            yield controller.hits(s)
+        move = table[s * width + cols[pos]]
+        if move is None:
             return
-        cs, d = entry
+        s, d = move
         pos += d
     raise InvariantViolation(
         f"backward search exceeded its {bound}-step termination bound on {controller.automaton!r}")

@@ -8,6 +8,8 @@ run of the suite sees the same corpus.  The sweepers (`mod_p_sweeper`,
 `chain_sweeper`) are strict-normal-form machines whose backward trees run
 the whole length of long words.  `INITIAL_ACCEPTING` holds two
 strict-normal-form documents whose initial state is the accepting one.
+Every generator puts the accepting state last; `accepting_at` renumbers a
+machine to move it elsewhere.
 """
 
 import random
@@ -72,6 +74,30 @@ def chain_sweeper(k: int) -> TwoWayAutomaton:
         delta[(fwd, RIGHT_ENDMARKER)] = [(back, LEFT)]
         delta[(back, LEFT_ENDMARKER)] = [(q_final, STAY) if j == k else (fwd + 2, RIGHT)]
     return TwoWayAutomaton(names, "ab", delta, 0, [q_final], declared_flavor="onfa")
+
+
+def permute_states(machine: TwoWayAutomaton, order: list[int]) -> TwoWayAutomaton:
+    """The same machine with its states renumbered: its state order[i] becomes state i."""
+    new = {old: i for i, old in enumerate(order)}
+    return TwoWayAutomaton(
+        state_names=[machine.state_names[q] for q in order],
+        alphabet=machine.alphabet,
+        delta={(new[q], sym): [(new[p], d) for (p, d) in succs]
+               for (q, sym), succs in machine.delta.items()},
+        initial=new[machine.initial],
+        accepting=[new[q] for q in machine.accepting],
+        rejecting=[new[q] for q in machine.rejecting],
+        universal=[new[q] for q in machine.universal],
+        declared_flavor=machine.declared_flavor,
+    )
+
+
+def accepting_at(machine: TwoWayAutomaton, position: int) -> TwoWayAutomaton:
+    """A normal-form machine renumbered so that its one accepting state has id `position`."""
+    (q_final,) = machine.accepting
+    order = [q for q in range(machine.n) if q != q_final]
+    order.insert(position, q_final)
+    return permute_states(machine, order)
 
 
 def random_onfa(seed: int, n_max: int = 5, alphabet: str = "ab") -> TwoWayAutomaton:

@@ -1,6 +1,7 @@
 """Backward-search controller, guessing searches, chain checks."""
 
 import dataclasses
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,7 +41,7 @@ from outerfa.fixtures import (
     build_trivial_empty,
 )
 
-from conftest import chain_sweeper, mod_p_sweeper
+from conftest import accepting_at, chain_sweeper, mod_p_sweeper
 
 E1 = build_e1()
 
@@ -63,6 +64,18 @@ def enumerate_outcomes(func, options_of_first_call=None):
 def test_controller_state_counts():
     assert build_controller(E1).state_count == 4 * 6 - 3
     assert build_controller(build_trivial_empty()).state_count == 4 * 2 - 3
+
+
+@pytest.mark.parametrize("rank", [
+    lambda q, q_final: q,
+    lambda q, q_final: q - (q > q_final) + 1,
+], ids=["without_skip", "shifted"])
+def test_controller_checks_its_numbering(monkeypatch, rank):
+    """A numbering that merges two states or runs into ACCEPT fails the 4n - 3 check."""
+    # the package's `reach` is the function, which shadows the module
+    monkeypatch.setattr(sys.modules["outerfa.reach"], "_rank", rank)
+    with pytest.raises(InvariantViolation, match="4n - 3 = 21 states"):
+        build_controller(accepting_at(E1, 0))
 
 
 def test_controller_dump_is_pinned():
@@ -89,8 +102,10 @@ def test_controller_requires_normal_form():
 def test_walk_checks_its_step_bound():
     """A controller that never halts is caught at (4n - 3)(|w| + 2) steps, not run forever."""
     controller = build_controller(E1)
-    stuck = dataclasses.replace(controller, fixed_table={
-        key: (key[0], STAY) for key in controller.fixed_table})
+    width = len(controller.column)
+    # every move the table defines stays put in the same state
+    stuck = dataclasses.replace(controller, table=tuple(
+        move and (i // width, STAY) for i, move in enumerate(controller.table)))
     with pytest.raises(InvariantViolation, match="termination bound"):
         segment_reach(E1, "ab", Q_I, R_B, stuck)
 
