@@ -29,7 +29,6 @@ from .core import (
 from .detsim import (
     BoundReport,
     ReachableStats,
-    TooLarge,
     decide_det,
     dfa_state_bound,
     materialize_dfa,

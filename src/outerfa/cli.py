@@ -28,7 +28,7 @@ from .core import (
     alternating_accepts_oracle,
     classify,
 )
-from .detsim import TooLarge, decide_det, dfa_state_bound, materialize_dfa
+from .detsim import DIVIDE_BUDGET, MAX_STATES, decide_det, dfa_state_bound, materialize_dfa
 from .fileformat import FlavorMismatch, ParseError, parse, serialize
 from .graphred import build_segment_graph, gap_decide, oafa_decide, segment_graph_to_dot
 from .normalform import (
@@ -40,7 +40,7 @@ from .normalform import (
     require_normal_form,
 )
 from .reach import build_controller, reach
-from .svfa import complement_decide, svfa_decide, svfa_state_accounting
+from .svfa import SVFA_BUDGET, complement_decide, svfa_decide, svfa_state_accounting
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -252,9 +252,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--method", choices=METHODS, default="oracle")
     p.add_argument("--budget", type=int, default=None,
-                   help="work budget: branch points for --method svfa (default 10^6), base "
-                        "cases for --method divide (default 10^7); exhausting it exits 4, "
-                        "the other methods ignore it, and negative is an error")
+                   help=f"work budget: branch points for --method svfa (default {SVFA_BUDGET:,}), "
+                        f"base cases for --method divide (default {DIVIDE_BUDGET:,}); exhausting "
+                        "it exits 4, the other methods ignore it, and negative is an error")
 
     p = add("normalize", _cmd_normalize, "convert into the structured normal form")
     p.add_argument("file")
@@ -276,8 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--word", required=True)
     p.add_argument("--budget", type=int, default=None,
-                   help="branch points (default 10^6); exhausting it exits 4, and negative "
-                        "is an error")
+                   help=f"branch points (default {SVFA_BUDGET:,}); exhausting it exits 4, and "
+                        "negative is an error")
 
     p = add("bounds", _cmd_bounds, "state-count formulas for this machine's size")
     p.add_argument("file")
@@ -285,9 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("emit-dfa", _cmd_emit_dfa, "materialize the simulating deterministic machine")
     p.add_argument("file")
     p.add_argument("--out", required=True)
-    p.add_argument("--max-states", type=int, default=10**6,
-                   help="emitted states past which it exits 4 (default 10^6); each costs about "
-                        "1.5 kB while the machine is built, so the default allows about 1.5 GB")
+    p.add_argument("--max-states", type=int, default=MAX_STATES,
+                   help=f"emitted states past which it exits 4 (default {MAX_STATES:,}); each "
+                        "costs about 1.5 kB of memory while the machine is built")
 
     p = add("equiv", _cmd_equiv, "brute-force language comparison up to a length")
     p.add_argument("file1")
@@ -304,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, FlavorMismatch, MalformedAutomaton, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (BudgetExceeded, TooLarge) as exc:
+    except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (NotOuter, NotNormalForm, NotApplicable, ValueError) as exc:

@@ -41,10 +41,6 @@ from .reach import build_controller, return_table
 from .reach import reach  # noqa: F401  (perfbench/tracing.py wraps it here by name)
 
 
-class TooLarge(ValueError):
-    """The materialized machine would exceed the configured state ceiling."""
-
-
 @dataclass
 class ReachableStats:
     """Work of the stack machine, accumulated over every run it is passed to.
@@ -80,6 +76,9 @@ class BoundReport:
 # benchmark's costliest item asks about 2.0 * 10**6; a mod-(5, 7, 11) sweeper
 # (28 states) rejecting a^31 would ask 17.9 * 10**6.
 DIVIDE_BUDGET = 10**7
+
+# The states `materialize_dfa` may emit by default: about 1.5 GB while it runs.
+MAX_STATES = 10**6
 
 
 def _ceil_log2(x: int) -> int:
@@ -316,26 +315,31 @@ def dfa_state_bound(n: int, normal_form: bool) -> BoundReport:
     )
 
 
-def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = 10**6) -> TwoWayAutomaton:
+def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = MAX_STATES) -> TwoWayAutomaton:
     """Emit the simulating deterministic two-way machine as a real automaton.
 
-    States are (stack configuration, backward-search cursor) pairs plus two
-    terminals, the cursor being one of the controller's numbered states; all
-    bookkeeping between base cases happens in stationary moves at the left
-    endmarker, where the backward search starts and ends.
-    The worklist mints only the states reachable from the start, and
-    minting one past `max_states` raises TooLarge; the count never exceeds
-    `dfa_state_bound(n, True).stack_configurations_bound`, 4n * (2n) **
-    ceil(log2(n - 1)).  The ceiling counts states, not memory: each emitted
-    state costs about 1.5 kB while the call runs (E1's 12-state normal form
-    emits 345 439 states at about 530 MB peak RSS), so the default ceiling
-    lets one call grow to roughly 1.5 GB.  A 1-state machine yields the
-    machine that accepts at once.  A negative `max_states` raises
-    ValueError.
+    States 0 and 1 are the terminals `acc` and `rej`; every other state is a
+    (stack configuration, backward-search cursor) pair, the cursor being one
+    of the controller's numbered states, and is minted by one rule: the
+    next free id, s2, s3, ..., the first time the worklist meets its key.
+    All bookkeeping between base cases happens in stationary moves at the
+    left endmarker, where the backward search starts and ends.  The
+    worklist mints only the states reachable from the start, and a machine
+    needing more than `max_states` states, the two terminals included,
+    raises BudgetExceeded, so a ceiling below 2 fits none; the count never
+    exceeds `dfa_state_bound(n, True).stack_configurations_bound`, 4n *
+    (2n) ** ceil(log2(n - 1)).  The ceiling counts states, not memory: each
+    emitted state costs about 1.5 kB while the call runs (E1's 12-state
+    normal form emits 345 439 states at about 530 MB peak RSS), so the
+    default, `MAX_STATES`, lets one call grow to roughly 1.5 GB.  A 1-state
+    machine yields the machine that accepts at once.  A negative
+    `max_states` raises ValueError.
     """
     if max_states < 0:
         raise ValueError("the state ceiling must be at least 0")
     require_normal_form(automaton, alternating=False)
+    if max_states < 2:  # acc and rej alone fill the ceiling
+        raise BudgetExceeded(f"the machine needs more than {max_states} states")
     n = automaton.n
     height = _stack_height(n)
     controller = build_controller(automaton)
@@ -356,31 +360,27 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = 10**6) -> TwoW
 
     rows = _base_rows([[base_case(q, p) for p in range(n)] for q in range(n)])
 
-    ids: dict[object, int] = {}
-    names: list[str] = []
+    ids: dict[tuple, int] = {}
     worklist: list[tuple] = []
 
-    def state_id(key, name_hint: str) -> int:
-        if key not in ids:
-            if len(names) >= max_states:
-                raise TooLarge(f"the machine needs more than {max_states} states")
-            ids[key] = len(names)
-            names.append(name_hint)
-            if isinstance(key, tuple):
-                worklist.append(key)
-        return ids[key]
-
-    accept_id = state_id("accept", "acc")
-    reject_id = state_id("reject", "rej")
+    def state_id(key: tuple) -> int:
+        """The id of a (stack configuration, cursor) state, minting it on first sight."""
+        sid = ids.get(key)
+        if sid is None:
+            sid = len(ids) + 2  # after acc and rej
+            if sid >= max_states:
+                raise BudgetExceeded(f"the machine needs more than {max_states} states")
+            ids[key] = sid
+            worklist.append(key)
+        return sid
 
     def resume(stack: list[list[int]], answer: bool | None) -> int:
         """The state after running the stack machine to its next tape-bound base case."""
         verdict = _divide(stack, height, rows, answer)
         if verdict is not None:
-            return accept_id if verdict else reject_id
+            return 0 if verdict else 1
         q, p, r, phase = stack[-1]
-        frames = tuple(map(tuple, stack))
-        return state_id((frames, controller.start(r if phase == 1 else p)), f"s{len(names)}")
+        return state_id((tuple(map(tuple, stack)), controller.start(r if phase == 1 else p)))
 
     symbols = automaton.symbols()
     delta: dict[tuple[int, str], list[tuple[int, int]]] = {}
@@ -395,19 +395,18 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = 10**6) -> TwoW
             entry = controller.entry(cursor, sym, q_from)
             if entry is not None:
                 nxt, d = entry
-                target = state_id((frames, nxt), f"s{len(names)}")
-                delta[(sid, sym)] = [(target, d)]
+                delta[(sid, sym)] = [(state_id((frames, nxt)), d)]
             elif sym == LEFT_ENDMARKER:
                 # The backward search only ever halts at the left endmarker.
                 target = resume([list(f) for f in frames], cursor == accept)
                 delta[(sid, sym)] = [(target, STAY)]
 
     result = TwoWayAutomaton(
-        state_names=names,
+        state_names=["acc", "rej"] + [f"s{i}" for i in range(2, len(ids) + 2)],
         alphabet=automaton.alphabet,
         delta=delta,
         initial=initial_id,
-        accepting=[accept_id],
+        accepting=[0],
         declared_flavor="dfa",
     )
     bound = dfa_state_bound(n, True).stack_configurations_bound

@@ -1,14 +1,23 @@
 """Command-line surface: dispatch, output shape, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from outerfa import parse, serialize
+from outerfa import (
+    NotNormalForm,
+    all_words,
+    alternating_accepts_oracle,
+    normalize_onfa,
+    parse,
+    require_normal_form,
+    serialize,
+)
 from outerfa.cli import METHODS, main
 from outerfa.fixtures import build_e1, build_e2, build_ea
 
-from conftest import INITIAL_ACCEPTING, mod_p_sweeper
+from conftest import INITIAL_ACCEPTING, mod_p_sweeper, random_oafa
 
 
 @pytest.fixture()
@@ -52,6 +61,35 @@ def test_run_agap_on_alternating_input(e2_file, capsys):
     assert "result: true" in capsys.readouterr().out
     assert main(["run", e2_file, "--word", "aa", "--method", "agap"]) == 0
     assert "result: false" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", ["gap", "svfa", "divide"])
+def test_run_refuses_universal_states_for_existential_methods(e2_file, method, capsys):
+    assert main(["run", e2_file, "--word", "", "--method", method]) == 3
+    assert "takes machines without universal states" in capsys.readouterr().err
+
+
+def test_run_oracle_on_alternating_input(e2_file, capsys):
+    for word in ("", "a", "ab", "aa"):
+        assert main(["run", e2_file, "--word", word, "--method", "oracle"]) == 0
+        expected = alternating_accepts_oracle(build_e2(), word)
+        assert f"result: {str(expected).lower()}" in capsys.readouterr().out
+
+
+def test_run_agap_normalizes_an_oafa_outside_the_relaxed_form(tmp_path, capsys):
+    machine = random_oafa(23)  # 3 states, universal ones, accepts some words of length <= 3
+    assert machine.universal
+    with pytest.raises(NotNormalForm):
+        require_normal_form(machine, alternating=True)
+    path = tmp_path / "raw.2wa"
+    path.write_text(serialize(machine))
+    verdicts = set()
+    for word in all_words(machine.alphabet, 3):
+        assert main(["run", str(path), "--word", word, "--method", "agap"]) == 0
+        expected = alternating_accepts_oracle(machine, word)
+        assert f"result: {str(expected).lower()}" in capsys.readouterr().out, word
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("name", sorted(INITIAL_ACCEPTING))
@@ -113,6 +151,15 @@ def test_normalize_emits_parseable_machine(e1_file, capsys):
     assert "# property4: True" in out
 
 
+def test_normalize_json(e1_file, capsys):
+    assert main(["normalize", e1_file, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert parse(payload["machine"]) == normalize_onfa(build_e1())
+    report = payload["report"]
+    assert [report[f"property{i}"] for i in range(1, 5)] == [True] * 4
+    assert report["state_count"] == 12 <= 3 * build_e1().n
+
+
 def test_normalized_machine_is_equivalent_via_cli(e1_file, tmp_path, capsys):
     assert main(["normalize", e1_file]) == 0
     normalized = tmp_path / "e1-normal.2wa"
@@ -130,6 +177,22 @@ def test_reach_and_dump(e1_file, capsys):
     assert "result: false" in out
     assert "controller_states: 21" in out
     assert "SCAN_LEFT(pa)" in out
+
+
+@pytest.mark.parametrize("ends", [["nowhere", "qF"], ["qI", "nowhere"]], ids=["from", "to"])
+def test_reach_rejects_unknown_state_names(e1_file, ends, capsys):
+    assert main(["reach", e1_file, "--word", "ab", "--from", ends[0], "--to", ends[1]]) == 3
+    assert "unknown state 'nowhere'" in capsys.readouterr().err
+
+
+def test_reach_dumps_the_controller_as_json(e1_file, capsys):
+    assert main(["reach", e1_file, "--word", "ab", "--from", "qI", "--to", "qF",
+                 "--dump-controller", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"] is False
+    assert payload["controller_states"] == 21
+    golden = Path(__file__).parent / "data" / "e1_controller_dump.txt"
+    assert payload["controller"] + "\n" == golden.read_text()
 
 
 def test_segment_graph_dot(e1_file, tmp_path, capsys):

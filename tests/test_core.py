@@ -1,6 +1,7 @@
 """Model semantics, brute-force oracles and the and-or solver."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +81,30 @@ def test_validation_rejects_moves_off_the_tape():
         TwoWayAutomaton(["q"], "a", {(0, "<"): [(0, -1)]}, 0, [0])
     with pytest.raises(MalformedAutomaton):
         TwoWayAutomaton(["q"], "a", {(0, ">"): [(0, +1)]}, 0, [0])
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"state_names": []}, "at least one state is required"),
+    ({"state_names": ["q", "q"]}, "duplicate state names"),
+    ({"alphabet": ["a", "a"]}, "duplicate alphabet letters"),
+    ({"alphabet": ["ab"]}, "single characters: 'ab'"),
+    ({"initial": 2}, "initial state 2 out of range"),
+    ({"initial": -1}, "initial state -1 out of range"),
+    ({"accepting": [2]}, "accepting state 2 out of range"),
+    ({"rejecting": [5]}, "rejecting state 5 out of range"),
+    ({"universal": [-1]}, "universal state -1 out of range"),
+    ({"delta": {(2, "a"): [(0, 1)]}}, "transition from unknown state 2"),
+    ({"delta": {(0, "b"): [(1, 1)]}}, "transition on unknown symbol 'b'"),
+    ({"delta": {(0, "a"): [(2, 1)]}}, "transition into unknown state 2"),
+    ({"delta": {(0, "a"): [(1, 2)]}}, "bad direction 2"),
+], ids=["no_states", "duplicate_names", "duplicate_letters", "long_letter", "initial",
+        "negative_initial", "accepting", "rejecting", "universal", "source", "symbol", "target",
+        "direction"])
+def test_validation_rejects_malformed_parts(change, message):
+    parts = {"state_names": ["q", "f"], "alphabet": "a", "delta": {(0, "a"): [(1, 1)]},
+             "initial": 0, "accepting": [1], **change}
+    with pytest.raises(MalformedAutomaton, match=re.escape(message)):
+        TwoWayAutomaton(**parts)
 
 
 def test_validation_rejects_overlapping_accept_reject():

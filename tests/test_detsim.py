@@ -14,7 +14,6 @@ from outerfa import (
     InvariantViolation,
     NotApplicable,
     ReachableStats,
-    TooLarge,
     accepts_oracle,
     all_words,
     classify,
@@ -327,7 +326,7 @@ def test_materialized_machines_are_pinned():
 
 
 def test_materialize_respects_ceiling():
-    with pytest.raises(TooLarge):
+    with pytest.raises(BudgetExceeded):
         materialize_dfa(build_ea(), max_states=10)
 
 
@@ -347,11 +346,11 @@ def test_materialize_sources_above_five_states(build):
 
 def test_materialize_stops_at_the_ceiling():
     blown = normalize_onfa(build_e1())  # 12 states; the worklist would emit 345 439
-    with pytest.raises(TooLarge, match="more than 1000 states"):
+    with pytest.raises(BudgetExceeded, match="more than 1000 states"):
         materialize_dfa(blown, max_states=1000)
     # the ceiling bounds the emitted machine itself: E1's emits 1 120 states
     assert materialize_dfa(E1, max_states=1120).n == 1120
-    with pytest.raises(TooLarge):
+    with pytest.raises(BudgetExceeded):
         materialize_dfa(E1, max_states=1119)
 
 
@@ -368,9 +367,22 @@ def test_materialize_checks_the_state_bound(monkeypatch):
 def test_materialize_rejects_a_negative_ceiling():
     with pytest.raises(ValueError, match="at least 0") as info:
         materialize_dfa(EA, max_states=-1)
-    assert not isinstance(info.value, TooLarge)
-    with pytest.raises(TooLarge):  # a ceiling of 0 still means no state fits
-        materialize_dfa(EA, max_states=0)
+    assert not isinstance(info.value, BudgetExceeded)
+    # acc and rej are reserved up front: a ceiling below 2 fits no machine,
+    # not even one that decides without reading the tape
+    one_state = parse(INITIAL_ACCEPTING["one_state"])
+    for ceiling in (0, 1):
+        for machine in (EA, one_state):
+            with pytest.raises(BudgetExceeded, match=f"more than {ceiling} states"):
+                materialize_dfa(machine, max_states=ceiling)
+    assert materialize_dfa(one_state, max_states=2).state_names == ["acc", "rej"]
+
+
+def test_materialize_names_its_states_in_minting_order():
+    """Ids 0 and 1 are acc and rej; the worklist mints s2, s3, ... after them."""
+    emitted = materialize_dfa(E1)
+    assert emitted.state_names == ["acc", "rej"] + [f"s{i}" for i in range(2, emitted.n)]
+    assert emitted.accepting == {0}
 
 
 def test_foreign_letters_raise():

@@ -1,5 +1,7 @@
 """Text format: round trips, validation, canonical output."""
 
+import re
+
 import pytest
 
 from outerfa import (
@@ -69,6 +71,20 @@ def test_bad_direction_and_unknown_state():
         parse(base + "trans: q z q R\n")
 
 
+@pytest.mark.parametrize("old, new, message, line", [
+    ("trans: q a q R", "trans: q a q", "transition needs: source symbol target direction", 6),
+    ("type: onfa", "type: pda", "unknown machine type 'pda'", 1),
+    ("states: q", "states:", "at least one state is required", 3),
+    ("states: q", "states: q q", "duplicate state names", 3),
+    ("initial: q", "initial: q q", "exactly one initial state is required", 4),
+], ids=["short_transition", "unknown_type", "no_states", "duplicate_states", "two_initials"])
+def test_parse_rejects_malformed_documents(old, new, message, line):
+    base = "type: onfa\nalphabet: a\nstates: q\ninitial: q\naccepting: q\ntrans: q a q R\n"
+    assert parse(base).n == 1
+    with pytest.raises(ParseError, match=f"^line {line}: {re.escape(message)}$"):
+        parse(base.replace(old, new))
+
+
 def test_duplicate_scalar_key_is_an_error():
     text = serialize(build_e1()) + "initial: qI\n"
     with pytest.raises(ParseError):
@@ -105,6 +121,25 @@ def test_svfa_flavor_round_trip():
                               {(0, "<"): [(1, 1), (2, 1)]}, 0, [1],
                               rejecting=[2], declared_flavor="svfa")
     assert parse(serialize(machine)) == machine
+
+
+@pytest.mark.parametrize("flavor, delta, rejecting, universal", [
+    ("dfa", {(0, "<"): [(0, 1)], (0, "a"): [(1, 1)]}, (), ()),
+    ("onfa", {(0, "<"): [(0, 1), (1, 1)]}, (), ()),
+    ("nfa", {(0, "a"): [(0, 1), (1, 1)]}, (), ()),
+    ("svfa", {(0, "<"): [(1, 1), (2, 1)]}, [2], ()),
+    ("oafa", {(0, "<"): [(0, 1), (1, 1)]}, (), [0]),
+    ("afa", {(0, "a"): [(0, 1), (1, 1)]}, (), [0]),
+])
+def test_serialize_infers_an_undeclared_type(flavor, delta, rejecting, universal):
+    machine = TwoWayAutomaton(["q", "f", "r"], "a", delta, 0, [1],
+                              rejecting=rejecting, universal=universal)
+    text = serialize(machine)
+    assert text.startswith(f"type: {flavor}\n")
+    back = parse(text)
+    assert back.declared_flavor == flavor
+    assert back == TwoWayAutomaton(["q", "f", "r"], "a", delta, 0, [1], rejecting=rejecting,
+                                   universal=universal, declared_flavor=flavor)
 
 
 def test_empty_alphabet_round_trip():

@@ -3,8 +3,12 @@
 import pytest
 
 from outerfa import (
+    LEFT,
     LEFT_ENDMARKER,
+    RIGHT,
+    RIGHT_ENDMARKER,
     STAY,
+    InvariantViolation,
     NotApplicable,
     NotNormalForm,
     NotOuter,
@@ -30,6 +34,26 @@ E2 = build_e2()
 
 def languages_equal(a, b, max_len, oracle=accepts_oracle):
     return all(oracle(a, w) == oracle(b, w) for w in all_words(a.alphabet, max_len))
+
+
+def test_normal_form_checks_the_3n_budget(monkeypatch):
+    """The 3n bound is checked on the built machine, not assumed to hold."""
+    # qI guesses at the left endmarker and turns at the right one: it needs a
+    # back and a forward copy, the final qF a back copy, so 2 + 2 + 1 + qAcc = 3n
+    tight = TwoWayAutomaton(["qI", "qF"], "a", {
+        (0, LEFT_ENDMARKER): [(0, RIGHT), (1, RIGHT)],
+        (0, "a"): [(0, RIGHT)],
+        (0, RIGHT_ENDMARKER): [(0, LEFT)],
+    }, 0, [1])
+    assert normalize_onfa(tight).n == 6
+
+    class OneStateTooMany(TwoWayAutomaton):
+        def __init__(self, state_names, *args, **kwargs):
+            super().__init__([*state_names, "extra"], *args, **kwargs)
+
+    monkeypatch.setattr("outerfa.normalform.TwoWayAutomaton", OneStateTooMany)
+    with pytest.raises(InvariantViolation, match="7 states, above the 3n budget 6"):
+        normalize_onfa(tight)
 
 
 def test_empty_accepting_set_collapses_to_two_states():

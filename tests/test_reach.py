@@ -249,13 +249,14 @@ def test_t_reach_matches_chain_oracle(nf_corpus, alt_nf_corpus):
 
 
 def test_runs_stay_within_the_step_bound(nf_corpus):
-    # the runner raises AssertionError past (4n-3)(|w|+2) steps; a clean pass
+    # the walk raises InvariantViolation past (4n-3)(|w|+2) steps; a clean pass
     # over machines and words is the halting guarantee
     for machine in list(nf_corpus) + [normalize_onfa(E1)]:
+        controller = build_controller(machine)
         for word in all_words(machine.alphabet, 4):
             for p in range(machine.n):
                 for q in range(machine.n):
-                    reach(machine, word, p, q)
+                    reach(machine, word, p, q, controller)
 
 
 @pytest.mark.parametrize("call", [
