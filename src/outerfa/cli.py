@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from .core import (
     BudgetExceeded,
@@ -136,7 +136,9 @@ def _cmd_normalize(args) -> int:
         normalized = normalize_oafa(automaton)
     else:
         normalized = normalize_onfa(automaton)
-    report = check_normal_form(normalized, alternating=args.alternating)
+    # the budget is the input's: 3n for the machine that was normalized
+    report = replace(check_normal_form(normalized, alternating=args.alternating),
+                     bound_3n=3 * automaton.n)
     document = serialize(normalized)
     if args.json:
         _emit({"machine": document, "report": asdict(report)}, True)

@@ -12,6 +12,17 @@ The target shape, verified by `check_normal_form`:
 The construction keeps the original states, adds a leftward travelling copy
 and a rightward travelling copy per state where needed, and one fresh
 accepting state, so the result never exceeds three times the input size.
+It runs in three steps:
+
+1. halt the final states, and turn every stationary move into a final state
+   into a moving one (left at the right endmarker, right elsewhere);
+2. close stationary chains, on every symbol for the plain form and on the
+   letters only with a partition;
+3. mint the back copies, the forward copies and `qAcc` by one rule (the
+   next id, the name primed until unique) and wire them: a back copy walks
+   to the left endmarker and there does what its source did at the right
+   one, a forward copy walks to the right endmarker and steps left from it
+   in its source state.
 """
 
 from __future__ import annotations
@@ -42,7 +53,12 @@ class NotNormalForm(ValueError):
 
 @dataclass(frozen=True)
 class NormalFormReport:
-    """Result of the structural normal-form scan."""
+    """Result of the structural normal-form scan.
+
+    `bound_3n` is three times the scanned machine's states: the budget a
+    normalization of that machine must stay within, not a bound on the
+    machine itself.
+    """
 
     property1: bool  # choices only at the left endmarker
     property2: bool  # unique halting accepting state
@@ -57,7 +73,12 @@ class NormalFormReport:
 
 
 def check_normal_form(automaton: TwoWayAutomaton, alternating: bool = False) -> NormalFormReport:
-    """Purely structural scan of the transition table; nothing is executed."""
+    """Purely structural scan of the transition table; nothing is executed.
+
+    The scan ignores the universal/existential partition: a machine with
+    universal states can pass with `alternating=False`, where
+    `require_normal_form` refuses it.
+    """
     p1, p2, p3, p4 = _normal_form_flags(automaton, alternating=alternating)
     return NormalFormReport(
         property1=p1,
@@ -126,81 +147,58 @@ def _normalize(automaton: TwoWayAutomaton, alternating: bool) -> TwoWayAutomaton
             declared_flavor=flavor,
         )
 
-    # Working copy of the table, finals made halting.
+    # Working copy of the table, finals made halting.  Stationary moves into a
+    # final state become moving ones; the machine has already accepted the
+    # moment it enters that state, so the direction only has to keep the head
+    # on the tape.
     rows: dict[tuple[int, str], set[tuple[int, int]]] = {}
     for (q, sym), succs in automaton.delta.items():
-        if q in finals:
-            continue
-        rows[(q, sym)] = set(succs)
-
-    # Stationary moves into a final state become moving ones; the machine has
-    # already accepted the moment it enters that state, so the direction only
-    # has to keep the head on the tape.
-    for key, succs in rows.items():
-        _, sym = key
-        bounce = RIGHT if sym != RIGHT_ENDMARKER else LEFT
-        rows[key] = {
-            (p, bounce if (p in finals and d == STAY) else d)
-            for (p, d) in succs
-        }
+        if q not in finals:
+            bounce = RIGHT if sym != RIGHT_ENDMARKER else LEFT
+            rows[(q, sym)] = {(p, bounce if (p in finals and d == STAY) else d) for (p, d) in succs}
 
     # Collapse stationary chains.  For the plain nondeterministic form every
     # symbol is closed; with a partition the left endmarker keeps its
     # stationary moves (collapsing them could merge distinct choice points)
     # and the right endmarker's stationary moves are rerouted below instead.
-    if alternating:
-        closure_symbols = set(alphabet)
-    else:
-        closure_symbols = set(alphabet) | {LEFT_ENDMARKER, RIGHT_ENDMARKER}
     closed: dict[tuple[int, str], set[tuple[int, int]]] = {}
-    for (q, sym) in list(rows):
-        if sym in closure_symbols:
+    for (q, sym), succs in rows.items():
+        if sym in alphabet or not alternating:
             succs = _stationary_closure(rows, q, sym)
-        else:
-            succs = rows[(q, sym)]
         if succs:
             closed[(q, sym)] = succs
 
-    # Which travelling copies are needed.
-    needs_back: set[int] = set()
+    # Which travelling copies are needed: a back copy for every state that
+    # acts at the right endmarker, every target of a stationary move there
+    # (never a final: those moves were bounced), every final entered
+    # elsewhere and a final initial state; a forward copy
+    # for every non-final target of a leftward move at the right endmarker.
+    needs_back = {automaton.initial} & finals
     needs_forward: set[int] = set()
     for (q, sym), succs in closed.items():
         if sym == RIGHT_ENDMARKER:
             needs_back.add(q)
-            for (p, d) in succs:
-                if d == STAY and p not in finals:
-                    needs_back.add(p)
-                elif d == LEFT and p not in finals:
-                    needs_forward.add(p)
+            needs_back.update(p for (p, d) in succs if d == STAY)
+            needs_forward.update(p for (p, d) in succs if d == LEFT and p not in finals)
         else:
-            for (p, _) in succs:
-                if p in finals:
-                    needs_back.add(p)
-    if automaton.initial in finals:
-        needs_back.add(automaton.initial)
+            needs_back.update(p for (p, _) in succs if p in finals)
 
-    back_ids = {q: i for i, q in enumerate(sorted(needs_back), start=n)}
-    fw_ids = {q: i for i, q in enumerate(sorted(needs_forward), start=n + len(back_ids))}
-    q_acc = n + len(back_ids) + len(fw_ids)
-
+    # Every new state is minted by one rule, in the order back copies,
+    # forward copies, qAcc: its name primed until unique, its id the next one.
     names = list(automaton.state_names)
     taken = set(names)
 
-    def fresh(base: str) -> str:
+    def fresh(base: str) -> int:
         name = base
         while name in taken:
             name += "'"
         taken.add(name)
-        return name
+        names.append(name)
+        return len(names) - 1
 
-    for q in sorted(needs_back):
-        names.append(fresh(f"bk_{automaton.state_names[q]}"))
-    for q in sorted(needs_forward):
-        names.append(fresh(f"fw_{automaton.state_names[q]}"))
-    names.append(fresh("qAcc"))
-
-    def redirect(p: int, d: int) -> tuple[int, int]:
-        return (back_ids[p], d) if p in finals else (p, d)
+    back_ids = {q: fresh(f"bk_{names[q]}") for q in sorted(needs_back)}
+    fw_ids = {q: fresh(f"fw_{names[q]}") for q in sorted(needs_forward)}
+    q_acc = fresh("qAcc")
 
     delta: dict[tuple[int, str], set[tuple[int, int]]] = {}
 
@@ -209,21 +207,19 @@ def _normalize(automaton: TwoWayAutomaton, alternating: bool) -> TwoWayAutomaton
             # Head about to act at the right endmarker: travel back first.
             delta[(q, sym)] = {(back_ids[q], LEFT)}
         else:
-            delta[(q, sym)] = {redirect(p, d) for (p, d) in succs}
+            delta[(q, sym)] = {((back_ids[p], d) if p in finals else (p, d)) for (p, d) in succs}
 
     for q, bid in back_ids.items():
-        for letter in alphabet:
-            delta[(bid, letter)] = {(bid, LEFT)}
-        delta[(bid, RIGHT_ENDMARKER)] = {(bid, LEFT)}
-        if q in finals:
-            delta[(bid, LEFT_ENDMARKER)] = {(q_acc, STAY)}
-            continue
-        image: set[tuple[int, int]] = set()
-        for (p, d) in closed.get((q, RIGHT_ENDMARKER), ()):
-            if d == LEFT:
-                image.add((q_acc, STAY) if p in finals else (fw_ids[p], RIGHT))
-            else:  # stationary at the right endmarker, kept only with a partition
-                image.add((back_ids[p], STAY))
+        for sym in (*alphabet, RIGHT_ENDMARKER):
+            delta[(bid, sym)] = {(bid, LEFT)}
+        # At the left endmarker a back copy accepts for a final source, and
+        # otherwise acts as its source did at the right endmarker: a leftward
+        # move re-crosses the tape on a forward copy, a stationary one (kept
+        # only with a partition) hands over to the target's back copy.
+        image = {(q_acc, STAY)} if q in finals else {
+            (q_acc, STAY) if p in finals else (fw_ids[p], RIGHT) if d == LEFT else (back_ids[p], STAY)
+            for (p, d) in closed.get((q, RIGHT_ENDMARKER), ())
+        }
         if image:
             delta[(bid, LEFT_ENDMARKER)] = image
 
@@ -232,13 +228,12 @@ def _normalize(automaton: TwoWayAutomaton, alternating: bool) -> TwoWayAutomaton
             delta[(fid, letter)] = {(fid, RIGHT)}
         delta[(fid, RIGHT_ENDMARKER)] = {(p, LEFT)}
 
-    universal: set[int] = set()
-    if alternating:
-        universal = {q for q in automaton.universal if q not in finals}
-        # A back copy is the branch point of its source's rerouted choice,
-        # so it must carry the same quantifier.  Forward copies have a
-        # single successor everywhere and stay existential.
-        universal |= {bid for q, bid in back_ids.items() if q in automaton.universal}
+    # A back copy is the branch point of its source's rerouted choice, so it
+    # must carry the same quantifier.  Forward copies have a single successor
+    # everywhere and stay existential.  Without a partition both sets are
+    # empty: normalize_onfa refused universal states above.
+    universal = {q for q in automaton.universal if q not in finals}
+    universal |= {bid for q, bid in back_ids.items() if q in automaton.universal}
 
     result = TwoWayAutomaton(
         state_names=names,

@@ -149,6 +149,9 @@ def test_normalize_emits_parseable_machine(e1_file, capsys):
     machine = parse(out)  # report lines are comments
     assert machine.n <= 18
     assert "# property4: True" in out
+    # the budget is 3n for the 6-state input, not for the 12-state output
+    assert "# state_count: 12" in out
+    assert "# bound_3n: 18" in out
 
 
 def test_normalize_json(e1_file, capsys):
@@ -158,6 +161,7 @@ def test_normalize_json(e1_file, capsys):
     report = payload["report"]
     assert [report[f"property{i}"] for i in range(1, 5)] == [True] * 4
     assert report["state_count"] == 12 <= 3 * build_e1().n
+    assert report["bound_3n"] == 18
 
 
 def test_normalized_machine_is_equivalent_via_cli(e1_file, tmp_path, capsys):

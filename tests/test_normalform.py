@@ -1,5 +1,7 @@
 """Normal-form conversion: state budget, structure, language preservation."""
 
+import hashlib
+
 import pytest
 
 from outerfa import (
@@ -24,9 +26,12 @@ from outerfa import (
     normalize_onfa,
     reachable,
     require_normal_form,
+    serialize,
     svfa_run,
 )
 from outerfa.fixtures import P_A, P_B, Q_F, Q_I, build_e1, build_e2
+
+from conftest import random_oafa, random_onfa
 
 E1 = build_e1()
 E2 = build_e2()
@@ -142,6 +147,19 @@ def test_corpus_normalization(raw_corpus):
         assert out.n <= 3 * machine.n
         assert check_normal_form(out).all_properties
         assert languages_equal(machine, out, 5)
+
+
+def test_normal_forms_are_pinned():
+    """The construction fixes every normal form; sizes and text must not drift."""
+    digest = hashlib.sha256()
+    total = 0
+    for seed in range(400):
+        raw, alt = random_onfa(seed), random_oafa(seed)
+        for out in (normalize_onfa(raw), normalize_oafa(raw), normalize_oafa(alt)):
+            total += out.n
+            digest.update(serialize(out).encode("utf-8"))
+    assert total == 7207
+    assert digest.hexdigest() == "08de6b412de9eb1cb9577ce1da186cd0aa4f4633f0979b39a952519dc976216f"
 
 
 def test_oafa_normalization_e2():
