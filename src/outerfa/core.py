@@ -245,22 +245,16 @@ def symbol_at(word: str, position: int) -> str:
 def step(automaton: TwoWayAutomaton, config: Configuration, word: str) -> set[Configuration]:
     """All successor configurations of `config` on `word`.
 
-    An empty set means the path halts.  A successor that would leave the
-    tape indicates a malformed (unvalidated) machine and raises.  An unknown
-    state id raises ValueError, a letter outside the alphabet NotApplicable.
+    An empty set means the path halts; validation keeps every move on the
+    tape.  An unknown state id raises ValueError, a letter outside the
+    alphabet NotApplicable, and a head off the tape ValueError from
+    `symbol_at`.
     """
     _check_states(automaton, config.state)
     check_word(automaton, word)
-    if not 0 <= config.head <= len(word) + 1:
-        raise MalformedAutomaton(f"head position {config.head} outside the tape")
     symbol = symbol_at(word, config.head)
-    out = set()
-    for (p, d) in automaton.successors(config.state, symbol):
-        pos = config.head + d
-        if not 0 <= pos <= len(word) + 1:
-            raise MalformedAutomaton("transition moves the head off the tape")
-        out.add(Configuration(p, pos))
-    return out
+    return {Configuration(p, config.head + d)
+            for (p, d) in automaton.successors(config.state, symbol)}
 
 
 def _normal_form_flags(automaton: TwoWayAutomaton, alternating: bool) -> tuple[bool, bool, bool, bool]:

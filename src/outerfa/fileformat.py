@@ -38,7 +38,7 @@ _DIR_TO_LETTER = {LEFT: "L", STAY: "S", RIGHT: "R"}
 
 _SCALAR_KEYS = ("type", "alphabet", "states", "initial", "accepting", "rejecting", "universal")
 _REQUIRED_KEYS = ("type", "alphabet", "states", "initial", "accepting")
-_FLAVORS = ("dfa", "nfa", "onfa", "oafa", "afa", "svfa")
+_FLAVORS = ("dfa", "onfa", "nfa", "svfa", "oafa", "afa")  # narrowest first
 
 
 class ParseError(ValueError):
@@ -57,18 +57,23 @@ class DuplicateTransitionWarning(UserWarning):
     pass
 
 
-def _check_flavor(automaton: TwoWayAutomaton) -> None:
+def _fitting_types(automaton: TwoWayAutomaton) -> dict[str, bool]:
+    """Whether the machine's structure fits each type; rejecting states fit any of them."""
     report = classify(automaton)
-    flavor = automaton.declared_flavor
-    problems = {
-        "dfa": not report.is_deterministic or bool(automaton.universal),
-        "nfa": bool(automaton.universal),
-        "svfa": bool(automaton.universal),
-        "onfa": not report.is_outer or bool(automaton.universal),
-        "oafa": not report.is_outer,
-        "afa": False,
+    existential = not automaton.universal
+    return {
+        "dfa": report.is_deterministic and existential,
+        "onfa": report.is_outer and existential,
+        "nfa": existential,
+        "svfa": existential,
+        "oafa": report.is_outer,
+        "afa": True,
     }
-    if problems[flavor]:
+
+
+def _check_flavor(automaton: TwoWayAutomaton) -> None:
+    flavor = automaton.declared_flavor
+    if not _fitting_types(automaton)[flavor]:
         raise FlavorMismatch(f"machine structure contradicts declared type {flavor!r}")
 
 
@@ -167,14 +172,10 @@ def parse(text: str) -> TwoWayAutomaton:
 
 
 def _infer_flavor(automaton: TwoWayAutomaton) -> str:
-    report = classify(automaton)
-    if automaton.universal:
-        return "oafa" if report.is_outer else "afa"
-    if automaton.rejecting:
-        return "svfa"
-    if report.is_deterministic:
-        return "dfa"
-    return "onfa" if report.is_outer else "nfa"
+    """`svfa` for a fitting machine with rejecting states, else the narrowest fitting type."""
+    fits = _fitting_types(automaton)
+    order = ("svfa",) + _FLAVORS if automaton.rejecting else _FLAVORS
+    return next(flavor for flavor in order if fits[flavor])
 
 
 def serialize(automaton: TwoWayAutomaton) -> str:
@@ -188,10 +189,6 @@ def serialize(automaton: TwoWayAutomaton) -> str:
     for token in (*names, *automaton.alphabet):
         if token.split() != [token] or "#" in token:
             raise ValueError(f"cannot write {token!r}: tokens are nonempty, without whitespace or '#'")
-    symbol_rank = {letter: (0, i) for i, letter in enumerate(automaton.alphabet)}
-    symbol_rank[LEFT_ENDMARKER] = (1, 0)
-    symbol_rank[RIGHT_ENDMARKER] = (2, 0)
-
     lines = [
         f"type: {automaton.declared_flavor or _infer_flavor(automaton)}",
         f"alphabet: {' '.join(automaton.alphabet)}".rstrip(),
@@ -203,13 +200,9 @@ def serialize(automaton: TwoWayAutomaton) -> str:
         lines.append(f"rejecting: {' '.join(names[q] for q in sorted(automaton.rejecting))}")
     if automaton.universal:
         lines.append(f"universal: {' '.join(names[q] for q in sorted(automaton.universal))}")
-    rules = sorted(
-        (src, symbol_rank[sym], dst, d)
-        for (src, sym), succs in automaton.delta.items()
-        for (dst, d) in succs
-    )
-    rank_to_symbol = {rank: sym for sym, rank in symbol_rank.items()}
-    for (src, rank, dst, d) in rules:
-        lines.append(
-            f"trans: {names[src]} {rank_to_symbol[rank]} {names[dst]} {_DIR_TO_LETTER[d]}")
+    # rules by source, then symbol in `symbols()` order, then (target, direction),
+    # the order `successors` keeps
+    lines.extend(f"trans: {names[src]} {sym} {names[dst]} {_DIR_TO_LETTER[d]}"
+                 for src in range(automaton.n) for sym in automaton.symbols()
+                 for (dst, d) in automaton.successors(src, sym))
     return "\n".join(lines) + "\n"

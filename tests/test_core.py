@@ -52,8 +52,11 @@ def test_step_interior_sweep():
 
 
 def test_step_rejects_off_tape_positions():
-    with pytest.raises(MalformedAutomaton):
-        step(E1, Configuration(Q_I, 9), "aa")
+    # a bad head is a bad argument, read through symbol_at like any position
+    for head in (-1, 4, 9):
+        with pytest.raises(ValueError, match="off the tape") as info:
+            step(E1, Configuration(Q_I, head), "aa")
+        assert not isinstance(info.value, MalformedAutomaton)
 
 
 @pytest.mark.parametrize("state", [99, E1.n, -1])
@@ -142,6 +145,11 @@ def test_delta_is_read_only():
     assert mutant != E1
 
 
+def test_machines_are_unequal_to_other_types():
+    assert E1.__eq__(5) is NotImplemented
+    assert build_e1() != 5
+
+
 def test_classify_empty_table_is_deterministic():
     report = classify(build_trivial_empty())
     assert report.is_deterministic
@@ -171,6 +179,11 @@ def test_bounded_visits_examples():
     assert accepts_bounded_visits(E1, "aa", 6) == accepts_oracle(E1, "aa")
     assert not accepts_bounded_visits(E1, "ab", 6)
     assert not accepts_bounded_visits(E1, "aa", 0)
+
+
+def test_bounded_visits_refuses_universal_machines():
+    with pytest.raises(NotApplicable, match="universal states"):
+        accepts_bounded_visits(E2, "aa", 3)
 
 
 def test_bounded_visits_matches_oracle_at_n(raw_corpus):

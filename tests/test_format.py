@@ -123,14 +123,19 @@ def test_svfa_flavor_round_trip():
     assert parse(serialize(machine)) == machine
 
 
-@pytest.mark.parametrize("flavor, delta, rejecting, universal", [
+# machines over states q, f, r with accepting f: the type serialize infers for each,
+# its table and its rejecting and universal states
+UNDECLARED = [
     ("dfa", {(0, "<"): [(0, 1)], (0, "a"): [(1, 1)]}, (), ()),
     ("onfa", {(0, "<"): [(0, 1), (1, 1)]}, (), ()),
     ("nfa", {(0, "a"): [(0, 1), (1, 1)]}, (), ()),
     ("svfa", {(0, "<"): [(1, 1), (2, 1)]}, [2], ()),
     ("oafa", {(0, "<"): [(0, 1), (1, 1)]}, (), [0]),
     ("afa", {(0, "a"): [(0, 1), (1, 1)]}, (), [0]),
-])
+]
+
+
+@pytest.mark.parametrize("flavor, delta, rejecting, universal", UNDECLARED)
 def test_serialize_infers_an_undeclared_type(flavor, delta, rejecting, universal):
     machine = TwoWayAutomaton(["q", "f", "r"], "a", delta, 0, [1],
                               rejecting=rejecting, universal=universal)
@@ -140,6 +145,35 @@ def test_serialize_infers_an_undeclared_type(flavor, delta, rejecting, universal
     assert back.declared_flavor == flavor
     assert back == TwoWayAutomaton(["q", "f", "r"], "a", delta, 0, [1], rejecting=rejecting,
                                    universal=universal, declared_flavor=flavor)
+
+
+@pytest.mark.parametrize("machine, accepted", list(zip(
+    UNDECLARED + [("oafa", {(0, "<"): [(1, 1), (2, 1)]}, [2], [0])],
+    [
+        {"dfa", "onfa", "nfa", "svfa", "oafa", "afa"},
+        {"onfa", "nfa", "svfa", "oafa", "afa"},
+        {"nfa", "svfa", "afa"},
+        {"onfa", "nfa", "svfa", "oafa", "afa"},
+        {"oafa", "afa"},
+        {"afa"},
+        {"oafa", "afa"},
+    ],
+)), ids=["dfa", "onfa", "nfa", "svfa", "oafa", "afa", "oafa_rejecting"])
+def test_parse_accepts_exactly_the_fitting_types(machine, accepted):
+    flavor, delta, rejecting, universal = machine
+    text = serialize(TwoWayAutomaton(["q", "f", "r"], "a", delta, 0, [1],
+                                     rejecting=rejecting, universal=universal))
+    assert text.startswith(f"type: {flavor}\n")
+    fits = set()
+    for declared in ("dfa", "onfa", "nfa", "svfa", "oafa", "afa"):
+        try:
+            back = parse(text.replace(f"type: {flavor}\n", f"type: {declared}\n", 1))
+        except FlavorMismatch as exc:
+            assert str(exc) == f"machine structure contradicts declared type {declared!r}"
+        else:
+            assert back.declared_flavor == declared
+            fits.add(declared)
+    assert fits == accepted
 
 
 def test_empty_alphabet_round_trip():

@@ -91,6 +91,14 @@ def bent_e1() -> TwoWayAutomaton:
     return TwoWayAutomaton(E1.state_names, E1.alphabet, delta, E1.initial, E1.accepting)
 
 
+def test_controller_checks_for_stationary_moves(monkeypatch):
+    """Past a gate that lets it through, a stationary move on a letter still fails the build."""
+    monkeypatch.setattr(sys.modules["outerfa.reach"], "require_normal_form",
+                        lambda automaton, alternating: Q_F)
+    with pytest.raises(InvariantViolation, match="stationary move away from the left endmarker"):
+        build_controller(bent_e1())
+
+
 def test_controller_requires_normal_form():
     machine = bent_e1()
     with pytest.raises(NotNormalForm):

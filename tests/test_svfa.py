@@ -1,5 +1,7 @@
 """Self-verifying simulation: verdict soundness, halting, accounting."""
 
+import hashlib
+
 import pytest
 
 from outerfa import (
@@ -26,7 +28,7 @@ from outerfa.normalform import NotNormalForm
 from outerfa.reach import _walk
 from outerfa.fixtures import build_e1, build_e2, build_trivial_all, build_trivial_empty
 
-from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper
+from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, random_nf_onfa
 
 E1 = build_e1()
 
@@ -177,6 +179,12 @@ def test_accounting_values():
     assert degenerate.total == 0
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_accounting_refuses_machines_without_states(n):
+    with pytest.raises(ValueError, match="n must be positive"):
+        svfa_state_accounting(n)
+
+
 def test_accounting_growth_is_degree_eight():
     for k in (4, 8, 16, 64, 256):
         ratio = svfa_state_accounting(2 * k).total / svfa_state_accounting(k).total
@@ -278,3 +286,26 @@ def test_initial_accepting_state_accepts_at_once(name):
         assert decide_det(machine, word)
         assert gap_decide(build_segment_graph(machine, word, alternating=False))
         assert oafa_decide(machine, word)
+
+
+def test_decision_reports_are_pinned():
+    """Every report on small normal-form machines; verdicts and leaf counts must not drift."""
+    digest = hashlib.sha256()
+    refused = []
+    branches = dont_knows = 0
+    for seed in range(200):
+        machine = random_nf_onfa(seed)
+        for word in all_words(machine.alphabet, 3):
+            try:
+                report = svfa_decide(machine, word, budget=10**5)
+            except BudgetExceeded:
+                refused.append((seed, word))
+                digest.update(repr((seed, word, "budget")).encode("utf-8"))
+                continue
+            branches += report.branches_explored
+            dont_knows += report.dont_know_count
+            digest.update(repr((seed, word, report.verdict_exists_yes, report.verdict_exists_no,
+                                report.dont_know_count, report.branches_explored)).encode("utf-8"))
+    assert refused == [(65, "bbb")]
+    assert (branches, dont_knows) == (249088, 200449)
+    assert digest.hexdigest() == "7c3261fc62b226fca9a0a262930a0f4992b7b3cf0a9d7c72fb62482c3bc566f9"
