@@ -34,8 +34,9 @@ exhaust them.
 The controller is the paper's constant-memory device.  The deciders, which
 may spend memory linear in the tape, instead read the whole segment
 relation of one word off `return_table`: the same backward-search argument
-read forward, one memoized pass over the configurations.  It is the only
-per-word pass.  The self-verifying simulation's decider reads its
+read forward, one memoized pass over the maximal runs of one letter, each
+crossed by its state cycle in O(n) steps whatever its length.  It is the
+only per-word pass.  The self-verifying simulation's decider reads its
 candidates off the table's rows as well, one choice point per target, as
 its report does not depend on how the walk spreads them over points.
 Replaying one of its choice traces, whose order matters, walks the
@@ -44,6 +45,7 @@ controller.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -318,7 +320,7 @@ def segment_reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
     return any(q_from in candidates for candidates in _walk(controller, word, q_to))
 
 
-_UNSEEN = -1
+_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -341,43 +343,127 @@ class ReturnTable:
         return self.rows[p]
 
 
-def return_table(automaton: TwoWayAutomaton, word: str) -> ReturnTable:
-    """The segment relation of one word, by one memoized forward pass.
+def _single_moves(automaton: TwoWayAutomaton
+                  ) -> tuple[dict[str, list[Move | None]], tuple[int, ...], re.Pattern[str]]:
+    """What `return_table` reads of a machine, built once per machine, as machines are immutable.
 
-    Away from the left endmarker the machine is deterministic, so each
-    configuration at position >= 1 has one fate.  A launch walks forward
-    until it meets a configuration whose fate is known, or one on its own
-    path (a loop), then records the fate along its path.  No configuration
-    is walked twice: O(n * |w|) steps and n * (|w| + 2) memo slots.
+    These are each symbol's move of every state away from the left
+    endmarker, of which the relaxed normal form allows at most one (None
+    halts); the states launched rightward from the left endmarker, in
+    order; and a pattern matching the maximal runs of one symbol.
+    """
+    if automaton._single_moves is None:
+        n = automaton.n
+        symbols = automaton.alphabet + (RIGHT_ENDMARKER,)
+        moves = {sym: [(automaton.successors(q, sym) or (None,))[0] for q in range(n)]
+                 for sym in symbols}
+        launched = tuple(sorted({x for p in range(n) for (x, d) in
+                                 automaton.successors(p, LEFT_ENDMARKER) if d == RIGHT}))
+        # one repeat per symbol: a backreference `(.)\1*` matched a long run 80 times slower
+        runs = re.compile("|".join(re.escape(sym) + "+" for sym in symbols))
+        automaton._single_moves = (moves, launched, runs)
+    return automaton._single_moves
+
+
+def _cross(moves: list[Move | None], length: int, at: int, q: int) -> Move | None:
+    """The step off a run of `length` copies of one symbol, entered at offset `at` in state q.
+
+    Inside the run the machine is the map from each state to its single
+    move in `moves`, so the state orbit of q enters a cycle within
+    n = len(moves) steps, and every lap of that cycle shifts the head by
+    the same drift.  The crossing takes those n steps, one lap to measure
+    the drift and the span of offsets a lap visits, skips every further
+    whole lap that stays inside the run, and finishes within one more lap:
+    O(n) steps, whatever the length.  Returns the (state, direction) of
+    the step that leaves the run, or None if the machine halts inside it
+    or loops there, which a lap of zero drift does.
+    """
+    for _ in range(len(moves)):
+        move = moves[q]
+        if move is None:
+            return None
+        q, d = move
+        at += d
+        if not 0 <= at < length:
+            return move
+    cycle, drift, low, high = q, 0, 0, 0  # offsets relative to the lap's start
+    while True:
+        q, d = moves[q]
+        drift += d
+        if not 0 <= at + drift < length:
+            return q, d
+        low, high = min(low, drift), max(high, drift)
+        if q == cycle:
+            break
+    if drift == 0:
+        return None
+    at += drift
+    room = length - 1 - high - at if drift > 0 else at + low
+    at += max(0, room // abs(drift) + 1) * drift  # the laps from `at` that stay inside
+    while True:
+        q, d = moves[q]
+        at += d
+        if not 0 <= at < length:
+            return q, d
+
+
+def return_table(automaton: TwoWayAutomaton, word: str) -> ReturnTable:
+    """The segment relation of one word, by one memoized pass over its runs of one letter.
+
+    Away from the left endmarker the machine is deterministic, so a
+    configuration entering a maximal run of one symbol (the right endmarker
+    is a run of its own) at either end has one fate.  The tape is split
+    into runs once, in O(|w|).  A run is crossed by `_cross` in O(n) steps,
+    memoized per symbol, length, entry end and state; a run of length 1 is
+    crossed by the move itself.  A launch walks from run to run until it
+    meets an entry whose fate is known, or one on its own path (a loop),
+    then records the fate along its path, so every entry of every run is
+    walked at most once: 2n memo slots per run, and O(n) steps per distinct
+    crossing, which makes O(n^2) steps on a word of one letter.
     A letter outside the alphabet raises NotApplicable.
     """
     q_final = require_normal_form(automaton, alternating=True)
     check_word(automaton, word)
     n = automaton.n
-    tape = word + RIGHT_ENDMARKER
-    get = automaton.delta.get  # the table stores no empty successor tuples
-    moves = {sym: [get((q, sym), (None,))[0] for q in range(n)] for sym in set(tape)}
-    steps = [None] + [moves[sym] for sym in tape]  # position 0 is never read
-    fate: list[int | None] = [_UNSEEN] * (n * len(steps))
-    fate[:n] = range(n)  # back at position 0, in the current state
+    moves, launched, runs_of = _single_moves(automaton)
+    runs = runs_of.findall(word + RIGHT_ENDMARKER)
+    # exits[2j + 1 + e]: the crossings of run j entered at its left (e = 0)
+    # or right (e = 1) end, filled in as the walks need them; slot 0 stands
+    # for the left endmarker, which no walk crosses
+    exits: list[list] = [[]]
+    crossings: dict[tuple[str, int, int], list] = {}
+    for run in runs:
+        if len(run) == 1:
+            exits += (moves[run], moves[run])
+        else:
+            exits += (crossings.setdefault((run[0], len(run), end), [_UNSEEN] * n) for end in (0, 1))
+    # fate[slot * n + q]: where entering run slot's end in state q leads;
+    # slot 0 is back at the left endmarker, in the state q itself
+    fate: list = [_UNSEEN] * (n * len(exits))
+    fate[:n] = range(n)
     returns: list[int | None] = [None] * n
-    for x in {x for p in range(n)
-              for (x, d) in automaton.successors(p, LEFT_ENDMARKER) if d == RIGHT}:
-        path, q, pos, key = [], x, 1, n + x
-        while fate[key] == _UNSEEN:
+    for x in launched:
+        path, slot, q, key = [], 1, x, n + x
+        while fate[key] is _UNSEEN:
             fate[key] = None  # met again on this walk: a loop
             path.append(key)
-            if steps[pos][q] is None:
-                break  # the run halts
-            q, d = steps[pos][q]
-            pos += d
-            key = pos * n + q
+            out = exits[slot][q]
+            if out is _UNSEEN:
+                run = runs[(slot - 1) // 2]
+                out = exits[slot][q] = _cross(moves[run[0]], len(run), (slot - 1) % 2 * (len(run) - 1), q)
+            if out is None:
+                break  # the machine halts or loops inside the run
+            q, d = out
+            # into the next run at its left end, or the previous one at its right end
+            slot = ((slot - 1) | 1) + (2 if d == RIGHT else -1)
+            key = slot * n + q
         out = fate[key]
         for key in path:
             fate[key] = out
         returns[x] = out
     # built from lists: a tuple filled from a generator is resized as it grows,
     # and in long benchmark runs that made peak RSS creep up pass after pass
+    get = automaton.delta.get
     rows = tuple([tuple([x if d == STAY else returns[x] for (x, d) in get((p, LEFT_ENDMARKER), ())])
                   for p in range(n)])
     return ReturnTable(automaton, rows, q_final)

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from outerfa import (
     InvariantViolation,
@@ -17,6 +19,9 @@ from outerfa import (
     Verdict,
     all_words,
     build_controller,
+    build_segment_graph,
+    decide_det,
+    gap_decide,
     n_reach,
     normalize_oafa,
     normalize_onfa,
@@ -25,10 +30,11 @@ from outerfa import (
     return_table,
     segment_exists_oracle,
     segment_reach,
+    svfa_decide,
     t_reach,
 )
 from outerfa.normalform import NotNormalForm
-from outerfa.reach import _walk
+from outerfa.reach import _cross, _single_moves, _walk
 from outerfa.svfa import _decider_scripts
 from outerfa.fixtures import (
     P_A,
@@ -41,7 +47,7 @@ from outerfa.fixtures import (
     build_trivial_empty,
 )
 
-from conftest import accepting_at, chain_sweeper, mod_p_sweeper
+from conftest import accepting_at, chain_sweeper, mod_p_sweeper, random_nf_oafa, random_nf_onfa
 
 E1 = build_e1()
 
@@ -375,6 +381,111 @@ def test_return_table_on_long_mod3_sweeper():
         assert table.outcomes(q_i) == (back if len(word) % 3 == 0 else None,)
         assert table.outcomes(back) == (back if len(word) % 3 == 2 else None, q_f)
     assert_table_matches(machine, words)
+
+
+def orbit_machine(spec: str) -> TwoWayAutomaton:
+    """qI launches orbit states rightward; `spec` gives their moves on a.
+
+    `spec` lists, for orbit states 0 ... m - 1 in turn, a target and a
+    direction ("2R", "0L"), or "-" to halt.  Orbit state i's partner is
+    state i + m/2 mod m.  On the right endmarker each orbit state turns
+    left into its partner; on b, even states pass right and odd ones turn
+    back left, each into its partner, so words a^k b a^j make runs of a's
+    be entered at both ends.  At the left endmarker qI launches every
+    orbit state, and each orbit state launches itself or accepts, so its
+    row names the state its launch comes back in.  Most specs give the
+    partners of a cycle drifting right a drift to the left, so a launch
+    that leaves a run on the right mostly comes back, in a state that
+    depends on where and in which state it left.
+    """
+    moves = spec.split()
+    m = len(moves)
+    q_i, q_f = 0, m + 1
+    delta = {(q_i, "<"): [(1 + i, RIGHT) for i in range(m)]}
+    for i, move in enumerate(moves):
+        q, partner = 1 + i, 1 + (i + m // 2) % m
+        if move != "-":
+            delta[(q, "a")] = [(1 + int(move[:-1]), RIGHT if move[-1] == "R" else LEFT)]
+        delta[(q, "b")] = [(partner, LEFT if i % 2 else RIGHT)]
+        delta[(q, ">")] = [(partner, LEFT)]
+        delta[(q, "<")] = [(q, RIGHT), (q_f, STAY)]
+    return TwoWayAutomaton(["qI"] + [f"o{i}" for i in range(m)] + ["qF"], "ab", delta, q_i, [q_f])
+
+
+ORBITS = {
+    # R, R, L: drift +1 per lap, span 2; its partners L, L drift -2
+    "right_drift_with_left_excursion": "1R 2R 0L 4L 3L",
+    # L, R, L: drift -1 per lap; its partners R, R drift +2
+    "left_drift": "1L 2R 0L 4R 3R",
+    # R, R, L, R: drift +2, so the state leaving a run depends on its parity
+    "right_drift_by_two": "1R 2R 3L 0R 4L",
+    # R, L and L, R: a lap of zero drift loops inside any run it fits in
+    "zero_drift": "1R 0L 3L 2R 4L",
+    # two steps right, or one step left, then no move on a
+    "halt_mid_run": "1R 2R - 4L -",
+    # a three-step tail into a cycle of drift +2, longer than the shortest runs
+    "long_tail": "1R 2L 3R 4R 3R",
+}
+
+
+def _cross_by_steps(moves, length, at, q):
+    """The step off a run, found one step at a time; None on a halt or a repeated configuration."""
+    seen = set()
+    while (q, at) not in seen:
+        seen.add((q, at))
+        if moves[q] is None:
+            return None
+        q, d = moves[q]
+        at += d
+        if not 0 <= at < length:
+            return q, d
+    return None
+
+
+@pytest.mark.parametrize("spec", ORBITS.values(), ids=ORBITS.keys())
+def test_run_crossings_skip_whole_laps(spec):
+    # every state entering a run of a's at either end, for runs up to 3n + 3
+    # long: past the n-step tail, the measured lap and some skipped laps
+    machine = orbit_machine(spec)
+    n = machine.n
+    moves = _single_moves(machine)[0]["a"]
+    for length in range(1, 3 * n + 4):
+        for at in (0, length - 1):
+            for q in range(n):
+                assert _cross(moves, length, at, q) == _cross_by_steps(moves, length, at, q), (
+                    spec, length, at, q)
+
+
+@pytest.mark.parametrize("spec", ORBITS.values(), ids=ORBITS.keys())
+def test_return_table_on_runs_of_one_letter(spec):
+    machine = orbit_machine(spec)
+    lengths = range(3 * machine.n + 4)
+    assert_table_matches(machine, ["a" * k for k in lengths]
+                         + ["a" * k + "b" + "a" * j for k in lengths for j in lengths])
+
+
+@seed(2011)
+@settings(max_examples=60, deadline=None)
+@given(machine_seed=st.integers(0, 10_000), strict=st.booleans(), letters=st.sampled_from(("ab", "ba")),
+       lengths=st.lists(st.integers(1, 400), min_size=1, max_size=4))
+def test_return_table_on_long_runs(machine_seed, strict, letters, lengths):
+    # 1 to 4 runs, the letters alternating
+    machine = (random_nf_onfa if strict else random_nf_oafa)(machine_seed, n_max=8)
+    assert_table_matches(machine, ["".join(letters[i % 2] * k for i, k in enumerate(lengths))])
+
+
+def test_return_table_scales_with_runs_not_letters():
+    # each run is crossed in O(n) steps, so a million letters take milliseconds
+    mod_p = mod_p_sweeper((3, 4, 5))
+    for k in (10**6, 10**6 + 1, 10**6 + 2):
+        expected = any(k % p == 0 for p in (3, 4, 5))
+        word = "a" * k
+        assert gap_decide(build_segment_graph(mod_p, word)) == expected
+        assert decide_det(mod_p, word) == expected
+        report = svfa_decide(mod_p, word)
+        assert (report.verdict_exists_yes, report.verdict_exists_no) == (expected, not expected)
+    # the last rightward sweep halts on the b
+    assert not gap_decide(build_segment_graph(chain_sweeper(3), "a" * 500000 + "b" + "a" * 500000))
 
 
 def assert_scripts_match(machine, words):
