@@ -2,7 +2,6 @@
 
 from .core import (
     BudgetExceeded,
-    Configuration,
     DIRECTIONS,
     FlavorReport,
     InvariantViolation,
@@ -15,7 +14,6 @@ from .core import (
     STAY,
     TwoWayAutomaton,
     Verdict,
-    accepts_bounded_visits,
     accepts_oracle,
     all_words,
     alternating_accepts_oracle,
@@ -23,8 +21,6 @@ from .core import (
     check_word,
     classify,
     segment_exists_oracle,
-    step,
-    symbol_at,
 )
 from .detsim import (
     BoundReport,
@@ -60,7 +56,6 @@ from .normalform import (
 )
 from .reach import (
     ReachController,
-    ReturnTable,
     TraceUnderflow,
     build_controller,
     n_reach,

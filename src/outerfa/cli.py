@@ -2,11 +2,12 @@
 
 Every subcommand reads machines in the text format of `fileformat`, runs
 one library operation, and emits a line-oriented `key: value` report (or
-JSON with --json).  Exit codes classify failures: 2 for unparseable input,
-3 for violated preconditions, 4 for exhausted budgets or size ceilings,
-5 when `equiv` finds a counterexample, and 6 when a bound or property the
-constructions guarantee fails to hold (an `InvariantViolation`, which
-signals a defect in the library rather than in the input).
+JSON with --json).  Exit codes classify failures: 2 for input or output
+files that cannot be read, written or parsed, 3 for violated preconditions,
+4 for exhausted budgets or size ceilings, 5 when `equiv` finds a
+counterexample, and 6 when a bound or property the constructions guarantee
+fails to hold (an `InvariantViolation`, which signals a defect in the
+library rather than in the input).
 """
 
 from __future__ import annotations
@@ -303,7 +304,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FlavorMismatch, MalformedAutomaton, FileNotFoundError) as exc:
+    # before ValueError: a file that is not UTF-8 is unreadable input, not a bad argument
+    except (ParseError, FlavorMismatch, MalformedAutomaton, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceeded as exc:

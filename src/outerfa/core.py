@@ -8,17 +8,16 @@ to a finite set of (state, direction) pairs and may be partial: an undefined
 entry simply halts that computation path.
 
 Besides the data model, this module holds the executable ground truth the
-rest of the package is checked against: breadth-first acceptance oracles
-over the (finite) configuration graph, a visit-bounded variant, an and-or
-oracle for machines with universal states, and a restricted-path oracle for
-computation segments (left endmarker to left endmarker, with no
-left-endmarker visit in between; the right endmarker may be crossed freely).
-Every oracle rejects a word with a letter outside the machine's alphabet
-(`check_word`).  The oracles index a configuration (state, head) as the
-integer head * n + state on the endmarked tape and look up its successors
-in the transition table when they expand it (`_tape_rule`), so each pays
-only for the configurations it visits.  `step` and `Configuration` are the
-same model spelled out one configuration at a time.
+rest of the package is checked against: a breadth-first acceptance oracle
+over the (finite) configuration graph, an and-or oracle for machines with
+universal states, and a restricted-path oracle for computation segments
+(left endmarker to left endmarker, with no left-endmarker visit in between;
+the right endmarker may be crossed freely).  Every oracle rejects a word
+with a letter outside the machine's alphabet (`check_word`).  The oracles
+index a configuration (state, head) as the integer head * n + state on the
+endmarked tape and look up its successors in the transition table when
+they expand it (`_tape_rule`), so each pays only for the configurations it
+visits.
 
 `and_or_reach` is the package's one and-or reachability solver: the least
 fixpoint of the and-or path predicate by a worklist over reverse edges, in
@@ -33,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Collection, Hashable, Iterable, Mapping, NamedTuple, TypeVar
+from typing import Callable, Collection, Hashable, Iterable, Mapping, TypeVar
 
 LEFT_ENDMARKER = "<"
 RIGHT_ENDMARKER = ">"
@@ -75,13 +74,6 @@ class Verdict(Enum):
     ACCEPT = "accept"
     REJECT = "reject"
     DONT_KNOW = "dont_know"
-
-
-class Configuration(NamedTuple):
-    """A (state, head position) pair; position 0 is the left endmarker."""
-
-    state: int
-    head: int
 
 
 @dataclass(frozen=True)
@@ -229,35 +221,6 @@ def _check_states(automaton: TwoWayAutomaton, *states: int) -> None:
             raise ValueError(f"unknown state id {q}: the machine has states 0 to {automaton.n - 1}")
 
 
-def symbol_at(word: str, position: int) -> str:
-    """Tape symbol under the head: endmarkers at 0 and len(word)+1.
-
-    A position off the tape raises ValueError.
-    """
-    if not 0 <= position <= len(word) + 1:
-        raise ValueError(f"position {position} is off the tape of a {len(word)}-letter word")
-    if position == 0:
-        return LEFT_ENDMARKER
-    if position == len(word) + 1:
-        return RIGHT_ENDMARKER
-    return word[position - 1]
-
-
-def step(automaton: TwoWayAutomaton, config: Configuration, word: str) -> set[Configuration]:
-    """All successor configurations of `config` on `word`.
-
-    An empty set means the path halts; validation keeps every move on the
-    tape.  An unknown state id raises ValueError, a letter outside the
-    alphabet NotApplicable, and a head off the tape ValueError from
-    `symbol_at`.
-    """
-    _check_states(automaton, config.state)
-    check_word(automaton, word)
-    symbol = symbol_at(word, config.head)
-    return {Configuration(p, config.head + d)
-            for (p, d) in automaton.successors(config.state, symbol)}
-
-
 def _normal_form_flags(automaton: TwoWayAutomaton, alternating: bool) -> tuple[bool, bool, bool, bool]:
     """The four structural normal-form properties, in order.
 
@@ -313,7 +276,7 @@ def classify(automaton: TwoWayAutomaton) -> FlavorReport:
 def _tape_rule(automaton: TwoWayAutomaton, word: str) -> tuple[int, str, Callable]:
     """The one successor rule every oracle steps configurations by, as (n, tape, get).
 
-    Configuration (state, head) is the integer c = head * n + state, so
+    A configuration (state, head) is the integer c = head * n + state, so
     head 0 holds exactly the ids below n, and `tape` is the endmarked word,
     `tape[head]` the symbol under the head.  The successors of c are
     (head + d) * n + p for each (p, d) in get((state, tape[head]), ()),
@@ -346,40 +309,6 @@ def accepts_oracle(automaton: TwoWayAutomaton, word: str) -> bool:
                 return True
             seen.add(succ)
             queue.append(succ)
-    return False
-
-
-def accepts_bounded_visits(automaton: TwoWayAutomaton, word: str, k: int) -> bool:
-    """Acceptance by a path whose configurations sit at the left endmarker at most k times.
-
-    The initial configuration already counts as one visit, so k = 0 never
-    accepts.  With k = n this agrees with `accepts_oracle`: a shortest
-    accepting path never repeats a state at an endmarker.
-    """
-    if automaton.universal:
-        raise NotApplicable("machine has universal states; use alternating_accepts_oracle")
-    n, tape, get = _tape_rule(automaton, word)
-    if k <= 0:
-        return False
-    accepting = automaton.accepting
-    if automaton.initial in accepting:
-        return True
-    start = (automaton.initial, 1)  # (configuration, left-endmarker visits so far)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        c, visits = queue.popleft()
-        head, state = divmod(c, n)
-        for (p, d) in get((state, tape[head]), ()):
-            succ = (head + d) * n + p
-            v = visits + 1 if succ < n else visits
-            node = (succ, v)
-            if v > k or node in seen:
-                continue
-            if p in accepting:
-                return True
-            seen.add(node)
-            queue.append(node)
     return False
 
 

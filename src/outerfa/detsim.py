@@ -119,11 +119,10 @@ def _segment_rows(automaton: TwoWayAutomaton, word: str) -> _BaseRows:
 
     Read off the word's return table in O(n + segments); none needs the tape.
     """
-    table = return_table(automaton, word)
     n = automaton.n
     rows = [1 << a for a in range(n)]
     cols = rows.copy()
-    for a, outcomes in enumerate(table.rows):
+    for a, outcomes in enumerate(return_table(automaton, word)):
         for b in outcomes:
             if b is not None:
                 rows[a] |= 1 << b

@@ -23,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .core import TwoWayAutomaton, and_or_reach
+from .normalform import require_normal_form
 from .reach import return_table
 from .reach import build_controller, reach  # noqa: F401  (perfbench/tracing.py wraps them here)
 
@@ -54,9 +55,9 @@ def build_segment_graph(automaton: TwoWayAutomaton, word: str,
     """
     if alternating is None:
         alternating = bool(automaton.universal)
-    table = return_table(automaton, word)
+    final = require_normal_form(automaton, alternating=True)
     edges: set[tuple[int, int]] = set()
-    for p, outcomes in enumerate(table.rows):
+    for p, outcomes in enumerate(return_table(automaton, word)):
         edges.update((p, q) for q in outcomes if q is not None and (alternating or q != p))
         if alternating and p in automaton.universal and (not outcomes or None in outcomes):
             edges.add((p, p))
@@ -65,7 +66,7 @@ def build_segment_graph(automaton: TwoWayAutomaton, word: str,
         edges=frozenset(edges),
         universal=automaton.universal if alternating else None,
         source=automaton.initial,
-        target=table.final,
+        target=final,
     )
 
 

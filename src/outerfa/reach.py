@@ -323,26 +323,6 @@ def segment_reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
 _UNSEEN = object()
 
 
-@dataclass(frozen=True)
-class ReturnTable:
-    """The segment relation of one word: `rows[p]` is `outcomes(p)` for every state p, built once.
-
-    A rightward choice into x ends in the state in which the run from
-    (x, 1) first reaches position 0, or in None if that run halts or loops
-    first; a stationary choice into x ends in x.  `final` is the machine's
-    accepting state, as the normal-form gate returned it.
-    """
-
-    automaton: TwoWayAutomaton
-    rows: tuple[tuple[int | None, ...], ...]
-    final: int
-
-    def outcomes(self, p: int) -> tuple[int | None, ...]:
-        """End state of each left-endmarker choice of p, or None; p -> q iff q is one."""
-        _check_states(self.automaton, p)
-        return self.rows[p]
-
-
 def _single_moves(automaton: TwoWayAutomaton
                   ) -> tuple[dict[str, list[Move | None]], tuple[int, ...], re.Pattern[str]]:
     """What `return_table` reads of a machine, built once per machine, as machines are immutable.
@@ -407,8 +387,14 @@ def _cross(moves: list[Move | None], length: int, at: int, q: int) -> Move | Non
             return q, d
 
 
-def return_table(automaton: TwoWayAutomaton, word: str) -> ReturnTable:
+def return_table(automaton: TwoWayAutomaton, word: str) -> tuple[tuple[int | None, ...], ...]:
     """The segment relation of one word, by one memoized pass over its runs of one letter.
+
+    Row p holds the end state of each of p's left-endmarker choices, in
+    the order of `successors(p, "<")`, so p -> q is a segment iff q is in
+    row p.  A rightward choice into x ends in the state in which the run
+    from (x, 1) first reaches position 0, or in None if that run halts or
+    loops first; a stationary choice into x ends in x.
 
     Away from the left endmarker the machine is deterministic, so a
     configuration entering a maximal run of one symbol (the right endmarker
@@ -422,7 +408,7 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> ReturnTable:
     crossing, which makes O(n^2) steps on a word of one letter.
     A letter outside the alphabet raises NotApplicable.
     """
-    q_final = require_normal_form(automaton, alternating=True)
+    require_normal_form(automaton, alternating=True)
     check_word(automaton, word)
     n = automaton.n
     moves, launched, runs_of = _single_moves(automaton)
@@ -464,9 +450,8 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> ReturnTable:
     # built from lists: a tuple filled from a generator is resized as it grows,
     # and in long benchmark runs that made peak RSS creep up pass after pass
     get = automaton.delta.get
-    rows = tuple([tuple([x if d == STAY else returns[x] for (x, d) in get((p, LEFT_ENDMARKER), ())])
+    return tuple([tuple([x if d == STAY else returns[x] for (x, d) in get((p, LEFT_ENDMARKER), ())])
                   for p in range(n)])
-    return ReturnTable(automaton, rows, q_final)
 
 
 def _chain(controller: ReachController, word: str, q: int, t: int,

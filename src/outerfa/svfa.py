@@ -19,12 +19,12 @@ backward searches' choice points in the controller's walk order.  The tree
 walk needs no order: a search's keep-or-emit chain has one subtree per
 listed candidate plus one don't-know leaf, so the verdicts realized and
 the leaf counts depend only on which candidates there are.  The walk gives
-each search one point listing them all, read off the word's segment
-relation (`ReturnTable.rows`) without building the controller.  A snapshot
-is exactly the simulation's state, nine fields: six state-bounded counting
-variables, the chain check's counter and the two-field backward-search
-cursor, which is what `svfa_state_accounting` prices out; the equivalent
-single transition table is astronomically large and is never materialized.
+each search one point listing them all, read off the rows of the word's
+return table without building the controller.  A snapshot is exactly the
+simulation's state, nine fields: six state-bounded counting variables, the
+chain check's counter and the two-field backward-search cursor, which is
+what `svfa_state_accounting` prices out; the equivalent single transition
+table is astronomically large and is never materialized.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .core import BudgetExceeded, InvariantViolation, TwoWayAutomaton, Verdict
 from .normalform import require_normal_form
-from .reach import ReturnTable, TraceUnderflow, _walk, build_controller, return_table
+from .reach import TraceUnderflow, _walk, build_controller, return_table
 from .reach import segment_reach  # noqa: F401  (perfbench/tracing.py wraps it here by name)
 
 
@@ -89,16 +89,15 @@ class _SimContext:
         self.final = require_normal_form(automaton, alternating=False)
         self.n = automaton.n
         self.initial = automaton.initial
-        table = return_table(automaton, word)  # rejects foreign letters
-        self.rows = table.rows
+        self.rows = return_table(automaton, word)  # rejects foreign letters
         if replay:
             controller = build_controller(automaton)
             self.scripts = [list(_walk(controller, word, q)) for q in range(automaton.n)]
         else:
-            self.scripts = _decider_scripts(table)
+            self.scripts = _decider_scripts(self.rows)
 
 
-def _decider_scripts(table: ReturnTable) -> list[list[list[int]]]:
+def _decider_scripts(rows: tuple[tuple[int | None, ...], ...]) -> list[list[list[int]]]:
     """Each target's search choice points for the decider: one point listing every candidate.
 
     The point for q lists p once per entry q of `rows[p]`, in state order;
@@ -109,8 +108,8 @@ def _decider_scripts(table: ReturnTable) -> list[list[list[int]]]:
     don't-know leaf however its candidates are spread over points, so the
     report is the walk's.
     """
-    candidates: list[list[int]] = [[] for _ in range(table.automaton.n)]
-    for p, row in enumerate(table.rows):
+    candidates: list[list[int]] = [[] for _ in rows]
+    for p, row in enumerate(rows):
         for q in row:
             if q is not None:
                 candidates[q].append(p)

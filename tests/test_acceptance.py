@@ -3,16 +3,15 @@
 Scoping: the raw corpus is the seeded family of 220 outer-choice machines
 (n <= 5, two letters).  Suites that operate on normal-form machines run on
 the seeded normal-form family (n <= 5) plus normalized raw machines and
-the shipped fixtures; the alternating suite runs on the seeded relaxed
-normal-form family (n <= 4).  Every check is exact; run with -s to see the
-pass lines.
+the hand-built machines of `reference.py`; the alternating suite runs on
+the seeded relaxed normal-form family (n <= 4).  Every check is exact; run
+with -s to see the pass lines.
 """
 
 import math
 import time
 
 from outerfa import (
-    accepts_bounded_visits,
     accepts_oracle,
     all_words,
     alternating_accepts_oracle,
@@ -36,15 +35,16 @@ from outerfa import (
     ReachableStats,
 )
 from outerfa.cli import main as cli_main
-from outerfa.fixtures import (
+
+from conftest import assert_dot_wellformed, random_nf_oafa, random_nf_onfa, random_oafa, random_onfa
+from reference import (
     build_e1,
     build_e2,
     build_ea,
     build_trivial_all,
     build_trivial_empty,
+    reference_bounded_visits,
 )
-
-from conftest import assert_dot_wellformed, random_nf_oafa, random_nf_onfa, random_oafa, random_onfa
 
 
 def _passline(number: int, detail: str) -> None:
@@ -109,12 +109,12 @@ def test_criterion_3_visit_bound_suite(raw_corpus):
     pairs = 0
     for machine in raw_corpus:
         for word in all_words(machine.alphabet, 5):
-            assert accepts_bounded_visits(machine, word, machine.n) == \
+            assert reference_bounded_visits(machine, word, machine.n) == \
                 accepts_oracle(machine, word)
             pairs += 1
     for machine in raw_corpus[:60]:
         for word in all_words(machine.alphabet, 6):
-            assert accepts_bounded_visits(machine, word, machine.n) == \
+            assert reference_bounded_visits(machine, word, machine.n) == \
                 accepts_oracle(machine, word)
     _passline(3, f"{pairs} machine/word pairs at the n-visit bound")
 

@@ -15,16 +15,22 @@ from outerfa import (
     serialize,
 )
 from outerfa.cli import METHODS, main
-from outerfa.fixtures import build_e1, build_e2, build_ea
 
 from conftest import INITIAL_ACCEPTING, mod_p_sweeper, random_oafa
+from reference import build_e1, build_e2, build_ea
+
+
+E1_FILE = Path(__file__).parent / "data" / "e1.2wa"
 
 
 @pytest.fixture()
-def e1_file(tmp_path):
-    path = tmp_path / "e1.2wa"
-    path.write_text(serialize(build_e1()))
-    return str(path)
+def e1_file():
+    return str(E1_FILE)
+
+
+def test_committed_e1_file_is_e1_serialized():
+    # CI's cli-smoke job reads the same bytes
+    assert E1_FILE.read_bytes() == serialize(build_e1()).encode("utf-8")
 
 
 @pytest.fixture()
@@ -341,6 +347,25 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.2wa"
     bad.write_text("type: onfa\nstates q\n")
     assert main(["classify", str(bad)]) == 2
+
+
+def test_directory_as_input_exit_code(tmp_path, capsys):
+    assert main(["classify", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_directory_as_output_exit_code(tmp_path, capsys):
+    src = tmp_path / "ea.2wa"
+    src.write_text(serialize(build_ea()))
+    assert main(["emit-dfa", str(src), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_utf8_input_exit_code(tmp_path, capsys):
+    bad = tmp_path / "latin1.2wa"
+    bad.write_bytes(serialize(build_e1()).replace("qF", "q\xe9").encode("latin-1"))
+    assert main(["classify", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_normalize_alternating(e2_file, capsys):

@@ -27,10 +27,10 @@ from outerfa import (
     serialize,
 )
 from outerfa.detsim import _base_rows, _ceil_log2, _divide, _segment_rows, _stack_height
-from outerfa.fixtures import P_B, Q_F, Q_I, build_e1, build_ea, build_trivial_empty
 from outerfa.reach import return_table
 
 from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, random_nf_onfa
+from reference import P_B, Q_F, Q_I, build_e1, build_ea, build_trivial_empty
 
 E1 = build_e1()
 EA = build_ea()
@@ -100,7 +100,7 @@ def test_divide_matches_the_callback_machine_on_segments():
         for word in all_words(machine.alphabet, 2):
             rows = _segment_rows(machine, word)
             table = return_table(machine, word)
-            cells = [[a == b or b in table.outcomes(a) for b in range(n)] for a in range(n)]
+            cells = [[a == b or b in table[a] for b in range(n)] for a in range(n)]
             for height in heights:
                 for q in range(n):
                     for p in range(n):

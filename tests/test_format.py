@@ -12,9 +12,9 @@ from outerfa import (
     parse,
     serialize,
 )
-from outerfa.fixtures import build_e1, build_e2, build_ea, build_trivial_empty
 
 from conftest import random_nf_oafa, random_nf_onfa, random_oafa, random_onfa
+from reference import build_e1, build_e2, build_ea, build_trivial_empty
 
 FIXTURES = [build_e1(), build_e2(), build_ea(), build_trivial_empty()]
 

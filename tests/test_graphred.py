@@ -18,7 +18,8 @@ from outerfa import (
     segment_graph_to_dot,
 )
 from outerfa.normalform import NotNormalForm
-from outerfa.fixtures import Q_F, Q_I, R_A, build_e1, build_e2, build_trivial_empty
+
+from reference import Q_I, R_A, build_e1, build_e2, build_trivial_empty
 
 E1 = build_e1()
 E2 = build_e2()

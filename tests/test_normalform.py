@@ -29,9 +29,9 @@ from outerfa import (
     serialize,
     svfa_run,
 )
-from outerfa.fixtures import P_A, P_B, Q_F, Q_I, build_e1, build_e2
 
 from conftest import random_oafa, random_onfa
+from reference import P_A, P_B, Q_F, Q_I, build_e1, build_e2
 
 E1 = build_e1()
 E2 = build_e2()

@@ -1,12 +1,8 @@
 """The integer-id oracles of `core` against their `Configuration`/`step` originals.
 
-The reference functions below are the oracles as they were before `core`
-indexed configurations as integers: each step goes through `step`, which
-builds a set of `Configuration` tuples, and the alternating one runs the
-and-or solver over all n * (|w| + 2) configurations, reachable or not.
+The reference oracles live in `reference.py`: they are the oracles as they
+were before `core` indexed configurations as integers.
 """
-
-from collections import deque
 
 import pytest
 
@@ -14,101 +10,18 @@ from outerfa import (
     LEFT,
     RIGHT,
     STAY,
-    Configuration,
     TwoWayAutomaton,
-    accepts_bounded_visits,
     accepts_oracle,
     all_words,
     alternating_accepts_oracle,
-    and_or_reach,
-    check_word,
     segment_exists_oracle,
-    step,
 )
 from outerfa import core
 
 from conftest import mod_p_sweeper
+from reference import reference_accepts, reference_alternating, reference_segment
 
 PERIODS = (3, 5, 7)
-
-
-def reference_accepts(automaton, word):
-    check_word(automaton, word)
-    start = Configuration(automaton.initial, 0)
-    if start.state in automaton.accepting:
-        return True
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        config = queue.popleft()
-        for succ in step(automaton, config, word):
-            if succ in seen:
-                continue
-            if succ.state in automaton.accepting:
-                return True
-            seen.add(succ)
-            queue.append(succ)
-    return False
-
-
-def reference_bounded_visits(automaton, word, k):
-    check_word(automaton, word)
-    if k <= 0:
-        return False
-    start = (automaton.initial, 0, 1)
-    if automaton.initial in automaton.accepting:
-        return True
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        state, head, visits = queue.popleft()
-        for succ in step(automaton, Configuration(state, head), word):
-            v = visits + (1 if succ.head == 0 else 0)
-            if v > k:
-                continue
-            node = (succ.state, succ.head, v)
-            if node in seen:
-                continue
-            if succ.state in automaton.accepting:
-                return True
-            seen.add(node)
-            queue.append(node)
-    return False
-
-
-def reference_segment(automaton, word, p, q):
-    check_word(automaton, word)
-    end = Configuration(q, 0)
-    frontier = deque()
-    seen = set()
-    for succ in step(automaton, Configuration(p, 0), word):
-        if succ.head == 0:
-            if succ == end:
-                return True
-        elif succ not in seen:
-            seen.add(succ)
-            frontier.append(succ)
-    while frontier:
-        config = frontier.popleft()
-        for succ in step(automaton, config, word):
-            if succ.head == 0:
-                if succ == end:
-                    return True
-                continue
-            if succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
-    return False
-
-
-def reference_alternating(automaton, word):
-    check_word(automaton, word)
-    configs = [Configuration(s, h) for s in range(automaton.n) for h in range(len(word) + 2)]
-    succs = {c: step(automaton, c, word) for c in configs}
-    accepting = [c for c in configs if c.state in automaton.accepting]
-    universal = automaton.universal
-    good = and_or_reach(succs, accepting, lambda c: c.state in universal)
-    return Configuration(automaton.initial, 0) in good
 
 
 def test_accepts_oracle_matches_reference(raw_corpus, nf_corpus):
@@ -120,14 +33,6 @@ def test_accepts_oracle_matches_reference(raw_corpus, nf_corpus):
             checked += 1
             accepted += verdict
     assert 0 < accepted < checked
-
-
-def test_bounded_visits_matches_reference(raw_corpus, nf_corpus):
-    for machine in raw_corpus + nf_corpus:
-        for word in all_words(machine.alphabet, 3):
-            for k in range(machine.n + 2):
-                assert accepts_bounded_visits(machine, word, k) == \
-                    reference_bounded_visits(machine, word, k), (machine, word, k)
 
 
 def test_segment_oracle_matches_reference(raw_corpus, nf_corpus, raw_alt_corpus, alt_nf_corpus):

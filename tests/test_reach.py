@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from outerfa import (
     InvariantViolation,
     LEFT,
+    LEFT_ENDMARKER,
     NotApplicable,
     RIGHT,
+    RIGHT_ENDMARKER,
     STAY,
     TraceUnderflow,
     TwoWayAutomaton,
@@ -36,7 +38,9 @@ from outerfa import (
 from outerfa.normalform import NotNormalForm
 from outerfa.reach import _cross, _single_moves, _walk
 from outerfa.svfa import _decider_scripts
-from outerfa.fixtures import (
+
+from conftest import accepting_at, chain_sweeper, mod_p_sweeper, random_nf_oafa, random_nf_onfa
+from reference import (
     P_A,
     P_B,
     Q_F,
@@ -46,8 +50,6 @@ from outerfa.fixtures import (
     build_e1,
     build_trivial_empty,
 )
-
-from conftest import accepting_at, chain_sweeper, mod_p_sweeper, random_nf_oafa, random_nf_onfa
 
 E1 = build_e1()
 
@@ -281,11 +283,10 @@ def test_runs_stay_within_the_step_bound(nf_corpus):
     lambda bad: n_reach(E1, "aa", bad, [0, 1]),
     lambda bad: t_reach(E1, "aa", bad, 0, []),
     lambda bad: t_reach(E1, "aa", bad, 1, [0, 1]),
-    lambda bad: return_table(E1, "aa").outcomes(bad),
     lambda bad: reachable(E1, "aa", 0, bad, 2),
     lambda bad: reachable(E1, "aa", bad, 1, 2),
 ], ids=["reach_to", "reach_from", "segment_reach_to", "segment_reach_from",
-        "n_reach", "t_reach_zero", "t_reach", "return_table", "reachable_to", "reachable_from"])
+        "n_reach", "t_reach_zero", "t_reach", "reachable_to", "reachable_from"])
 def test_unknown_state_ids_raise(call):
     for bad in (99, E1.n, -1):
         with pytest.raises(ValueError, match="unknown state id"):
@@ -308,13 +309,31 @@ def test_foreign_letters_raise(call):
             call(word)
 
 
+def launch_fate(machine, tape, x):
+    """Where the run from (x, 1) first reaches head 0, by single steps; None if it halts or loops."""
+    state, head, seen = x, 1, set()
+    while head and (state, head) not in seen:
+        seen.add((state, head))
+        succs = machine.successors(state, tape[head])
+        if not succs:
+            break
+        ((state, move),) = succs  # away from the left endmarker the machine is deterministic
+        head += move
+    return None if head else state
+
+
 def assert_table_matches(machine, words):
-    """The return table's relation equals the controller's and the path oracle's."""
+    """Each row entry is its launch's fate; the relation equals the controller's and the path oracle's."""
     controller = build_controller(machine)
+    launches = [machine.successors(p, LEFT_ENDMARKER) for p in range(machine.n)]
     for word in words:
         table = return_table(machine, word)
+        tape = LEFT_ENDMARKER + word + RIGHT_ENDMARKER
+        fates = {x: launch_fate(machine, tape, x) for row in launches for (x, d) in row if d == RIGHT}
         for p in range(machine.n):
-            outcomes = table.outcomes(p)
+            outcomes = table[p]
+            assert outcomes == tuple(x if d == STAY else fates[x] for (x, d) in launches[p]), (
+                machine, word, p)
             for q in range(machine.n):
                 expected = segment_exists_oracle(machine, word, p, q)
                 assert (q in outcomes) == expected, (machine, word, p, q)
@@ -351,9 +370,9 @@ def test_return_table_marks_loops_with_none():
         q_i, [q_f],
     )
     # qI's two choices launch p and b, in that order
-    assert return_table(machine, "").outcomes(q_i) == (r, None)
+    assert return_table(machine, "")[q_i] == (r, None)
     for word in ("a", "aa", "aaa"):
-        assert return_table(machine, word).outcomes(q_i) == (None, b)
+        assert return_table(machine, word)[q_i] == (None, b)
     assert_table_matches(machine, all_words("a", 4))
 
 
@@ -378,8 +397,8 @@ def test_return_table_on_long_mod3_sweeper():
     for word in words:
         table = return_table(machine, word)
         # qI launches c0; back relaunches c1 or moves into qF
-        assert table.outcomes(q_i) == (back if len(word) % 3 == 0 else None,)
-        assert table.outcomes(back) == (back if len(word) % 3 == 2 else None, q_f)
+        assert table[q_i] == (back if len(word) % 3 == 0 else None,)
+        assert table[back] == (back if len(word) % 3 == 2 else None, q_f)
     assert_table_matches(machine, words)
 
 

@@ -22,9 +22,9 @@ from outerfa import (
     svfa_run,
     t_reach,
 )
-from outerfa.fixtures import build_e1
 
 from conftest import accepting_at, mod_p_sweeper
+from reference import build_e1
 
 
 def exhaust(func):

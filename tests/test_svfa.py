@@ -26,9 +26,9 @@ from outerfa import (
 )
 from outerfa.normalform import NotNormalForm
 from outerfa.reach import _walk
-from outerfa.fixtures import build_e1, build_e2, build_trivial_all, build_trivial_empty
 
 from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, random_nf_onfa
+from reference import build_e1, build_e2, build_trivial_all, build_trivial_empty
 
 E1 = build_e1()
 
@@ -219,7 +219,7 @@ def test_both_verdicts_check_survives_optimize_flag():
     script = "\n".join([
         "import pytest",
         "from outerfa import InvariantViolation, svfa",
-        "from outerfa.fixtures import build_e1",
+        "from reference import build_e1",
         "from test_svfa import _both_verdicts",
         "svfa._advance = _both_verdicts",
         "with pytest.raises(InvariantViolation):",
