@@ -28,7 +28,6 @@ from .detsim import (
     decide_det,
     dfa_state_bound,
     materialize_dfa,
-    reachable,
 )
 from .fileformat import (
     DuplicateTransitionWarning,

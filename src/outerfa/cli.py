@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -212,6 +213,12 @@ def _cmd_bounds(args) -> int:
 def _cmd_emit_dfa(args) -> int:
     automaton = _load(args.file)
     machine = _ensure_normal_form(automaton, alternating=False)
+    # an unwritable --out fails here, before a build that can take seconds;
+    # opening to append truncates nothing, and a file made only to test is removed
+    existed = os.path.exists(args.out)
+    open(args.out, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(args.out)
     result = materialize_dfa(machine, max_states=args.max_states)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(serialize(result))

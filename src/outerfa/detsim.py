@@ -4,17 +4,17 @@ Whether some chain of at most 2^h segments joins two states splits into two
 questions about 2^(h-1) segments through a guessed midpoint, so acceptance
 (a chain of at most n - 1 segments from the initial to the accepting state)
 resolves with a stack whose height is only ceil(log2(n - 1)).  One explicit
-stack machine, `_divide`, does this work for both users.  It reads the base
-cases off bit rows of the base-case relation (`_BaseRows`): a set bit in a
-true row holds, one in an open row needs the tape.  A frame one level
-above the bottom, whose questions each split into two base cases, scans
-its midpoints in one inline loop: it settles each such bottom question
-with a few big-integer operations, counts the base cases the
-midpoint-by-midpoint scan would have asked, and pushes a bottom frame only
-where a half suspends.  `reachable` and `decide_det` run it to a
-verdict, with rows built from the word's return table and no open bits,
-under a budget of base cases (`DIVIDE_BUDGET` by default) past which they
-raise BudgetExceeded.  `materialize_dfa` mints it into an actual
+stack machine, `_divide`, does this work for its only two entries,
+`decide_det` and `materialize_dfa`.  It reads the base cases off bit rows
+of the base-case relation (`_BaseRows`): a set bit in a true row holds, one
+in an open row needs the tape.  A frame one level above the bottom, whose
+questions each split into two base cases, scans its midpoints in one inline
+loop: it settles each such bottom question with a few big-integer
+operations, counts the base cases the midpoint-by-midpoint scan would have
+asked, and pushes a bottom frame only where a half suspends.  `decide_det`
+runs it to a verdict, with rows built from the word's return table and no
+open bits, under a budget of base cases (`DIVIDE_BUDGET` by default) past
+which it raises BudgetExceeded.  `materialize_dfa` mints it into an actual
 deterministic two-way machine: its rows settle only the base cases that
 need no tape, so the machine suspends at the others, and each emitted state
 packs the suspended stack together with the backward-search cursor that
@@ -33,7 +33,6 @@ from .core import (
     BudgetExceeded,
     InvariantViolation,
     TwoWayAutomaton,
-    _check_states,
     check_word,
 )
 from .normalform import require_normal_form
@@ -239,37 +238,6 @@ def _divide(stack: list[list[int]], height: int, rows: _BaseRows, answer: bool |
         if stats is not None:
             stats.base_calls += calls
             stats.max_stack_height = max(stats.max_stack_height, top)
-
-
-def reachable(automaton: TwoWayAutomaton, word: str, q: int, p: int, t: int,
-              stats: ReachableStats | None = None) -> bool:
-    """Is there a chain of at most t segments from q to p on `word`?
-
-    Such a chain is, for each power 2^e in t's binary expansion in turn, a
-    chain of at most 2^e segments.  Each of those questions is one run of
-    the stack machine `_divide` at height e: 2^0 = 1 asks for equality or a
-    single segment, and 2^e splits into two 2^(e-1) halves at every
-    midpoint.  A chain longer than n - 1 segments repeats a state and so
-    shortens, so t is first capped at n - 1, and the observed height never
-    exceeds floor(log2(min(t, n - 1))).  Base cases read the word's return
-    table, computed once per call.  A run that asks more than
-    `DIVIDE_BUDGET` base cases raises BudgetExceeded.  State ids outside
-    range(n) raise ValueError.
-    """
-    if t < 1:
-        raise ValueError("the segment budget t must be at least 1")
-    require_normal_form(automaton, alternating=False)
-    _check_states(automaton, q, p)
-    n = automaton.n
-    t = min(t, max(n - 1, 1))
-    rows = _segment_rows(automaton, word)
-    *lower, last = [e for e in range(t.bit_length()) if t >> e & 1]
-    frontier = {q}
-    for e in lower:
-        frontier = {b for a in frontier for b in range(n)
-                    if _divide([[a, b, a, 2]], e, rows, stats=stats, budget=DIVIDE_BUDGET)}
-    return any(_divide([[a, p, a, 2]], last, rows, stats=stats, budget=DIVIDE_BUDGET)
-               for a in frontier)
 
 
 def decide_det(automaton: TwoWayAutomaton, word: str,

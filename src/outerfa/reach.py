@@ -399,13 +399,12 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> tuple[tuple[int | Non
     Away from the left endmarker the machine is deterministic, so a
     configuration entering a maximal run of one symbol (the right endmarker
     is a run of its own) at either end has one fate.  The tape is split
-    into runs once, in O(|w|).  A run is crossed by `_cross` in O(n) steps,
-    memoized per symbol, length, entry end and state; a run of length 1 is
-    crossed by the move itself.  A launch walks from run to run until it
+    into runs once, in O(|w|).  A launch walks from run to run until it
     meets an entry whose fate is known, or one on its own path (a loop),
-    then records the fate along its path, so every entry of every run is
-    walked at most once: 2n memo slots per run, and O(n) steps per distinct
-    crossing, which makes O(n^2) steps on a word of one letter.
+    then records the fate along its path, so each (run, end, state) entry
+    is crossed at most once per table: a run of length 1 by the move
+    itself, a longer one by `_cross` in O(n) steps.  That makes O(n) steps
+    per entry walked, and O(n^2) on a word of one letter.
     A letter outside the alphabet raises NotApplicable.
     """
     require_normal_form(automaton, alternating=True)
@@ -413,44 +412,33 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> tuple[tuple[int | Non
     n = automaton.n
     moves, launched, runs_of = _single_moves(automaton)
     runs = runs_of.findall(word + RIGHT_ENDMARKER)
-    # exits[2j + 1 + e]: the crossings of run j entered at its left (e = 0)
-    # or right (e = 1) end, filled in as the walks need them; slot 0 stands
-    # for the left endmarker, which no walk crosses
-    exits: list[list] = [[]]
-    crossings: dict[tuple[str, int, int], list] = {}
-    for run in runs:
-        if len(run) == 1:
-            exits += (moves[run], moves[run])
-        else:
-            exits += (crossings.setdefault((run[0], len(run), end), [_UNSEEN] * n) for end in (0, 1))
-    # fate[slot * n + q]: where entering run slot's end in state q leads;
-    # slot 0 is back at the left endmarker, in the state q itself
-    fate: list = [_UNSEEN] * (n * len(exits))
+    # fate[slot * n + q]: where entering slot 2j + 1 + e, run j at its left
+    # (e = 0) or right (e = 1) end, in state q leads; slot 0 is back at the
+    # left endmarker, in the state q itself
+    fate: list = [_UNSEEN] * (n * (2 * len(runs) + 1))
     fate[:n] = range(n)
-    returns: list[int | None] = [None] * n
     for x in launched:
         path, slot, q, key = [], 1, x, n + x
         while fate[key] is _UNSEEN:
             fate[key] = None  # met again on this walk: a loop
             path.append(key)
-            out = exits[slot][q]
-            if out is _UNSEEN:
-                run = runs[(slot - 1) // 2]
-                out = exits[slot][q] = _cross(moves[run[0]], len(run), (slot - 1) % 2 * (len(run) - 1), q)
+            j, end = divmod(slot - 1, 2)
+            run = runs[j]
+            length = len(run)
+            out = moves[run][q] if length == 1 else _cross(moves[run[0]], length, end * (length - 1), q)
             if out is None:
                 break  # the machine halts or loops inside the run
             q, d = out
             # into the next run at its left end, or the previous one at its right end
-            slot = ((slot - 1) | 1) + (2 if d == RIGHT else -1)
+            slot = 2 * j + (3 if d == RIGHT else 0)
             key = slot * n + q
         out = fate[key]
         for key in path:
             fate[key] = out
-        returns[x] = out
     # built from lists: a tuple filled from a generator is resized as it grows,
     # and in long benchmark runs that made peak RSS creep up pass after pass
     get = automaton.delta.get
-    return tuple([tuple([x if d == STAY else returns[x] for (x, d) in get((p, LEFT_ENDMARKER), ())])
+    return tuple([tuple([x if d == STAY else fate[n + x] for (x, d) in get((p, LEFT_ENDMARKER), ())])
                   for p in range(n)])
 
 

@@ -15,8 +15,9 @@ Branches are driven through an explicit state machine whose snapshots sit
 between choice points, stepped by one function (`_advance`), so one driver
 replays a single trace (`svfa_run`) and another walks the whole choice tree
 without re-running shared prefixes (`svfa_decide`).  The replay steps the
-backward searches' choice points in the controller's walk order.  The tree
-walk needs no order: a search's keep-or-emit chain has one subtree per
+backward searches' choice points in the controller's walk order and reads
+the one-segment relation off those walks too, not off a return table.  The
+tree walk needs no order: a search's keep-or-emit chain has one subtree per
 listed candidate plus one don't-know leaf, so the verdicts realized and
 the leaf counts depend only on which candidates there are.  The walk gives
 each search one point listing them all, read off the rows of the word's
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import BudgetExceeded, InvariantViolation, TwoWayAutomaton, Verdict
+from .core import BudgetExceeded, InvariantViolation, TwoWayAutomaton, Verdict, check_word
 from .normalform import require_normal_form
 from .reach import TraceUnderflow, _walk, build_controller, return_table
 from .reach import segment_reach  # noqa: F401  (perfbench/tracing.py wraps it here by name)
@@ -76,24 +77,29 @@ class SvfaStateAccounting:
 class _SimContext:
     """Per-(machine, word) tables shared by every replayed branch.
 
-    `rows` is the word's return table: q is one segment away from p exactly
-    when q is in `rows[p]`, which the chain check tests directly.
+    `rows` is the word's one-segment relation: q is one segment away from
+    p exactly when q is in `rows[p]`, which the chain check tests directly.
     `scripts[q]` lists the choice points of the guessing search for
     segments into q, each as the states that may be emitted there.  A
     replayed trace (`replay`) needs them in the order of the controller's
-    walk, which builds the controller; the decider needs only the
-    candidates (`_decider_scripts`).
+    walk, and reads both off the walks alone: a segment runs from p to q
+    exactly when some point of the walk into q lists p.  It reads no return
+    table, so it can audit one.  The decider reads the word's return table
+    for the rows and its candidates for the scripts (`_decider_scripts`).
     """
 
     def __init__(self, automaton: TwoWayAutomaton, word: str, replay: bool):
         self.final = require_normal_form(automaton, alternating=False)
         self.n = automaton.n
         self.initial = automaton.initial
-        self.rows = return_table(automaton, word)  # rejects foreign letters
         if replay:
+            check_word(automaton, word)
             controller = build_controller(automaton)
             self.scripts = [list(_walk(controller, word, q)) for q in range(automaton.n)]
+            self.rows = [{q for q, script in enumerate(self.scripts) for point in script if p in point}
+                         for p in range(automaton.n)]
         else:
+            self.rows = return_table(automaton, word)  # rejects foreign letters
             self.scripts = _decider_scripts(self.rows)
 
 

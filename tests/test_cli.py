@@ -269,6 +269,11 @@ def test_emit_dfa_on_e1(e1_file, tmp_path, capsys):
     assert main(["equiv", e1_file, str(out_path), "--max-len", "6"]) == 0
     assert main(["emit-dfa", e1_file, "--out", str(tmp_path / "x"), "--max-states", "100"]) == 4
     assert "more than 100 states" in capsys.readouterr().err
+    # a build over the ceiling leaves the output path as it was: absent, or with its bytes
+    assert not (tmp_path / "x").exists()
+    emitted = out_path.read_bytes()
+    assert main(["emit-dfa", e1_file, "--out", str(out_path), "--max-states", "100"]) == 4
+    assert out_path.read_bytes() == emitted
 
 
 def test_run_budget_exit_code(e1_file, capsys):
@@ -354,11 +359,18 @@ def test_directory_as_input_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_directory_as_output_exit_code(tmp_path, capsys):
+def _refuse_build(*args, **kwargs):
+    raise RuntimeError("emit-dfa built the machine before checking --out")
+
+
+def test_directory_as_output_exit_code(tmp_path, capsys, monkeypatch):
     src = tmp_path / "ea.2wa"
     src.write_text(serialize(build_ea()))
-    assert main(["emit-dfa", str(src), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    # an output path that cannot be written is refused before the build
+    monkeypatch.setattr("outerfa.cli.materialize_dfa", _refuse_build)
+    for out in (tmp_path, tmp_path / "missing" / "x.2wa"):
+        assert main(["emit-dfa", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_non_utf8_input_exit_code(tmp_path, capsys):

@@ -6,8 +6,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from outerfa import (
     BudgetExceeded,
@@ -22,7 +20,6 @@ from outerfa import (
     materialize_dfa,
     normalize_onfa,
     parse,
-    reachable,
     segment_exists_oracle,
     serialize,
 )
@@ -30,7 +27,7 @@ from outerfa.detsim import _base_rows, _ceil_log2, _divide, _segment_rows, _stac
 from outerfa.reach import return_table
 
 from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, random_nf_onfa
-from reference import P_B, Q_F, Q_I, build_e1, build_ea, build_trivial_empty
+from reference import build_e1, build_ea, build_trivial_empty
 
 E1 = build_e1()
 EA = build_ea()
@@ -180,67 +177,19 @@ def test_divide_budget_counts_base_cases():
         decide_det(machine, "a", budget=-1)
 
 
-def test_reachable_runs_under_the_divide_budget(monkeypatch):
-    machine = mod_p_sweeper((2, 3))
-    assert not reachable(machine, "a" * 7, 0, machine.n - 1, 5)
-    monkeypatch.setattr("outerfa.detsim.DIVIDE_BUDGET", 10)
-    with pytest.raises(BudgetExceeded, match="budget of base cases"):
-        reachable(machine, "a" * 7, 0, machine.n - 1, 5)
-
-
-def test_reachable_base_cases():
-    assert reachable(E1, "aa", P_B, P_B, 1)  # equal endpoints, no segment needed
-    assert reachable(E1, "aa", Q_I, Q_F, 2)
-    assert not reachable(E1, "ab", Q_I, Q_F, 5)
-    with pytest.raises(ValueError):
-        reachable(E1, "aa", Q_I, Q_F, 0)
-    # a budget past n - 1 segments adds no chain, nor any stack height
-    stats = ReachableStats()
-    assert not reachable(E1, "ab", Q_I, Q_F, 2**30, stats=stats)
-    assert stats.max_stack_height <= math.floor(math.log2(E1.n - 1))
-    assert reachable(E1, "aa", Q_I, Q_F, 2**30)
-
-
 def test_reachable_matches_chain_oracle(nf_corpus):
-    for machine in nf_corpus[:10]:
-        for word in all_words(machine.alphabet, 3):
-            for t in (1, 2, 3, machine.n - 1) if machine.n > 2 else (1,):
+    """At height e the stack machine answers whether at most 2^e segments join its root's ends."""
+    cases = [(machine, 3) for machine in nf_corpus[:10]]
+    # machines with up to 9 states, whose stacks grow to height 3, on shorter words
+    cases += [(random_nf_onfa(seed, n_max=9), 2) for seed in (7, 9, 11, 83)]
+    for machine, max_len in cases:
+        for word in all_words(machine.alphabet, max_len):
+            rows = _segment_rows(machine, word)
+            for e in range(_stack_height(machine.n) + 1):
                 for q in range(machine.n):
                     for p in range(machine.n):
-                        assert reachable(machine, word, q, p, t) == \
-                            chain_reachable(machine, word, q, p, t)
-    # budgets that are not powers of two, on machines with up to 9 states
-    for seed in (7, 9, 11, 83):
-        machine = random_nf_onfa(seed, n_max=9)
-        for word in all_words(machine.alphabet, 2):
-            for t in (3, 5, 6):
-                for q in range(machine.n):
-                    for p in range(machine.n):
-                        assert reachable(machine, word, q, p, t) == \
-                            chain_reachable(machine, word, q, p, t), (seed, word, t, q, p)
-
-
-def test_reachable_budget_is_exact_below_a_power_of_two():
-    """Three segments do not join 4 to 8 on the empty word, though four would."""
-    machine = random_nf_onfa(83, n_max=9)
-    assert not chain_reachable(machine, "", 4, 8, 3)
-    assert chain_reachable(machine, "", 4, 8, 4)
-    stats = ReachableStats()
-    assert not reachable(machine, "", 4, 8, 3, stats=stats)
-    assert stats.max_stack_height <= 1  # runs at heights 0 and 1, for 3 = 1 + 2
-    assert reachable(machine, "", 4, 8, 4)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(2000, 2100), t=st.integers(1, 4))
-def test_reachable_monotone_in_budget(seed, t):
-    machine = random_nf_onfa(seed)
-    for word in ("", "a", "ab"):
-        for q in range(machine.n):
-            for p in range(machine.n):
-                if reachable(machine, word, q, p, t):
-                    assert reachable(machine, word, q, p, t + 1)
-                    assert reachable(machine, word, q, p, t + 3)
+                        assert _divide([[q, p, q, 2]], e, rows) == \
+                            chain_reachable(machine, word, q, p, 2**e), (machine, word, e, q, p)
 
 
 def test_decide_det_examples():
@@ -388,8 +337,6 @@ def test_materialize_names_its_states_in_minting_order():
 def test_foreign_letters_raise():
     with pytest.raises(NotApplicable, match="not in the machine's alphabet"):
         decide_det(E1, "ac")
-    with pytest.raises(NotApplicable, match="not in the machine's alphabet"):
-        reachable(E1, "ca", Q_I, Q_F, 2)
     # the initial state is the accepting one: the alphabet check still comes first
     for text in INITIAL_ACCEPTING.values():
         with pytest.raises(NotApplicable, match="not in the machine's alphabet"):

@@ -24,14 +24,13 @@ from outerfa import (
     materialize_dfa,
     normalize_oafa,
     normalize_onfa,
-    reachable,
     require_normal_form,
     serialize,
     svfa_run,
 )
 
 from conftest import random_oafa, random_onfa
-from reference import P_A, P_B, Q_F, Q_I, build_e1, build_e2
+from reference import P_A, Q_F, Q_I, build_e1, build_e2
 
 E1 = build_e1()
 E2 = build_e2()
@@ -247,10 +246,9 @@ def test_require_normal_form():
 @pytest.mark.parametrize("machine", OUTSIDE_STRICT_FORM.values(), ids=OUTSIDE_STRICT_FORM.keys())
 @pytest.mark.parametrize("call", [
     lambda m: decide_det(m, "ab"),
-    lambda m: reachable(m, "ab", Q_I, P_B, 2),
     lambda m: materialize_dfa(m),
     lambda m: svfa_run(m, "ab", [0]),
-], ids=["decide_det", "reachable", "materialize_dfa", "svfa_run"])
+], ids=["decide_det", "materialize_dfa", "svfa_run"])
 def test_strict_simulations_reject_other_machines(machine, call):
     with pytest.raises(NotNormalForm):
         call(machine)

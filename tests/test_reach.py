@@ -28,7 +28,6 @@ from outerfa import (
     normalize_oafa,
     normalize_onfa,
     reach,
-    reachable,
     return_table,
     segment_exists_oracle,
     segment_reach,
@@ -283,10 +282,8 @@ def test_runs_stay_within_the_step_bound(nf_corpus):
     lambda bad: n_reach(E1, "aa", bad, [0, 1]),
     lambda bad: t_reach(E1, "aa", bad, 0, []),
     lambda bad: t_reach(E1, "aa", bad, 1, [0, 1]),
-    lambda bad: reachable(E1, "aa", 0, bad, 2),
-    lambda bad: reachable(E1, "aa", bad, 1, 2),
 ], ids=["reach_to", "reach_from", "segment_reach_to", "segment_reach_from",
-        "n_reach", "t_reach_zero", "t_reach", "reachable_to", "reachable_from"])
+        "n_reach", "t_reach_zero", "t_reach"])
 def test_unknown_state_ids_raise(call):
     for bad in (99, E1.n, -1):
         with pytest.raises(ValueError, match="unknown state id"):
@@ -479,8 +476,11 @@ def test_run_crossings_skip_whole_laps(spec):
 def test_return_table_on_runs_of_one_letter(spec):
     machine = orbit_machine(spec)
     lengths = range(3 * machine.n + 4)
+    # words that repeat one run shape enter equal runs in the same states
     assert_table_matches(machine, ["a" * k for k in lengths]
-                         + ["a" * k + "b" + "a" * j for k in lengths for j in lengths])
+                         + ["a" * k + "b" + "a" * j for k in lengths for j in lengths]
+                         + [("a" * k + "b") * 3 for k in lengths]
+                         + [("a" * k + "bb") * 3 for k in lengths])
 
 
 @seed(2011)
@@ -504,7 +504,14 @@ def test_return_table_scales_with_runs_not_letters():
         report = svfa_decide(mod_p, word)
         assert (report.verdict_exists_yes, report.verdict_exists_no) == (expected, not expected)
     # the last rightward sweep halts on the b
-    assert not gap_decide(build_segment_graph(chain_sweeper(3), "a" * 500000 + "b" + "a" * 500000))
+    chain = chain_sweeper(3)
+    assert not gap_decide(build_segment_graph(chain, "a" * 500000 + "b" + "a" * 500000))
+    # a million letters in 2 000 runs of one shape; with a b, the machine rejects
+    word = ("a" * 999 + "b") * 1000
+    assert not gap_decide(build_segment_graph(chain, word))
+    assert not decide_det(chain, word)
+    report = svfa_decide(chain, word)
+    assert (report.verdict_exists_yes, report.verdict_exists_no) == (False, True)
 
 
 def assert_scripts_match(machine, words):

@@ -242,6 +242,10 @@ def _refuse_controller(automaton):
     raise RuntimeError("svfa built a backward-search controller")
 
 
+def _refuse_table(automaton, word):
+    raise RuntimeError("svfa read a return table")
+
+
 @pytest.mark.parametrize("machine, word, report, trace, verdict", [
     (E1, "aa", (True, False, 84, 85), (0,) * 6 + (3, 0, 1) * 6, Verdict.ACCEPT),
     (E1, "ab", (False, True, 30, 31), (0,) * 6, Verdict.REJECT),
@@ -257,7 +261,7 @@ def _refuse_controller(automaton):
 def test_decisions_build_no_controller(monkeypatch, machine, word, report, trace, verdict):
     # the decider reads its choice points off the return table; the reports
     # are the ones the controller walks gave, and a trace still replays
-    # through the walk's order
+    # through the walk's order, which reads no return table
     import importlib
 
     from outerfa import svfa
@@ -271,7 +275,12 @@ def test_decisions_build_no_controller(monkeypatch, machine, word, report, trace
                 decided.dont_know_count, decided.branches_explored) == report
         assert decided.all_halting and decided.complete
         assert complement_decide(machine, word) == (verdict is Verdict.REJECT)
-    assert svfa_run(machine, word, trace) is verdict
+    with monkeypatch.context() as refusal:
+        refusal.setattr(reach, "return_table", _refuse_table)
+        refusal.setattr(svfa, "return_table", _refuse_table)
+        assert svfa_run(machine, word, trace) is verdict
+        with pytest.raises(NotApplicable, match="not in the machine's alphabet"):
+            svfa_run(machine, word + "c", trace)
 
 
 @pytest.mark.parametrize("name", sorted(INITIAL_ACCEPTING))
