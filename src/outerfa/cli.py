@@ -202,10 +202,10 @@ def _cmd_complement(args) -> int:
 def _cmd_bounds(args) -> int:
     automaton = _load(args.file)
     normal = check_normal_form(automaton, alternating=bool(automaton.universal)).all_properties
-    bound = dfa_state_bound(automaton.n, normal_form=normal)
-    accounting = svfa_state_accounting(automaton.n)
-    payload = {f"dfa_{k}": v for k, v in asdict(bound).items()}
-    payload.update({f"svfa_{k}": v for k, v in asdict(accounting).items()})
+    bound = asdict(dfa_state_bound(automaton.n))
+    payload = {"dfa_n": bound.pop("n"), "dfa_normal_form_assumed": normal}
+    payload.update({f"dfa_{k}": v for k, v in bound.items()})
+    payload.update({f"svfa_{k}": v for k, v in asdict(svfa_state_accounting(automaton.n)).items()})
     _emit(payload, args.json)
     return EXIT_OK
 

@@ -126,7 +126,9 @@ class TwoWayAutomaton:
         self._choice_symbols = frozenset(sym for (_, sym), succs in self._delta.items()
                                          if len(succs) > 1)
         self._form_flags: list = [None, None]  # normal-form flags, by `alternating`
-        self._single_moves = None  # what `reach.return_table` reads, built on first use
+        # `reach._single_moves`: the moves and launch index the controller, the return
+        # table and the DFA emitter read, built on first use
+        self._single_moves = None
         self._letters = "".join(self.alphabet)  # for check_word; a set per machine slowed set-up
 
     @property

@@ -64,7 +64,6 @@ class BoundReport:
     """
 
     n: int
-    normal_form_assumed: bool
     stack_configurations_bound: int
     rough_bound: int
     c_exponent: float
@@ -261,7 +260,7 @@ def decide_det(automaton: TwoWayAutomaton, word: str,
                    _segment_rows(automaton, word), stats=stats, budget=budget)
 
 
-def dfa_state_bound(n: int, normal_form: bool) -> BoundReport:
+def dfa_state_bound(n: int) -> BoundReport:
     """Exact integer evaluation of the simulating machine's size formulas.
 
     A 1-state machine accepts at once; its report is flagged `degenerate`,
@@ -274,7 +273,6 @@ def dfa_state_bound(n: int, normal_form: bool) -> BoundReport:
     c_exponent = log(rough) / log(n) - log2(n) if n > 1 else 0.0
     return BoundReport(
         n=n,
-        normal_form_assumed=normal_form,
         stack_configurations_bound=stack_bound,
         rough_bound=rough,
         c_exponent=c_exponent,
@@ -290,11 +288,15 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = MAX_STATES) ->
     of the controller's numbered states, and is minted by one rule: the
     next free id, s2, s3, ..., the first time the worklist meets its key.
     All bookkeeping between base cases happens in stationary moves at the
-    left endmarker, where the backward search starts and ends.  The
+    left endmarker, where the backward search starts and ends.  A base
+    case is settled without the tape off the controller's launch index,
+    `controller.launchers`, wherever it can be: an equal pair or a
+    stationary launch holds, and a start without a rightward launch, or an
+    end at the accepting state, fails; the cursor answers the rest.  The
     worklist mints only the states reachable from the start, and a machine
     needing more than `max_states` states, the two terminals included,
     raises BudgetExceeded, so a ceiling below 2 fits none; the count never
-    exceeds `dfa_state_bound(n, True).stack_configurations_bound`, 4n *
+    exceeds `dfa_state_bound(n).stack_configurations_bound`, 4n *
     (2n) ** ceil(log2(n - 1)).  The ceiling counts states, not memory: each
     emitted state costs about 1.5 kB while the call runs (E1's 12-state
     normal form emits 345 439 states at about 530 MB peak RSS), so the
@@ -310,18 +312,19 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = MAX_STATES) ->
     n = automaton.n
     height = _stack_height(n)
     controller = build_controller(automaton)
-    q_final, accept = controller.final_state, controller.accept
+    q_final, accept, launchers = controller.final_state, controller.accept, controller.launchers
+    rightward = {q for (_, d), qs in launchers.items() if d == RIGHT for q in qs}
 
     def base_case(q: int, p: int) -> bool | None:
         """Whether a chain of at most one segment joins q to p; None when only the tape can tell.
 
-        A stationary launch is a segment by itself, and the only kind into
-        the accepting state; every other segment starts with a rightward one.
+        The controller's launch index settles it as `_walk`'s first point
+        does: a stationary launch of p by q is a segment, and a rightward
+        launch of q leaves it to the tape unless p is the accepting state.
         """
-        launches = automaton.successors(q, LEFT_ENDMARKER)
-        if q == p or (p, STAY) in launches:
+        if q == p or q in launchers.get((p, STAY), ()):
             return True
-        if p != q_final and any(d == RIGHT for _, d in launches):
+        if p != q_final and q in rightward:
             return None
         return False
 
@@ -376,7 +379,7 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = MAX_STATES) ->
         accepting=[0],
         declared_flavor="dfa",
     )
-    bound = dfa_state_bound(n, True).stack_configurations_bound
+    bound = dfa_state_bound(n).stack_configurations_bound
     if result.n > bound:
         raise InvariantViolation(
             f"materialized machine has {result.n} states, over its bound {bound}")

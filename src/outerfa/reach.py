@@ -67,6 +67,7 @@ _KINDS = ("SCAN_LEFT", "DONE_LEFT", "SCAN_RIGHT", "DONE_RIGHT")
 _SCAN_LEFT, _DONE_LEFT, _SCAN_RIGHT, _DONE_RIGHT = range(4)
 
 Move = tuple[int, int]
+Launchers = dict[Move, tuple[int, ...]]  # (q, d): the states launching q in direction d
 
 
 class TraceUnderflow(Exception):
@@ -92,8 +93,9 @@ class ReachController:
     the accepting one, and 4n - 4 is ACCEPT.  `table` holds the fixed
     moves, (next state, direction) or None to halt, at
     `state * width + column[symbol]`; ACCEPT's row is all None.  It never
-    depends on the segment endpoints.  `launchers` is the reverse launch
-    index: `launchers[(q, d)]` lists, in state order, the states with a
+    depends on the segment endpoints.  `launchers` is the machine's reverse
+    launch index, the one `_single_moves` keeps and `return_table` reads:
+    `launchers[(q, d)]` lists, in state order, the states with a
     left-endmarker choice into q moving in direction d (RIGHT or STAY).
     It fixes the one parameter-dependent move: SCAN_LEFT(q) on the left
     endmarker accepts in the search for segments out of q_from iff q_from
@@ -107,7 +109,7 @@ class ReachController:
     final_state: int
     column: dict[str, int]
     table: tuple[Move | None, ...]
-    launchers: dict[tuple[int, int], tuple[int, ...]]
+    launchers: Launchers
 
     @property
     def accept(self) -> int:
@@ -159,6 +161,37 @@ class ReachController:
         return "\n".join(lines)
 
 
+def _single_moves(automaton: TwoWayAutomaton) -> tuple[
+        dict[str, list[Move | None]], Launchers, tuple[int, ...], re.Pattern[str]]:
+    """The one index of what this module reads of a machine, built once per machine.
+
+    These are each symbol's move of every state away from the left
+    endmarker, of which the relaxed normal form allows at most one (None
+    halts); the reverse launch index, whose entry (q, d) lists in state
+    order the states with a left-endmarker choice into q moving in
+    direction d; the states it launches rightward, in order; and a pattern
+    matching the maximal runs of one symbol.  `build_controller` and
+    `return_table` take their moves and launches from it, and the
+    controller shares its launch index as `launchers`.  It is cached on the
+    machine, which is immutable.
+    """
+    if automaton._single_moves is None:
+        n = automaton.n
+        symbols = automaton.alphabet + (RIGHT_ENDMARKER,)
+        moves = {sym: [(automaton.successors(q, sym) or (None,))[0] for q in range(n)]
+                 for sym in symbols}
+        launchers: dict[Move, list[int]] = {}
+        for p in range(n):
+            for move in automaton.successors(p, LEFT_ENDMARKER):
+                launchers.setdefault(move, []).append(p)
+        # one repeat per symbol: a backreference `(.)\1*` matched a long run 80 times slower
+        runs = re.compile("|".join(re.escape(sym) + "+" for sym in symbols))
+        launched = tuple(sorted(x for (x, d) in launchers if d == RIGHT))
+        automaton._single_moves = (
+            moves, {move: tuple(ps) for move, ps in launchers.items()}, launched, runs)
+    return automaton._single_moves
+
+
 def build_controller(automaton: TwoWayAutomaton) -> ReachController:
     """Fill in the 4n - 3 state transition table for the backward search."""
     # The relaxed variant suffices: segments only need determinism away
@@ -172,17 +205,13 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
     def state(kind: int, q: int) -> int:
         return kind * (n - 1) + _rank(q, q_final)
 
-    # only[(sym, move)]: in state order, the states whose one move on sym is
-    # `move`; launchers[move]: those with `move` among their choices on `<`
+    moves, launchers, _, _ = _single_moves(automaton)
+    # only[(sym, move)]: in state order, the states whose one move on sym is `move`
     only: dict[tuple[str, Move], list[int]] = {}
-    launchers: dict[tuple[int, int], list[int]] = {}
-    for p in range(n):
-        for move in automaton.successors(p, LEFT_ENDMARKER):
-            launchers.setdefault(move, []).append(p)
-        for sym in letters + (RIGHT_ENDMARKER,):
-            succs = automaton.successors(p, sym)
-            if len(succs) == 1:
-                only.setdefault((sym, succs[0]), []).append(p)
+    for sym, row in moves.items():
+        for p, move in enumerate(row):
+            if move is not None:
+                only.setdefault((sym, move), []).append(p)
 
     rows: dict[int, list[Move | None]] = {accept: [None] * len(column)}
     for q in (q for q in range(n) if q != q_final):
@@ -215,11 +244,10 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
         # the next sibling predecessor of the unique successor of (q, i), or
         # close the parent's mode.  At the left endmarker the search is back
         # at the root with nothing left, which rejects by halting here.
-        for sym in letters + (RIGHT_ENDMARKER,):
-            succs = automaton.successors(q, sym)
-            if not succs:
+        for sym, row in moves.items():
+            if row[q] is None:
                 continue  # never reached backward; left undefined
-            (r, d) = succs[0]
+            (r, d) = row[q]
             if d == STAY:
                 raise InvariantViolation("stationary move away from the left endmarker")
             siblings = [p for p in only[(sym, (r, d))] if p > q]
@@ -237,7 +265,7 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
         final_state=q_final,
         column=column,
         table=table,
-        launchers={move: tuple(ps) for move, ps in launchers.items()},
+        launchers=launchers,
     )
 
 
@@ -323,28 +351,6 @@ def segment_reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
 _UNSEEN = object()
 
 
-def _single_moves(automaton: TwoWayAutomaton
-                  ) -> tuple[dict[str, list[Move | None]], tuple[int, ...], re.Pattern[str]]:
-    """What `return_table` reads of a machine, built once per machine, as machines are immutable.
-
-    These are each symbol's move of every state away from the left
-    endmarker, of which the relaxed normal form allows at most one (None
-    halts); the states launched rightward from the left endmarker, in
-    order; and a pattern matching the maximal runs of one symbol.
-    """
-    if automaton._single_moves is None:
-        n = automaton.n
-        symbols = automaton.alphabet + (RIGHT_ENDMARKER,)
-        moves = {sym: [(automaton.successors(q, sym) or (None,))[0] for q in range(n)]
-                 for sym in symbols}
-        launched = tuple(sorted({x for p in range(n) for (x, d) in
-                                 automaton.successors(p, LEFT_ENDMARKER) if d == RIGHT}))
-        # one repeat per symbol: a backreference `(.)\1*` matched a long run 80 times slower
-        runs = re.compile("|".join(re.escape(sym) + "+" for sym in symbols))
-        automaton._single_moves = (moves, launched, runs)
-    return automaton._single_moves
-
-
 def _cross(moves: list[Move | None], length: int, at: int, q: int) -> Move | None:
     """The step off a run of `length` copies of one symbol, entered at offset `at` in state q.
 
@@ -410,7 +416,7 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> tuple[tuple[int | Non
     require_normal_form(automaton, alternating=True)
     check_word(automaton, word)
     n = automaton.n
-    moves, launched, runs_of = _single_moves(automaton)
+    moves, _, launched, runs_of = _single_moves(automaton)
     runs = runs_of.findall(word + RIGHT_ENDMARKER)
     # fate[slot * n + q]: where entering slot 2j + 1 + e, run j at its left
     # (e = 0) or right (e = 1) end, in state q leads; slot 0 is back at the

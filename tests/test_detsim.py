@@ -215,17 +215,46 @@ def test_stack_height_stays_logarithmic(nf_corpus):
 
 
 def test_bound_formulas():
-    assert dfa_state_bound(5, True).stack_configurations_bound == 2000
-    assert not dfa_state_bound(2, True).degenerate
-    assert dfa_state_bound(1, True).degenerate
+    assert dfa_state_bound(5).stack_configurations_bound == 2000
+    assert not dfa_state_bound(2).degenerate
+    assert dfa_state_bound(1).degenerate
     with pytest.raises(ValueError):
-        dfa_state_bound(0, True)
-    assert dfa_state_bound(2, True).stack_configurations_bound == 8
-    assert dfa_state_bound(5, False).rough_bound == 45562500
-    report = dfa_state_bound(5, False)
+        dfa_state_bound(0)
+    assert dfa_state_bound(2).stack_configurations_bound == 8
+    report = dfa_state_bound(5)
+    assert report.rough_bound == 45562500
     # the excess exponent is self-consistent: rough = n ** (log2 n + c)
     rebuilt = 5 ** (math.log2(5) + report.c_exponent)
     assert math.isclose(rebuilt, report.rough_bound, rel_tol=1e-9)
+
+
+def test_emitted_base_cases_agree_with_the_segment_oracle(nf_corpus, monkeypatch):
+    """The base cases `materialize_dfa` settles without the tape hold on every word.
+
+    A true bit is an equal pair or a segment on every word, and a base case
+    with neither bit set is a segment on no word; only an open bit needs
+    the tape.
+    """
+    passed = []
+
+    def capture(stack, height, rows, *args, **kwargs):
+        passed.append(rows)
+        return _divide(stack, height, rows, *args, **kwargs)
+
+    monkeypatch.setattr("outerfa.detsim._divide", capture)
+    for machine in nf_corpus:
+        passed.clear()
+        materialize_dfa(machine)
+        true_rows, open_rows = passed[0][:2]
+        n = machine.n
+        words = list(all_words(machine.alphabet, 4))
+        for a in range(n):
+            for b in range(n):
+                segments = [segment_exists_oracle(machine, word, a, b) for word in words]
+                if true_rows[a] >> b & 1:
+                    assert a == b or all(segments), (machine, a, b)
+                elif not open_rows[a] >> b & 1:
+                    assert not any(segments), (machine, a, b)
 
 
 def test_materialize_ea():
@@ -258,7 +287,7 @@ def test_materialize_one_state_machine():
     machine = parse(INITIAL_ACCEPTING["one_state"])
     emitted = materialize_dfa(machine)
     assert classify(emitted).is_deterministic
-    assert emitted.n <= dfa_state_bound(1, True).stack_configurations_bound
+    assert emitted.n <= dfa_state_bound(1).stack_configurations_bound
     assert all(accepts_oracle(emitted, word) for word in all_words("a", 4))
 
 
@@ -288,7 +317,7 @@ def test_materialize_sources_above_five_states(build):
     assert machine.n > 5
     emitted = materialize_dfa(machine)
     assert classify(emitted).is_deterministic
-    assert emitted.n <= dfa_state_bound(machine.n, True).stack_configurations_bound
+    assert emitted.n <= dfa_state_bound(machine.n).stack_configurations_bound
     for word in all_words(machine.alphabet, 6):
         assert accepts_oracle(emitted, word) == accepts_oracle(machine, word), word
 
@@ -305,8 +334,8 @@ def test_materialize_stops_at_the_ceiling():
 
 def test_materialize_checks_the_state_bound(monkeypatch):
     """The emitted machine is checked against the paper's state bound, not assumed to fit it."""
-    def tight_bound(n, normal_form):
-        return dataclasses.replace(dfa_state_bound(n, normal_form), stack_configurations_bound=1)
+    def tight_bound(n):
+        return dataclasses.replace(dfa_state_bound(n), stack_configurations_bound=1)
 
     monkeypatch.setattr("outerfa.detsim.dfa_state_bound", tight_bound)
     with pytest.raises(InvariantViolation, match="over its bound 1"):

@@ -91,6 +91,17 @@ def test_controller_dump_is_pinned():
     assert build_controller(E1).dump() == golden.read_text(encoding="utf-8").rstrip("\n")
 
 
+def test_controller_shares_the_machines_launch_index(nf_corpus, alt_nf_corpus):
+    """The controller's launch index is the machine's one index, which `return_table` reads."""
+    for machine in [E1] + nf_corpus + alt_nf_corpus:
+        launchers = build_controller(machine).launchers
+        assert launchers is _single_moves(machine)[1]
+        # (q, d) lists in state order the states with a choice into q moving in direction d
+        choices = [machine.successors(p, LEFT_ENDMARKER) for p in range(machine.n)]
+        assert launchers == {move: tuple(p for p in range(machine.n) if move in choices[p])
+                             for move in set().union(*choices)}
+
+
 def bent_e1() -> TwoWayAutomaton:
     """E1 with a stationary move on a letter: outside even the relaxed normal form."""
     delta = dict(E1.delta)

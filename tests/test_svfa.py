@@ -106,7 +106,7 @@ def test_corpus_verdicts_match_oracle(nf_corpus):
             expected = accepts_oracle(machine, word)
             assert report.verdict_exists_yes == expected
             assert report.verdict_exists_no == (not expected)
-            assert report.all_halting and report.complete
+            assert report.all_halting
 
 
 def test_decide_matches_trace_replay_enumeration(nf_corpus):
@@ -155,7 +155,7 @@ def test_budget_exhaustion_reports_partial():
     with pytest.raises(BudgetExceeded) as info:
         svfa_decide(E1, "aa", budget=3)
     report = info.value.report
-    assert not report.complete
+    assert not report.all_halting
     assert report.branches_explored <= 3
 
 
@@ -273,7 +273,7 @@ def test_decisions_build_no_controller(monkeypatch, machine, word, report, trace
         decided = svfa_decide(machine, word)
         assert (decided.verdict_exists_yes, decided.verdict_exists_no,
                 decided.dont_know_count, decided.branches_explored) == report
-        assert decided.all_halting and decided.complete
+        assert decided.all_halting
         assert complement_decide(machine, word) == (verdict is Verdict.REJECT)
     with monkeypatch.context() as refusal:
         refusal.setattr(reach, "return_table", _refuse_table)
