@@ -90,7 +90,7 @@ def _oracle(automaton: TwoWayAutomaton, word: str) -> bool:
 def _decide(automaton: TwoWayAutomaton, word: str, method: str, budget: int | None):
     """Boolean acceptance through one of the decision pipelines.
 
-    `budget` bounds svfa's branch points and divide's base cases; None
+    `budget` bounds svfa's distinct snapshots and divide's base cases; None
     keeps each method's library default.
     """
     extras: dict = {}
@@ -111,6 +111,8 @@ def _decide(automaton: TwoWayAutomaton, word: str, method: str, budget: int | No
         "dont_know_branches": report.dont_know_count,
         "branches_explored": report.branches_explored,
         "all_halting": report.all_halting,
+        "snapshots": report.snapshots,
+        "svfa_state_bound": svfa_state_accounting(machine.n).total,
     }
     return report.verdict_exists_yes, extras
 
@@ -262,9 +264,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--method", choices=METHODS, default="oracle")
     p.add_argument("--budget", type=int, default=None,
-                   help=f"work budget: branch points for --method svfa (default {SVFA_BUDGET:,}), "
-                        f"base cases for --method divide (default {DIVIDE_BUDGET:,}); exhausting "
-                        "it exits 4, the other methods ignore it, and negative is an error")
+                   help=f"work budget: distinct snapshots for --method svfa (default "
+                        f"{SVFA_BUDGET:,}), base cases for --method divide (default "
+                        f"{DIVIDE_BUDGET:,}); exhausting it exits 4, the other methods ignore it, "
+                        "and negative is an error")
 
     p = add("normalize", _cmd_normalize, "convert into the structured normal form")
     p.add_argument("file")
@@ -286,8 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--word", required=True)
     p.add_argument("--budget", type=int, default=None,
-                   help=f"branch points (default {SVFA_BUDGET:,}); exhausting it exits 4, and "
-                        "negative is an error")
+                   help=f"distinct svfa snapshots (default {SVFA_BUDGET:,}); exhausting it exits "
+                        "4, and negative is an error")
 
     p = add("bounds", _cmd_bounds, "state-count formulas for this machine's size")
     p.add_argument("file")

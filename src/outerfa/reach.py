@@ -162,16 +162,18 @@ class ReachController:
 
 
 def _single_moves(automaton: TwoWayAutomaton) -> tuple[
-        dict[str, list[Move | None]], Launchers, tuple[int, ...], re.Pattern[str]]:
+        dict[str, list[Move | None]], Launchers, tuple[int, ...], tuple[tuple[Move, ...], ...],
+        re.Pattern[str]]:
     """The one index of what this module reads of a machine, built once per machine.
 
     These are each symbol's move of every state away from the left
     endmarker, of which the relaxed normal form allows at most one (None
     halts); the reverse launch index, whose entry (q, d) lists in state
     order the states with a left-endmarker choice into q moving in
-    direction d; the states it launches rightward, in order; and a pattern
-    matching the maximal runs of one symbol.  `build_controller` and
-    `return_table` take their moves and launches from it, and the
+    direction d; the states it launches rightward, in order; each state's
+    left-endmarker choices, in the order of `successors(p, "<")`; and a
+    pattern matching the maximal runs of one symbol.  `build_controller`
+    and `return_table` take their moves and launches from it, and the
     controller shares its launch index as `launchers`.  It is cached on the
     machine, which is immutable.
     """
@@ -180,15 +182,16 @@ def _single_moves(automaton: TwoWayAutomaton) -> tuple[
         symbols = automaton.alphabet + (RIGHT_ENDMARKER,)
         moves = {sym: [(automaton.successors(q, sym) or (None,))[0] for q in range(n)]
                  for sym in symbols}
+        choices = tuple(automaton.successors(p, LEFT_ENDMARKER) for p in range(n))
         launchers: dict[Move, list[int]] = {}
-        for p in range(n):
-            for move in automaton.successors(p, LEFT_ENDMARKER):
+        for p, row in enumerate(choices):
+            for move in row:
                 launchers.setdefault(move, []).append(p)
         # one repeat per symbol: a backreference `(.)\1*` matched a long run 80 times slower
         runs = re.compile("|".join(re.escape(sym) + "+" for sym in symbols))
         launched = tuple(sorted(x for (x, d) in launchers if d == RIGHT))
         automaton._single_moves = (
-            moves, {move: tuple(ps) for move, ps in launchers.items()}, launched, runs)
+            moves, {move: tuple(ps) for move, ps in launchers.items()}, launched, choices, runs)
     return automaton._single_moves
 
 
@@ -205,7 +208,7 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
     def state(kind: int, q: int) -> int:
         return kind * (n - 1) + _rank(q, q_final)
 
-    moves, launchers, _, _ = _single_moves(automaton)
+    moves, launchers, _, _, _ = _single_moves(automaton)
     # only[(sym, move)]: in state order, the states whose one move on sym is `move`
     only: dict[tuple[str, Move], list[int]] = {}
     for sym, row in moves.items():
@@ -416,7 +419,7 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> tuple[tuple[int | Non
     require_normal_form(automaton, alternating=True)
     check_word(automaton, word)
     n = automaton.n
-    moves, _, launched, runs_of = _single_moves(automaton)
+    moves, _, launched, choices, runs_of = _single_moves(automaton)
     runs = runs_of.findall(word + RIGHT_ENDMARKER)
     # fate[slot * n + q]: where entering slot 2j + 1 + e, run j at its left
     # (e = 0) or right (e = 1) end, in state q leads; slot 0 is back at the
@@ -443,9 +446,7 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> tuple[tuple[int | Non
             fate[key] = out
     # built from lists: a tuple filled from a generator is resized as it grows,
     # and in long benchmark runs that made peak RSS creep up pass after pass
-    get = automaton.delta.get
-    return tuple([tuple([x if d == STAY else fate[n + x] for (x, d) in get((p, LEFT_ENDMARKER), ())])
-                  for p in range(n)])
+    return tuple([tuple([x if d == STAY else fate[n + x] for (x, d) in row]) for row in choices])
 
 
 def _chain(controller: ReachController, word: str, q: int, t: int,

@@ -12,20 +12,23 @@ branch halts, at most one of the two definite verdicts is realizable for a
 given word, and the realizable one matches plain acceptance.
 
 Branches are driven through an explicit state machine whose snapshots sit
-between choice points, stepped by one function (`_advance`), so one driver
-replays a single trace (`svfa_run`) and another walks the whole choice tree
-without re-running shared prefixes (`svfa_decide`).  The replay steps the
-backward searches' choice points in the controller's walk order and reads
-the one-segment relation off those walks too, not off a return table.  The
-tree walk needs no order: a search's keep-or-emit chain has one subtree per
-listed candidate plus one don't-know leaf, so the verdicts realized and
-the leaf counts depend only on which candidates there are.  The walk gives
-each search one point listing them all, read off the rows of the word's
-return table without building the controller.  A snapshot is exactly the
-simulation's state, nine fields: six state-bounded counting variables, the
-chain check's counter and the two-field backward-search cursor, which is
-what `svfa_state_accounting` prices out; the equivalent single transition
-table is astronomically large and is never materialized.
+between choice points, stepped by one function (`_advance`) that gives
+every child of a snapshot, one per pick.  One driver replays a single
+trace (`svfa_run`); the other decides over the distinct snapshots of the
+word (`svfa_decide`), expanding each once and memoizing its subtree's leaf
+counts, since the simulation is a finite machine and many branches pass
+through the same snapshot.  The replay steps the backward searches' choice
+points in the controller's walk order and reads the one-segment relation
+off those walks too, not off a return table.  The decider needs no order:
+a search's keep-or-emit chain has one subtree per listed candidate plus
+one don't-know leaf, so the verdicts realized and the leaf counts depend
+only on which candidates there are.  It gives each search one point
+listing them all, read off the rows of the word's return table without
+building the controller.  A snapshot is exactly the simulation's state,
+nine fields: six state-bounded counting variables, the chain check's
+counter and the two-field backward-search cursor, which is what
+`svfa_state_accounting` prices out; the equivalent single transition table
+is astronomically large and is never materialized.
 """
 
 from __future__ import annotations
@@ -41,10 +44,16 @@ from .reach import segment_reach  # noqa: F401  (perfbench/tracing.py wraps it h
 
 @dataclass(frozen=True)
 class DecisionReport:
-    """Aggregate over all enumerated computation branches for one word.
+    """Aggregate over all computation branches for one word.
 
-    `all_halting` is False exactly on the partial report that
-    BudgetExceeded carries, whose enumeration stopped early.
+    The counts are leaves of the branch tree: a branch is counted once
+    however many snapshots it shares with others.  `snapshots` is the
+    number of distinct snapshots expanded, 0 when the initial state accepts
+    before the first choice.  `all_halting` says that the enumeration
+    finished with no snapshot repeating on a branch, so every branch halts
+    (a repeat raises InvariantViolation instead); it is False exactly on
+    the partial report that BudgetExceeded carries, whose enumeration
+    stopped early.
     """
 
     verdict_exists_yes: bool
@@ -52,9 +61,10 @@ class DecisionReport:
     dont_know_count: int
     branches_explored: int
     all_halting: bool
+    snapshots: int = 0
 
 
-# The branch points one self-verifying decision may visit by default.
+# The distinct snapshots one self-verifying decision may expand by default.
 SVFA_BUDGET = 10**6
 
 
@@ -125,15 +135,16 @@ def _decider_scripts(rows: tuple[tuple[int | None, ...], ...]) -> list[list[list
     return [[point] if point else [] for point in candidates]
 
 
-# A paused branch is ("choice", snapshot, options); a finished one is
-# ("done", verdict).  A snapshot is the state `svfa_state_accounting` prices:
-# the six counting variables (t, m, m_new, q_target, i, q_prev), then the
-# chain check's counter k and the guessing-search cursor (cur, idx).  Level t
-# holds m states, m_new of level t + 1 are counted so far, q_target is the
-# cell's target and i the rank of the level-t state being guessed, above
-# q_prev (-1 before the first guess).  k is the number of backward walks
-# still owed, cur the state whose walk is in progress and idx its position.
+# A branch pauses at a snapshot, a 9-tuple, and ends in a Verdict.  A
+# snapshot is the state `svfa_state_accounting` prices: the six counting
+# variables (t, m, m_new, q_target, i, q_prev), then the chain check's
+# counter k and the guessing-search cursor (cur, idx).  Level t holds m
+# states, m_new of level t + 1 are counted so far, q_target is the cell's
+# target and i the rank of the level-t state being guessed, above q_prev
+# (-1 before the first guess).  k is the number of backward walks still
+# owed, cur the state whose walk is in progress and idx its position.
 # Picks are made only while walks are owed, so k == 0 marks a state guess.
+ACCEPT, REJECT, DONT_KNOW = Verdict.ACCEPT, Verdict.REJECT, Verdict.DONT_KNOW
 
 
 def _next_cell(ctx: _SimContext, t: int, m: int, m_new: int, q_target: int):
@@ -141,43 +152,63 @@ def _next_cell(ctx: _SimContext, t: int, m: int, m_new: int, q_target: int):
     if q_target == ctx.n:  # the level is finished: open the next one
         t, m, m_new, q_target = t + 1, m_new, 0, 0
         if t >= ctx.n - 1 or m == 0:
-            return ("done", Verdict.REJECT)
-    return ("choice", (t, m, m_new, q_target, 1, -1, 0, 0, 0), ctx.n)
+            return REJECT
+    return (t, m, m_new, q_target, 1, -1, 0, 0, 0)
 
 
 def _start(ctx: _SimContext):
     # exactly one state is reachable with zero segments: the initial one
     if ctx.initial == ctx.final:
-        return ("done", Verdict.ACCEPT)
+        return ACCEPT
     return _next_cell(ctx, 0, 1, 0, 0)
 
 
-def _advance(ctx: _SimContext, snapshot, choice: int):
-    """Apply `choice` at a paused branch, then run it to its next choice point or a verdict."""
-    t, m, m_new, q_target, i, q_prev, k, cur, idx = snapshot
-    if k == 0:  # guesses come in increasing state order
-        if choice <= q_prev:
-            return ("done", Verdict.DONT_KNOW)
-        q_prev, k, cur, idx = choice, t, choice, 0
-    elif choice == 0:  # ignore these launch states and keep searching backward
-        idx += 1
-    else:
-        k, cur, idx = k - 1, ctx.scripts[cur][idx][choice - 1], 0
-    if k:
-        script = ctx.scripts[cur]
-        if idx >= len(script):
-            return ("done", Verdict.DONT_KNOW)  # backward tree exhausted
-        return ("choice", (t, m, m_new, q_target, i, q_prev, k, cur, idx), 1 + len(script[idx]))
-    if cur != ctx.initial:
-        return ("done", Verdict.DONT_KNOW)
-    # the guessed state survived the filter; is the target one segment away?
+def _verified(ctx: _SimContext, t: int, m: int, m_new: int, q_target: int, i: int, q_prev: int):
+    """Go on once the guessed state q_prev passed the chain check: is the target a segment away?"""
     if q_target in ctx.rows[q_prev]:
         if q_target == ctx.final:
-            return ("done", Verdict.ACCEPT)
+            return ACCEPT
         return _next_cell(ctx, t, m, m_new + 1, q_target + 1)
     if i < m:
-        return ("choice", (t, m, m_new, q_target, i + 1, q_prev, 0, 0, 0), ctx.n)
+        return (t, m, m_new, q_target, i + 1, q_prev, 0, 0, 0)
     return _next_cell(ctx, t, m, m_new, q_target + 1)
+
+
+def _advance(ctx: _SimContext, snapshot) -> list:
+    """Every child of a paused branch, one per pick, each run to its next snapshot or a verdict.
+
+    At a state guess pick q guesses state q, and guesses come in
+    increasing state order, so the first q_prev + 1 picks abort.  Inside a
+    backward walk pick 0 ignores the launch states listed at the cursor and
+    keeps searching, and pick j emits the j-th of them.  A walk that runs
+    out of points, and a chain check that ends anywhere but the initial
+    state, abort in don't-know.
+    """
+    t, m, m_new, q_target, i, q_prev, k, cur, idx = snapshot
+    scripts = ctx.scripts
+    initial = ctx.initial
+    if k == 0:
+        children = [DONT_KNOW] * (q_prev + 1)
+        if t:  # the guess owes t backward walks, starting at its own search
+            for q in range(q_prev + 1, ctx.n):
+                children.append((t, m, m_new, q_target, i, q, t, q, 0) if scripts[q] else DONT_KNOW)
+        else:  # level 0 holds the initial state alone
+            for q in range(q_prev + 1, ctx.n):
+                children.append(_verified(ctx, t, m, m_new, q_target, i, q) if q == initial
+                                else DONT_KNOW)
+        return children
+    script = scripts[cur]
+    children = [(t, m, m_new, q_target, i, q_prev, k, cur, idx + 1) if idx + 1 < len(script)
+                else DONT_KNOW]
+    if k > 1:
+        for p in script[idx]:
+            children.append((t, m, m_new, q_target, i, q_prev, k - 1, p, 0) if scripts[p]
+                            else DONT_KNOW)
+    else:  # the last walk owed: emitting p ends the chain check, passed only by the initial state
+        for p in script[idx]:
+            children.append(_verified(ctx, t, m, m_new, q_target, i, q_prev) if p == initial
+                            else DONT_KNOW)
+    return children
 
 
 def svfa_run(automaton: TwoWayAutomaton, word: str, trace: Sequence[int]) -> Verdict:
@@ -192,63 +223,96 @@ def svfa_run(automaton: TwoWayAutomaton, word: str, trace: Sequence[int]) -> Ver
     ctx = _SimContext(automaton, word, replay=True)
     state = _start(ctx)
     position = 0
-    while state[0] == "choice":
-        _, snapshot, options = state
+    while not isinstance(state, Verdict):
+        children = _advance(ctx, state)
         if position >= len(trace):
-            raise TraceUnderflow(options)
+            raise TraceUnderflow(len(children))
         pick = trace[position]
         position += 1
-        if not 0 <= pick < options:
-            return Verdict.DONT_KNOW
-        state = _advance(ctx, snapshot, pick)
-    return state[1]
+        if not 0 <= pick < len(children):
+            return DONT_KNOW
+        state = children[pick]
+    return state
+
+
+# Marks a snapshot in the memo whose subtree is still open on the DFS stack.
+_OPEN = object()
 
 
 def svfa_decide(automaton: TwoWayAutomaton, word: str, budget: int = SVFA_BUDGET) -> DecisionReport:
-    """Exhaust every choice trace depth-first and aggregate the verdicts.
+    """Aggregate the verdicts of every branch, expanding each distinct snapshot once.
 
-    The enumeration is finite because every branch halts.  Each search
-    has at most one choice point, listing every candidate the controller's
-    walk spreads over its points (`_decider_scripts`), which changes
-    neither the verdicts realized nor the leaf counts.  A budget of the
-    branch points so visited guards against misuse on oversized machines;
-    exceeding it raises BudgetExceeded carrying the partial report.  A
-    negative budget raises ValueError.
+    The branches form a tree whose nodes are snapshots, and many nodes
+    share one snapshot, whose subtree is then the same.  One depth-first
+    pass over the distinct snapshots memoizes each one's (accepts,
+    rejects, don't-knows) leaf counts, so the report's counts are the
+    tree's at the cost of the snapshots.  A snapshot met again while its
+    own subtree is open is a branch that does not halt, which raises
+    InvariantViolation.  Each search has at most one choice point, listing
+    every candidate the controller's walk spreads over its points
+    (`_decider_scripts`), which changes neither the verdicts realized nor
+    the leaf counts.  `budget` caps the distinct snapshots expanded;
+    exceeding it raises BudgetExceeded carrying the partial report, whose
+    counts are the leaves tallied so far.  A negative budget raises
+    ValueError.
     """
     if budget < 0:
-        raise ValueError("the branch budget must be at least 0")
+        raise ValueError("the snapshot budget must be at least 0")
     ctx = _SimContext(automaton, word, replay=False)
-    accepts = rejects = dont_knows = 0
-
-    def report(all_halting: bool) -> DecisionReport:
-        return DecisionReport(
-            verdict_exists_yes=accepts > 0,
-            verdict_exists_no=rejects > 0,
-            dont_know_count=dont_knows,
-            branches_explored=accepts + rejects + dont_knows,
-            all_halting=all_halting,
-        )
-
-    nodes = 0
-    stack = [_start(ctx)]
-    while stack:
-        state = stack.pop()
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded("trace enumeration budget exceeded", report(all_halting=False))
-        if state[0] == "done":
-            if state[1] is Verdict.DONT_KNOW:
+    advance = _advance
+    memo: dict = {}
+    stack: list = []
+    # the frame is (snapshot, children, pos, accepts, rejects, dont_knows);
+    # the bottom one has no snapshot and one child, the start of every branch
+    snapshot, children, pos, accepts, rejects, dont_knows = None, [_start(ctx)], 0, 0, 0, 0
+    while True:
+        if pos < len(children):
+            child = children[pos]
+            pos += 1
+            if child is DONT_KNOW:
                 dont_knows += 1
-            elif state[1] is Verdict.ACCEPT:
+            elif child is ACCEPT:
                 accepts += 1
-            else:
+            elif child is REJECT:
                 rejects += 1
+            else:
+                tally = memo.get(child)
+                if tally is None:
+                    if len(memo) >= budget:
+                        stack.append((snapshot, children, pos, accepts, rejects, dont_knows))
+                        raise BudgetExceeded("snapshot budget exceeded",
+                                             _partial_report(stack, len(memo)))
+                    memo[child] = _OPEN
+                    stack.append((snapshot, children, pos, accepts, rejects, dont_knows))
+                    snapshot, children, pos, accepts, rejects, dont_knows = (
+                        child, advance(ctx, child), 0, 0, 0, 0)
+                elif tally is _OPEN:
+                    raise InvariantViolation("a snapshot repeats on a branch, which never halts")
+                else:
+                    accepts += tally[0]
+                    rejects += tally[1]
+                    dont_knows += tally[2]
             continue
-        _, snapshot, options = state
-        stack.extend(_advance(ctx, snapshot, pick) for pick in reversed(range(options)))
+        if not stack:
+            break
+        memo[snapshot] = tally = (accepts, rejects, dont_knows)
+        snapshot, children, pos, accepts, rejects, dont_knows = stack.pop()
+        accepts += tally[0]
+        rejects += tally[1]
+        dont_knows += tally[2]
     if accepts and rejects:
         raise InvariantViolation("self-verification violated: both definite verdicts realizable")
-    return report(all_halting=True)
+    return DecisionReport(accepts > 0, rejects > 0, dont_knows, accepts + rejects + dont_knows,
+                          all_halting=True, snapshots=len(memo))
+
+
+def _partial_report(stack: list, snapshots: int) -> DecisionReport:
+    """The leaves tallied so far: every frame on the DFS stack holds its finished children's."""
+    accepts = sum(frame[3] for frame in stack)
+    rejects = sum(frame[4] for frame in stack)
+    dont_knows = sum(frame[5] for frame in stack)
+    return DecisionReport(accepts > 0, rejects > 0, dont_knows, accepts + rejects + dont_knows,
+                          all_halting=False, snapshots=snapshots)
 
 
 def complement_decide(automaton: TwoWayAutomaton, word: str, budget: int = SVFA_BUDGET) -> bool:

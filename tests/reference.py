@@ -7,7 +7,9 @@ that model, which the integer-id oracles of `outerfa.core` are compared
 with.  The step-based oracles build a set of `Configuration` tuples per
 step, and the alternating one runs the and-or solver over all
 n * (|w| + 2) configurations, reachable or not.  The visit-bounded oracle
-exists only here.
+exists only here, and so does the branch-by-branch walk of the
+self-verifying simulation's tree (`reference_svfa_tree`), which
+`svfa_decide`'s pass over distinct snapshots is checked against.
 """
 
 from collections import deque
@@ -19,12 +21,15 @@ from outerfa.core import (
     RIGHT,
     RIGHT_ENDMARKER,
     STAY,
+    BudgetExceeded,
     NotApplicable,
     TwoWayAutomaton,
+    Verdict,
     _check_states,
     and_or_reach,
     check_word,
 )
+from outerfa.svfa import _advance, _SimContext, _start
 
 Q_I, P_A, P_B, R_A, R_B, Q_F = range(6)
 
@@ -244,3 +249,26 @@ def reference_alternating(automaton, word):
     universal = automaton.universal
     good = and_or_reach(succs, accepting, lambda c: c.state in universal)
     return Configuration(automaton.initial, 0) in good
+
+
+def reference_svfa_tree(automaton, word, budget):
+    """(accepts, rejects, don't-knows) over the self-verifying simulation's tree, leaf by leaf.
+
+    Walks the tree depth-first through `svfa._advance`, expanding a
+    snapshot again every time a branch reaches it.  `budget` caps the
+    nodes visited, leaves included; past it the walk raises BudgetExceeded.
+    """
+    ctx = _SimContext(automaton, word, replay=False)
+    tallies = {verdict: 0 for verdict in Verdict}
+    nodes = 0
+    stack = [_start(ctx)]
+    while stack:
+        state = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded("tree walk budget exceeded")
+        if isinstance(state, Verdict):
+            tallies[state] += 1
+        else:
+            stack.extend(reversed(_advance(ctx, state)))
+    return tallies[Verdict.ACCEPT], tallies[Verdict.REJECT], tallies[Verdict.DONT_KNOW]

@@ -16,7 +16,7 @@ from outerfa import (
 )
 from outerfa.cli import METHODS, main
 
-from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, random_oafa
+from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, random_nf_onfa, random_oafa
 from reference import build_e1, build_e2, build_ea
 
 
@@ -33,6 +33,7 @@ COMMITTED = {
     "e1.2wa": build_e1,
     "mod_p_3_4.2wa": lambda: mod_p_sweeper((3, 4)),
     "chain_2.2wa": lambda: chain_sweeper(2),
+    "nf65.2wa": lambda: random_nf_onfa(65),
 }
 
 
@@ -69,6 +70,12 @@ def test_run_svfa_reports_branches(e1_file, capsys):
     assert "result: false" in out
     assert "accept_branch_exists: false" in out
     assert "reject_branch_exists: true" in out
+    # the distinct snapshots expanded, next to the simulation's state bound for E1's 6 states
+    assert main(["run", e1_file, "--word", "aa", "--method", "svfa", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["branches_explored"], payload["snapshots"]) == (85, 24)
+    assert payload["svfa_state_bound"] == 14117880
+    assert payload["all_halting"] is True
 
 
 def test_run_agap_on_alternating_input(e2_file, capsys):
@@ -287,6 +294,10 @@ def test_emit_dfa_on_e1(e1_file, tmp_path, capsys):
 
 def test_run_budget_exit_code(e1_file, capsys):
     assert main(["run", e1_file, "--word", "aa", "--method", "svfa", "--budget", "2"]) == 4
+    # svfa decides seed 65 on "bbb" over 95 distinct snapshots
+    nf65 = str(E1_FILE.parent / "nf65.2wa")
+    assert main(["run", nf65, "--word", "bbb", "--method", "svfa", "--budget", "95"]) == 0
+    assert main(["run", nf65, "--word", "bbb", "--method", "svfa", "--budget", "94"]) == 4
     # a negative budget is a bad argument, not an exhausted budget
     assert main(["run", e1_file, "--word", "aa", "--method", "svfa", "--budget", "-5"]) == 3
     assert main(["complement", e1_file, "--word", "aa", "--budget", "-1"]) == 3

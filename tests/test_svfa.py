@@ -18,6 +18,7 @@ from outerfa import (
     complement_decide,
     decide_det,
     gap_decide,
+    normalize_onfa,
     oafa_decide,
     parse,
     svfa_decide,
@@ -27,8 +28,9 @@ from outerfa import (
 from outerfa.normalform import NotNormalForm
 from outerfa.reach import _walk
 
-from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, random_nf_onfa
-from reference import build_e1, build_e2, build_trivial_all, build_trivial_empty
+from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, random_nf_onfa, random_onfa
+from reference import (build_e1, build_e2, build_trivial_all, build_trivial_empty,
+                       reference_svfa_tree)
 
 E1 = build_e1()
 
@@ -52,6 +54,7 @@ def test_run_examples_on_e1():
     ab = svfa_decide(E1, "ab")
     assert ab.verdict_exists_no and not ab.verdict_exists_yes
     assert aa.all_halting and ab.all_halting
+    assert (aa.snapshots, ab.snapshots) == (24, 6)
 
 
 def test_run_ordering_violation_aborts():
@@ -152,18 +155,29 @@ def test_complement_matches_negated_oracle(nf_corpus):
 
 
 def test_budget_exhaustion_reports_partial():
+    # the partial report adds up the leaves of the subtrees finished so far
+    # and the tallies still held on the DFS stack
     with pytest.raises(BudgetExceeded) as info:
-        svfa_decide(E1, "aa", budget=3)
+        svfa_decide(E1, "aa", budget=12)
     report = info.value.report
     assert not report.all_halting
-    assert report.branches_explored <= 3
+    assert (report.snapshots, report.branches_explored, report.dont_know_count) == (12, 12, 12)
+    assert report.branches_explored <= svfa_decide(E1, "aa").branches_explored
+    # 95 distinct snapshots decide seed 65 on "bbb"; one fewer does not
+    machine = random_nf_onfa(65)
+    assert svfa_decide(machine, "bbb", budget=95).snapshots == 95
+    with pytest.raises(BudgetExceeded) as info:
+        svfa_decide(machine, "bbb", budget=94)
+    report = info.value.report
+    assert (report.snapshots, report.all_halting) == (94, False)
+    assert 0 < report.branches_explored < 6297485
 
 
 def test_negative_budgets_raise():
     for decide in (svfa_decide, complement_decide):
         with pytest.raises(ValueError, match="at least 0"):
             decide(E1, "aa", budget=-1)
-        with pytest.raises(BudgetExceeded):  # a budget of 0 still admits no branch point
+        with pytest.raises(BudgetExceeded):  # a budget of 0 admits no snapshot
             decide(E1, "aa", budget=0)
 
 
@@ -194,9 +208,14 @@ def test_accounting_growth_is_degree_eight():
     assert abs(big - 2**8) < 1.0
 
 
-def _both_verdicts(ctx, snapshot, choice):
+def _both_verdicts(ctx, snapshot):
     # the first choice point splits into one accepting and one rejecting branch
-    return ("done", Verdict.ACCEPT if choice == 0 else Verdict.REJECT)
+    return [Verdict.ACCEPT, Verdict.REJECT]
+
+
+def _repeats_itself(ctx, snapshot):
+    # the one branch comes back to the snapshot it left, so it never halts
+    return [snapshot]
 
 
 def test_both_verdicts_raise_invariant_violation(monkeypatch):
@@ -207,8 +226,19 @@ def test_both_verdicts_raise_invariant_violation(monkeypatch):
         svfa_decide(E1, "aa")
 
 
+def test_repeated_snapshot_raises_invariant_violation(monkeypatch):
+    from outerfa import svfa
+
+    monkeypatch.setattr(svfa, "_advance", _repeats_itself)
+    with pytest.raises(InvariantViolation, match="repeats on a branch"):
+        svfa_decide(E1, "aa")
+    with pytest.raises(InvariantViolation, match="repeats on a branch"):
+        complement_decide(E1, "aa")
+
+
 def test_both_verdicts_check_survives_optimize_flag():
-    # `python -O` strips assert statements; the typed check must still fire
+    # `python -O` strips assert statements; the typed checks, this one and the
+    # repeated-snapshot check, must still fire
     import os
     import subprocess
     import sys
@@ -220,9 +250,12 @@ def test_both_verdicts_check_survives_optimize_flag():
         "import pytest",
         "from outerfa import InvariantViolation, svfa",
         "from reference import build_e1",
-        "from test_svfa import _both_verdicts",
+        "from test_svfa import _both_verdicts, _repeats_itself",
         "svfa._advance = _both_verdicts",
-        "with pytest.raises(InvariantViolation):",
+        "with pytest.raises(InvariantViolation, match='both definite verdicts'):",
+        "    svfa.svfa_decide(build_e1(), 'aa')",
+        "svfa._advance = _repeats_itself",
+        "with pytest.raises(InvariantViolation, match='repeats on a branch'):",
         "    svfa.svfa_decide(build_e1(), 'aa')",
     ])
     path = os.pathsep.join([str(Path(outerfa.__file__).parents[1]), str(Path(__file__).parent)])
@@ -315,6 +348,39 @@ def test_decision_reports_are_pinned():
             dont_knows += report.dont_know_count
             digest.update(repr((seed, word, report.verdict_exists_yes, report.verdict_exists_no,
                                 report.dont_know_count, report.branches_explored)).encode("utf-8"))
-    assert refused == [(65, "bbb")]
-    assert (branches, dont_knows) == (249088, 200449)
-    assert digest.hexdigest() == "7c3261fc62b226fca9a0a262930a0f4992b7b3cf0a9d7c72fb62482c3bc566f9"
+    assert refused == []
+    assert (branches, dont_knows) == (6546573, 5449358)
+    assert digest.hexdigest() == "0a7054a52099352afc76d1e223d5480836f55302ca50b7e950050548de39bf32"
+
+
+def test_decisions_match_the_tree_walk():
+    """Exact reports against the branch-by-branch tree walk, wherever that walk finishes."""
+    refused = 0
+    largest = 0
+    for seed in range(300):
+        machine = random_nf_onfa(seed)
+        for word in all_words(machine.alphabet, 3):
+            report = svfa_decide(machine, word)
+            largest = max(largest, report.snapshots)
+            try:
+                accepts, rejects, dont_knows = reference_svfa_tree(machine, word, budget=10**5)
+            except BudgetExceeded:
+                refused += 1
+                continue
+            assert (report.verdict_exists_yes, report.verdict_exists_no, report.dont_know_count,
+                    report.branches_explored) == (accepts > 0, rejects > 0, dont_knows,
+                                                  accepts + rejects + dont_knows), (seed, word)
+    assert refused == 13
+    assert largest <= 10**4
+
+
+@pytest.mark.parametrize("machine, word, report", [
+    (random_nf_onfa(65), "bbb", DecisionReport(False, True, 5248909, 6297485, True, 95)),
+    (normalize_onfa(random_onfa(156)), "b", DecisionReport(
+        False, True, 18064802012868128233741095855238444779140162427377240844971,
+        18460742878990553426984971426021113236903201249777240844971, True, 3530)),
+], ids=["nf65_bbb", "raw156_b"])
+def test_large_trees_are_pinned(machine, word, report):
+    # millions of branches and more, over a few thousand distinct snapshots
+    assert svfa_decide(machine, word) == report
+
