@@ -164,7 +164,7 @@ def _cmd_reach(args) -> int:
     automaton = _load(args.file)
     controller = build_controller(automaton)
     result = reach(automaton, args.word, _state_id(automaton, args.from_state),
-                   _state_id(automaton, args.to_state), controller)
+                   _state_id(automaton, args.to_state))
     payload = {"result": result, "controller_states": controller.state_count}
     if args.dump_controller and args.json:
         payload["controller"] = controller.dump()

@@ -129,6 +129,7 @@ class TwoWayAutomaton:
         # `reach._single_moves`: the moves and launch index the controller, the return
         # table and the DFA emitter read, built on first use
         self._single_moves = None
+        self._controller = None  # `reach._check_call`: the searches' controller, built on first use
         self._letters = "".join(self.alphabet)  # for check_word; a set per machine slowed set-up
 
     @property

@@ -29,7 +29,9 @@ stops at the first point listing its q_from.  The guessing variant
 segment into q_to; its iterated form (`t_reach`) checks a chain of exactly
 t segments out of the initial state, and `n_reach` is its one-segment case.
 Both are driven by explicit choice traces so that callers can replay or
-exhaust them.
+exhaust them.  The controller depends on the machine alone, so every search
+takes just the machine: its one gate, `_check_call`, builds the controller
+on the machine's first search and keeps it on the machine.
 
 The controller is the paper's constant-memory device.  The deciders, which
 may spend memory linear in the tape, instead read the whole segment
@@ -310,44 +312,42 @@ def _walk(controller: ReachController, word: str, q_to: int) -> Iterator[tuple[i
         f"backward search exceeded its {bound}-step termination bound on {controller.automaton!r}")
 
 
-def _check_call(automaton: TwoWayAutomaton, word: str, controller: ReachController | None,
-                *states: int) -> ReachController:
-    """The controller for one search, built when None, which checks the normal form.
+def _check_call(automaton: TwoWayAutomaton, word: str, *states: int) -> ReachController:
+    """The one gate of every search: the machine's controller, once the call checks out.
 
-    Rejects unknown state ids, foreign letters and a controller built for
-    another machine.
+    Rejects unknown state ids and foreign letters.  The controller depends
+    on the machine alone, so the machine's first search builds it, which
+    checks the normal form, and keeps it on the machine, which is
+    immutable; a machine outside the normal form keeps none and fails the
+    check on every call.
     """
     _check_states(automaton, *states)
     check_word(automaton, word)
-    if controller is None:
-        return build_controller(automaton)
-    if controller.automaton is not automaton:
-        raise ValueError("the controller was built for a different machine")
-    return controller
+    if automaton._controller is None:
+        automaton._controller = build_controller(automaton)
+    return automaton._controller
 
 
-def reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
-          controller: ReachController | None = None) -> bool:
+def reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int) -> bool:
     """Does the machine have a segment from q_from to q_to on `word`?
 
     Equal endpoints answer yes without a search, once the machine has
-    passed the normal-form gate.  Everything else runs the backward
-    controller's walk, which always halts; its first point lists the
-    stationary launches into q_to, the shortest segments and the only ones
-    into the accepting state.  State ids outside range(n) and a controller
-    built for another machine raise ValueError, letters outside the
-    alphabet NotApplicable, a machine outside the normal form NotNormalForm.
+    passed the normal-form gate.  Everything else runs the walk of the
+    machine's backward controller, built on its first search, which always
+    halts; its first point lists the stationary launches into q_to, the
+    shortest segments and the only ones into the accepting state.  State
+    ids outside range(n) raise ValueError, letters outside the alphabet
+    NotApplicable, a machine outside the normal form NotNormalForm.
     """
     if q_from != q_to:
-        return segment_reach(automaton, word, q_from, q_to, controller)
-    _check_call(automaton, word, controller, q_from)
+        return segment_reach(automaton, word, q_from, q_to)
+    _check_call(automaton, word, q_from)
     return True
 
 
-def segment_reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int,
-                  controller: ReachController | None = None) -> bool:
+def segment_reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int) -> bool:
     """Like `reach` but without the equal-endpoints shortcut: a real segment must exist."""
-    controller = _check_call(automaton, word, controller, q_from, q_to)
+    controller = _check_call(automaton, word, q_from, q_to)
     return any(q_from in candidates for candidates in _walk(controller, word, q_to))
 
 
@@ -475,8 +475,8 @@ def _chain(controller: ReachController, word: str, q: int, t: int,
     return q
 
 
-def n_reach(automaton: TwoWayAutomaton, word: str, q_to: int, trace: Sequence[int],
-            controller: ReachController | None = None) -> int | Verdict:
+def n_reach(automaton: TwoWayAutomaton, word: str, q_to: int,
+            trace: Sequence[int]) -> int | Verdict:
     """Emit some state with a segment into q_to, as directed by `trace`.
 
     At every choice point, option 0 keeps searching backward and option
@@ -484,13 +484,12 @@ def n_reach(automaton: TwoWayAutomaton, word: str, q_to: int, trace: Sequence[in
     backward tree, or demanding a candidate that does not exist, yields
     Verdict.DONT_KNOW.  A too-short trace raises TraceUnderflow.
     """
-    controller = _check_call(automaton, word, controller, q_to)
-    result = _chain(controller, word, q_to, 1, trace)
+    result = _chain(_check_call(automaton, word, q_to), word, q_to, 1, trace)
     return Verdict.DONT_KNOW if result is None else result
 
 
-def t_reach(automaton: TwoWayAutomaton, word: str, q: int, t: int, trace: Sequence[int],
-            controller: ReachController | None = None) -> bool | Verdict:
+def t_reach(automaton: TwoWayAutomaton, word: str, q: int, t: int,
+            trace: Sequence[int]) -> bool | Verdict:
     """Check a chain of exactly t segments from the initial state down to q.
 
     The check walks backward: t guessing searches, each feeding the next,
@@ -501,7 +500,7 @@ def t_reach(automaton: TwoWayAutomaton, word: str, q: int, t: int, trace: Sequen
     """
     if t < 0:
         raise ValueError("the chain length t must be at least 0")
-    controller = _check_call(automaton, word, controller, q)
+    controller = _check_call(automaton, word, q)
     if t == 0:
         return q == automaton.initial
     return True if _chain(controller, word, q, t, trace) == automaton.initial else Verdict.DONT_KNOW

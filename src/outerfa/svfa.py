@@ -36,10 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import BudgetExceeded, InvariantViolation, TwoWayAutomaton, Verdict, check_word
+from .core import BudgetExceeded, InvariantViolation, TwoWayAutomaton, Verdict
 from .normalform import require_normal_form
-from .reach import TraceUnderflow, _walk, build_controller, return_table
-from .reach import segment_reach  # noqa: F401  (perfbench/tracing.py wraps it here by name)
+from .reach import TraceUnderflow, _check_call, _walk, return_table
+# perfbench/tracing.py wraps these here by name
+from .reach import build_controller, segment_reach  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,8 @@ class _SimContext:
     `scripts[q]` lists the choice points of the guessing search for
     segments into q, each as the states that may be emitted there.  A
     replayed trace (`replay`) needs them in the order of the controller's
-    walk, and reads both off the walks alone: a segment runs from p to q
+    walk, and reads both off the walks of the machine's one controller,
+    which it takes through the searches' gate: a segment runs from p to q
     exactly when some point of the walk into q lists p.  It reads no return
     table, so it can audit one.  The decider reads the word's return table
     for the rows and its candidates for the scripts (`_decider_scripts`).
@@ -106,8 +108,7 @@ class _SimContext:
         self.n = automaton.n
         self.initial = automaton.initial
         if replay:
-            check_word(automaton, word)
-            controller = build_controller(automaton)
+            controller = _check_call(automaton, word)  # rejects foreign letters
             self.scripts = [list(_walk(controller, word, q)) for q in range(automaton.n)]
             self.rows = [{q for q, script in enumerate(self.scripts) for point in script if p in point}
                          for p in range(automaton.n)]
@@ -302,17 +303,20 @@ def svfa_decide(automaton: TwoWayAutomaton, word: str, budget: int = SVFA_BUDGET
         dont_knows += tally[2]
     if accepts and rejects:
         raise InvariantViolation("self-verification violated: both definite verdicts realizable")
-    return DecisionReport(accepts > 0, rejects > 0, dont_knows, accepts + rejects + dont_knows,
-                          all_halting=True, snapshots=len(memo))
+    return _report(accepts, rejects, dont_knows, len(memo), all_halting=True)
 
 
 def _partial_report(stack: list, snapshots: int) -> DecisionReport:
     """The leaves tallied so far: every frame on the DFS stack holds its finished children's."""
-    accepts = sum(frame[3] for frame in stack)
-    rejects = sum(frame[4] for frame in stack)
-    dont_knows = sum(frame[5] for frame in stack)
+    accepts, rejects, dont_knows = (sum(frame[k] for frame in stack) for k in (3, 4, 5))
+    return _report(accepts, rejects, dont_knows, snapshots, all_halting=False)
+
+
+def _report(accepts: int, rejects: int, dont_knows: int, snapshots: int,
+            all_halting: bool) -> DecisionReport:
+    """The report on a tally of leaves: which definite verdicts occur, and how many leaves in all."""
     return DecisionReport(accepts > 0, rejects > 0, dont_knows, accepts + rejects + dont_knows,
-                          all_halting=False, snapshots=snapshots)
+                          all_halting, snapshots)
 
 
 def complement_decide(automaton: TwoWayAutomaton, word: str, budget: int = SVFA_BUDGET) -> bool:

@@ -78,7 +78,6 @@ def test_criterion_2_reach_suite(raw_corpus, nf_corpus):
     # a clean sweep is also the halting proof: the runner raises once a run
     # passes the (4n - 3) * (|w| + 2) step bound
     for machine in sweep_machines:
-        controller = build_controller(machine)
         n = machine.n
         for word in all_words(machine.alphabet, 5):
             oracle = [
@@ -88,16 +87,15 @@ def test_criterion_2_reach_suite(raw_corpus, nf_corpus):
             for p in range(n):
                 for q in range(n):
                     expected = p == q or oracle[p][q]
-                    assert reach(machine, word, p, q, controller) == expected
+                    assert reach(machine, word, p, q) == expected
                     checked += 1
     for machine in normalized[:40]:
-        controller = build_controller(machine)
         n = machine.n
         for word in all_words(machine.alphabet, 4):
             for p in range(n):
                 for q in range(n):
                     expected = p == q or segment_exists_oracle(machine, word, p, q)
-                    assert reach(machine, word, p, q, controller) == expected
+                    assert reach(machine, word, p, q) == expected
                     checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 120

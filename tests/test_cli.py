@@ -7,6 +7,8 @@ import pytest
 
 from outerfa import (
     NotNormalForm,
+    STAY,
+    TwoWayAutomaton,
     all_words,
     alternating_accepts_oracle,
     normalize_onfa,
@@ -209,6 +211,18 @@ def test_reach_and_dump(e1_file, capsys):
 def test_reach_rejects_unknown_state_names(e1_file, ends, capsys):
     assert main(["reach", e1_file, "--word", "ab", "--from", ends[0], "--to", ends[1]]) == 3
     assert "unknown state 'nowhere'" in capsys.readouterr().err
+
+
+def test_reach_refuses_a_machine_outside_the_normal_form(tmp_path, capsys):
+    e1 = build_e1()
+    delta = dict(e1.delta)
+    delta[(1, "a")] = [(1, STAY)]  # pa stays put on a letter
+    path = tmp_path / "bent.2wa"
+    path.write_text(serialize(TwoWayAutomaton(e1.state_names, e1.alphabet, delta, e1.initial,
+                                              e1.accepting)))
+    for ends in (["qI", "ra"], ["qI", "qI"]):
+        assert main(["reach", str(path), "--word", "aa", "--from", ends[0], "--to", ends[1]]) == 3
+        assert "relaxed normal form" in capsys.readouterr().err
 
 
 def test_reach_dumps_the_controller_as_json(e1_file, capsys):

@@ -32,6 +32,7 @@ from outerfa import (
     segment_exists_oracle,
     segment_reach,
     svfa_decide,
+    svfa_run,
     t_reach,
 )
 from outerfa.normalform import NotNormalForm
@@ -133,7 +134,7 @@ def test_walk_checks_its_step_bound():
     stuck = dataclasses.replace(controller, table=tuple(
         move and (i // width, STAY) for i, move in enumerate(controller.table)))
     with pytest.raises(InvariantViolation, match="termination bound"):
-        segment_reach(E1, "ab", Q_I, R_B, stuck)
+        list(_walk(stuck, "ab", R_B))
 
 
 def test_t_reach_gates_every_chain_length():
@@ -153,22 +154,20 @@ def test_reach_wrapper_cases():
 
 
 def test_reach_agrees_with_segment_oracle_on_e1():
-    controller = build_controller(E1)
     for word in all_words("ab", 5):
         for p in range(E1.n):
             for q in range(E1.n):
                 expected = p == q or segment_exists_oracle(E1, word, p, q)
-                assert reach(E1, word, p, q, controller) == expected
+                assert reach(E1, word, p, q) == expected
 
 
 def test_reach_agreement_on_corpus(nf_corpus):
     for machine in nf_corpus[:12]:
-        controller = build_controller(machine)
         for word in all_words(machine.alphabet, 4):
             for p in range(machine.n):
                 for q in range(machine.n):
                     expected = p == q or segment_exists_oracle(machine, word, p, q)
-                    assert reach(machine, word, p, q, controller) == expected
+                    assert reach(machine, word, p, q) == expected
 
 
 def test_n_reach_examples():
@@ -214,11 +213,10 @@ def test_n_reach_trace_underflow():
 
 def test_n_reach_outcomes_match_segment_oracle(nf_corpus, alt_nf_corpus):
     for machine in list(nf_corpus[:10]) + list(alt_nf_corpus[:10]) + [E1]:
-        controller = build_controller(machine)
         for word in all_words(machine.alphabet, 3):
             for q_to in range(machine.n):
                 outcomes = enumerate_outcomes(
-                    lambda tr: n_reach(machine, word, q_to, tr, controller))
+                    lambda tr: n_reach(machine, word, q_to, tr))
                 emitted = {v for v in outcomes if isinstance(v, int)}
                 expected = {
                     p for p in range(machine.n)
@@ -240,24 +238,52 @@ def test_t_reach_rejects_negative_chain_length():
         t_reach(E1, "aa", Q_I, -1, [])
 
 
-def test_controller_of_another_machine_is_rejected():
-    delta = dict(E1.delta)
-    delta[(R_A, "a")] = [(R_B, LEFT)]  # still in normal form, other segments
-    mutant = TwoWayAutomaton(E1.state_names, E1.alphabet, delta, E1.initial, E1.accepting)
-    foreign = build_controller(mutant)
-    assert reach(E1, "aa", P_A, R_A) != reach(mutant, "aa", P_A, R_A, foreign)
-    for call in (lambda: reach(E1, "aa", P_A, R_A, foreign),
-                 lambda: reach(E1, "aa", P_A, P_A, foreign),
-                 lambda: segment_reach(E1, "aa", P_A, R_A, foreign),
-                 lambda: n_reach(E1, "aa", R_A, [0, 1], foreign),
-                 lambda: t_reach(E1, "aa", R_A, 1, [0, 1], foreign)):
-        with pytest.raises(ValueError, match="different machine"):
+def _searches(machine):
+    """One call of each search and of the svfa replay on E1-shaped `machine`, in a fixed order."""
+    return [  # on E1 they answer SEARCH_ANSWERS
+        lambda: reach(machine, "aa", P_A, R_A),
+        lambda: reach(machine, "ab", Q_I, Q_I),
+        lambda: segment_reach(machine, "ba", Q_I, R_B),
+        lambda: n_reach(machine, "aa", R_A, [0, 1]),
+        lambda: t_reach(machine, "aa", R_A, 1, [0, 1]),
+        lambda: t_reach(machine, "", Q_I, 0, []),
+        lambda: svfa_run(machine, "ab", [0] * 6),
+    ]
+
+
+SEARCH_ANSWERS = [True, True, False, Q_I, True, True, Verdict.REJECT]
+
+
+@pytest.mark.parametrize("first", range(7))
+def test_each_machine_builds_one_controller(monkeypatch, first):
+    """The searches take the machine alone: its first search builds the controller and keeps it."""
+    built = []
+
+    def counting(automaton):
+        built.append(automaton)
+        return build_controller(automaton)
+
+    # by module, as the package's `reach` is a function; svfa re-exports the builder, so
+    # counting there too shows that its replay builds none of its own
+    for module in ("outerfa.reach", "outerfa.svfa"):
+        monkeypatch.setattr(sys.modules[module], "build_controller", counting)
+    machine = build_e1()  # fresh: no search has run on it yet
+    calls = _searches(machine)
+    calls = calls[first:] + calls[:first]
+    for _ in range(2):
+        assert [call() for call in calls] == SEARCH_ANSWERS[first:] + SEARCH_ANSWERS[:first]
+    assert built == [machine]
+    assert machine._controller.automaton is machine
+    # a machine outside the relaxed normal form fails the gate on every call and keeps nothing
+    bent = bent_e1()
+    for call in _searches(bent) * 2:
+        with pytest.raises(NotNormalForm):
             call()
+        assert bent._controller is None
 
 
 def test_t_reach_matches_chain_oracle(nf_corpus, alt_nf_corpus):
     for machine in list(nf_corpus[:8]) + list(alt_nf_corpus[:8]):
-        controller = build_controller(machine)
         n = machine.n
         for word in all_words(machine.alphabet, 3):
             seg = [
@@ -270,7 +296,7 @@ def test_t_reach_matches_chain_oracle(nf_corpus, alt_nf_corpus):
                     chain = {q for q in range(n) if any(seg[p][q] for p in chain)}
                 for q in range(n):
                     outcomes = enumerate_outcomes(
-                        lambda tr: t_reach(machine, word, q, t, tr, controller))
+                        lambda tr: t_reach(machine, word, q, t, tr))
                     assert (True in outcomes) == (q in chain)
 
 
@@ -278,11 +304,10 @@ def test_runs_stay_within_the_step_bound(nf_corpus):
     # the walk raises InvariantViolation past (4n-3)(|w|+2) steps; a clean pass
     # over machines and words is the halting guarantee
     for machine in list(nf_corpus) + [normalize_onfa(E1)]:
-        controller = build_controller(machine)
         for word in all_words(machine.alphabet, 4):
             for p in range(machine.n):
                 for q in range(machine.n):
-                    reach(machine, word, p, q, controller)
+                    reach(machine, word, p, q)
 
 
 @pytest.mark.parametrize("call", [
@@ -332,7 +357,6 @@ def launch_fate(machine, tape, x):
 
 def assert_table_matches(machine, words):
     """Each row entry is its launch's fate; the relation equals the controller's and the path oracle's."""
-    controller = build_controller(machine)
     launches = [machine.successors(p, LEFT_ENDMARKER) for p in range(machine.n)]
     for word in words:
         table = return_table(machine, word)
@@ -345,7 +369,7 @@ def assert_table_matches(machine, words):
             for q in range(machine.n):
                 expected = segment_exists_oracle(machine, word, p, q)
                 assert (q in outcomes) == expected, (machine, word, p, q)
-                assert segment_reach(machine, word, p, q, controller) == expected
+                assert segment_reach(machine, word, p, q) == expected
 
 
 def test_return_table_on_normal_form_corpora(nf_corpus, alt_nf_corpus):

@@ -57,24 +57,22 @@ def moved(nf_corpus):
 
 def test_segment_reach_matches_the_oracle(moved):
     for machine in moved:
-        controller = build_controller(machine)
-        assert controller.final_state != machine.n - 1
+        assert build_controller(machine).final_state != machine.n - 1
         for word in all_words(machine.alphabet, 3):
             for p in range(machine.n):
                 for q in range(machine.n):
-                    assert (segment_reach(machine, word, p, q, controller)
+                    assert (segment_reach(machine, word, p, q)
                             == segment_exists_oracle(machine, word, p, q)), (machine, word, p, q)
 
 
 def test_guessing_searches_match_the_oracle(moved):
     for machine in moved:
-        controller = build_controller(machine)
         n = machine.n
         for word in all_words(machine.alphabet, 3):
             seg = [[segment_exists_oracle(machine, word, p, q) for q in range(n)]
                    for p in range(n)]
             for q in range(n):
-                emitted = {v for v in exhaust(lambda tr: n_reach(machine, word, q, tr, controller))
+                emitted = {v for v in exhaust(lambda tr: n_reach(machine, word, q, tr))
                            if isinstance(v, int)}
                 assert emitted == {p for p in range(n) if seg[p][q]}, (machine, word, q)
             chain = {machine.initial}  # states with a chain of exactly t segments
@@ -82,7 +80,7 @@ def test_guessing_searches_match_the_oracle(moved):
                 if t:
                     chain = {q for q in range(n) if any(seg[p][q] for p in chain)}
                 for q in range(n):
-                    outcomes = exhaust(lambda tr: t_reach(machine, word, q, t, tr, controller))
+                    outcomes = exhaust(lambda tr: t_reach(machine, word, q, t, tr))
                     assert (True in outcomes) == (q in chain), (machine, word, q, t)
 
 
