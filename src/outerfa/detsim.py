@@ -7,24 +7,27 @@ resolves with a stack whose height is only ceil(log2(n - 1)).  One explicit
 stack machine, `_divide`, does this work for its only two entries,
 `decide_det` and `materialize_dfa`.  It reads the base cases off bit rows
 of the base-case relation (`_BaseRows`): a set bit in a true row holds, one
-in an open row needs the tape.  A frame one level above the bottom, whose
-questions each split into two base cases, scans its midpoints in one inline
-loop: it settles each such bottom question with a few big-integer
-operations, counts the base cases the midpoint-by-midpoint scan would have
-asked, and pushes a bottom frame only where a half suspends.  `decide_det`
-runs it to a verdict, with rows built from the word's return table and no
-open bits, under a budget of base cases (`DIVIDE_BUDGET` by default) past
-which it raises BudgetExceeded.  `materialize_dfa` mints it into an actual
-deterministic two-way machine: its rows settle only the base cases that
-need no tape, so the machine suspends at the others, and each emitted state
-packs the suspended stack together with the backward-search cursor that
-answers that base case on the tape.
+in an open row needs the tape.  Both entries make those rows with one
+builder that reads rows of end states, `_base_rows`.  A frame one level
+above the bottom, whose questions each split into two base cases, scans
+its midpoints in one inline loop: it settles each such bottom question
+with a few big-integer operations, counts the base cases the
+midpoint-by-midpoint scan would have asked, and pushes a bottom frame only
+where a half suspends.  `decide_det` runs it to a verdict, with rows built
+from the word's return table as it stands and no open bits, under a budget
+of base cases (`DIVIDE_BUDGET` by default) past which it raises
+BudgetExceeded.  `materialize_dfa` mints it into an actual deterministic
+two-way machine: its rows, built from each state's left-endmarker choices,
+settle only the base cases that need no tape, so the machine suspends at
+the others, and each emitted state packs the suspended stack together with
+the backward-search cursor that answers that base case on the tape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, log, log2
+from typing import Sequence
 
 from .core import (
     LEFT_ENDMARKER,
@@ -36,7 +39,7 @@ from .core import (
     check_word,
 )
 from .normalform import require_normal_form
-from .reach import build_controller, return_table
+from .reach import _single_moves, build_controller, return_table
 from .reach import reach  # noqa: F401  (perfbench/tracing.py wraps it here by name)
 
 
@@ -92,41 +95,38 @@ def _stack_height(n: int) -> int:
 # rows (true_rows, open_rows, true_cols, open_cols): bit b of true_rows[a]
 # says the base case (a, b) holds, bit b of open_rows[a] that it needs the
 # tape, and a base case with neither fails.  The cols are the transposes.
-# A plain tuple: every decision builds one, and a NamedTuple's constructor cost
-# about 3% of the time of a decision on a machine with 2 to 4 states.
+# One builder, `_base_rows`, reads them off rows of end states for both
+# entries.  A plain tuple: every decision builds one, and a NamedTuple's
+# constructor cost about 3% of the time of a decision on a machine with 2
+# to 4 states.
 _BaseRows = tuple[list[int], list[int], list[int], list[int]]
 
 
-def _base_rows(cells: list[list[bool | None]]) -> _BaseRows:
-    """Bit rows of an n x n table of base-case answers, None where the tape is needed."""
-    n = len(cells)
-    true_rows, open_rows, true_cols, open_cols = ([0] * n for _ in range(4))
-    for a, row in enumerate(cells):
-        for b, cell in enumerate(row):
-            if cell is None:
-                open_rows[a] |= 1 << b
-                open_cols[b] |= 1 << a
-            elif cell:
+def _base_rows(ends: Sequence[Sequence[int | None]],
+               open_ends: Sequence[Sequence[int]] = ()) -> _BaseRows:
+    """Bit rows of the base cases: (a, a) and (a, b) for b in row a of `ends` hold.
+
+    Row a of `ends` lists end states of a's choices, in `return_table`'s
+    shape, None where a choice ends in no segment.  A pair (a, b) with b in
+    `open_ends[a]` needs the tape unless it already holds; every other pair
+    fails.
+    """
+    n = len(ends)
+    true_rows = [1 << a for a in range(n)]
+    true_cols = true_rows.copy()
+    open_rows = [0] * n
+    open_cols = open_rows.copy()
+    for a, row in enumerate(ends):
+        for b in row:
+            if b is not None:
                 true_rows[a] |= 1 << b
                 true_cols[b] |= 1 << a
+    for a, row in enumerate(open_ends):
+        for b in row:
+            if not true_rows[a] >> b & 1:
+                open_rows[a] |= 1 << b
+                open_cols[b] |= 1 << a
     return true_rows, open_rows, true_cols, open_cols
-
-
-def _segment_rows(automaton: TwoWayAutomaton, word: str) -> _BaseRows:
-    """Base cases on `word`: a equals b, or one segment runs from a to b.
-
-    Read off the word's return table in O(n + segments); none needs the tape.
-    """
-    n = automaton.n
-    rows = [1 << a for a in range(n)]
-    cols = rows.copy()
-    for a, outcomes in enumerate(return_table(automaton, word)):
-        for b in outcomes:
-            if b is not None:
-                rows[a] |= 1 << b
-                cols[b] |= 1 << a
-    zeros = [0] * n
-    return rows, zeros, cols, zeros
 
 
 def _divide(stack: list[list[int]], height: int, rows: _BaseRows, answer: bool | None = None,
@@ -257,7 +257,7 @@ def decide_det(automaton: TwoWayAutomaton, word: str,
     if q_init == q_final:
         return True
     return _divide([[q_init, q_final, q_init, 2]], _stack_height(automaton.n),
-                   _segment_rows(automaton, word), stats=stats, budget=budget)
+                   _base_rows(return_table(automaton, word)), stats=stats, budget=budget)
 
 
 def dfa_state_bound(n: int) -> BoundReport:
@@ -289,15 +289,16 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = MAX_STATES) ->
     next free id, s2, s3, ..., the first time the worklist meets its key.
     All bookkeeping between base cases happens in stationary moves at the
     left endmarker, where the backward search starts and ends.  A base
-    case is settled without the tape off the controller's launch index,
-    `controller.launchers`, wherever it can be: an equal pair or a
-    stationary launch holds, and a start without a rightward launch, or an
-    end at the accepting state, fails; the cursor answers the rest.  The
-    worklist mints only the states reachable from the start, and a machine
-    needing more than `max_states` states, the two terminals included,
-    raises BudgetExceeded, so a ceiling below 2 fits none; the count never
-    exceeds `dfa_state_bound(n).stack_configurations_bound`, 4n *
-    (2n) ** ceil(log2(n - 1)).  The ceiling counts states, not memory: each
+    case is settled without the tape off each state's left-endmarker
+    choices, in the machine's one move index, wherever it can be: an equal
+    pair or a stationary choice's target holds, and a start without a
+    rightward choice, or an end at the accepting state, fails; the cursor
+    answers the rest.  The worklist mints only the states reachable from
+    the start, and a machine needing more than `max_states` states, the two
+    terminals included, raises BudgetExceeded, so a ceiling below 2 fits
+    none; the count never exceeds
+    `dfa_state_bound(n).stack_configurations_bound`, 4n * (2n) **
+    ceil(log2(n - 1)).  The ceiling counts states, not memory: each
     emitted state costs about 1.5 kB while the call runs (E1's 12-state
     normal form emits 345 439 states at about 530 MB peak RSS), so the
     default, `MAX_STATES`, lets one call grow to roughly 1.5 GB.  A 1-state
@@ -312,23 +313,13 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = MAX_STATES) ->
     n = automaton.n
     height = _stack_height(n)
     controller = build_controller(automaton)
-    q_final, accept, launchers = controller.final_state, controller.accept, controller.launchers
-    rightward = {q for (_, d), qs in launchers.items() if d == RIGHT for q in qs}
-
-    def base_case(q: int, p: int) -> bool | None:
-        """Whether a chain of at most one segment joins q to p; None when only the tape can tell.
-
-        The controller's launch index settles it as `_walk`'s first point
-        does: a stationary launch of p by q is a segment, and a rightward
-        launch of q leaves it to the tape unless p is the accepting state.
-        """
-        if q == p or q in launchers.get((p, STAY), ()):
-            return True
-        if p != q_final and q in rightward:
-            return None
-        return False
-
-    rows = _base_rows([[base_case(q, p) for p in range(n)] for q in range(n)])
+    q_final, accept = controller.final_state, controller.accept
+    # a stationary choice is a segment; a rightward one leaves every end but
+    # the accepting state, which only a stationary launch reaches, to the tape
+    choices = _single_moves(automaton)[3]
+    tape = [b for b in range(n) if b != q_final]
+    rows = _base_rows([[x for x, d in row if d == STAY] for row in choices],
+                      [tape if any(d == RIGHT for _, d in row) else () for row in choices])
 
     ids: dict[tuple, int] = {}
     worklist: list[tuple] = []

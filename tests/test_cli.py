@@ -1,6 +1,7 @@
 """Command-line surface: dispatch, output shape, exit codes."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from outerfa import (
     serialize,
 )
 from outerfa.cli import METHODS, main
+from outerfa.reach import build_controller
 
 from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, random_nf_onfa, random_oafa
 from reference import build_e1, build_e2, build_ea
@@ -205,6 +207,23 @@ def test_reach_and_dump(e1_file, capsys):
     assert "result: false" in out
     assert "controller_states: 21" in out
     assert "SCAN_LEFT(pa)" in out
+
+
+@pytest.mark.parametrize("dump", [[], ["--dump-controller"]], ids=["plain", "dump"])
+def test_reach_builds_one_controller(e1_file, dump, monkeypatch, capsys):
+    """The verdict, the state count and the dump all read the controller reach's gate keeps."""
+    builds = []
+
+    def counted(automaton):
+        builds.append(automaton)
+        return build_controller(automaton)
+
+    # by module, as the package's `reach` is a function
+    for module in ("outerfa.cli", "outerfa.reach"):
+        monkeypatch.setattr(sys.modules[module], "build_controller", counted)
+    assert main(["reach", e1_file, "--word", "aa", "--from", "pa", "--to", "ra", *dump]) == 0
+    assert "controller_states: 21" in capsys.readouterr().out
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("ends", [["nowhere", "qF"], ["qI", "nowhere"]], ids=["from", "to"])

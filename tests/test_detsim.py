@@ -23,7 +23,7 @@ from outerfa import (
     segment_exists_oracle,
     serialize,
 )
-from outerfa.detsim import _base_rows, _ceil_log2, _divide, _segment_rows, _stack_height
+from outerfa.detsim import _base_rows, _ceil_log2, _divide, _stack_height
 from outerfa.reach import return_table
 
 from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, random_nf_onfa
@@ -88,6 +88,24 @@ def counted_leaf(cells, stats):
     return leaf
 
 
+def cell_rows(cells):
+    """`_divide`'s bit rows of an n x n table of answers, None where the tape is needed.
+
+    Unlike `_base_rows`, it can leave a diagonal base case false or open.
+    """
+    n = len(cells)
+    true_rows, open_rows, true_cols, open_cols = ([0] * n for _ in range(4))
+    for a, row in enumerate(cells):
+        for b, cell in enumerate(row):
+            if cell is None:
+                open_rows[a] |= 1 << b
+                open_cols[b] |= 1 << a
+            elif cell:
+                true_rows[a] |= 1 << b
+                true_cols[b] |= 1 << a
+    return true_rows, open_rows, true_cols, open_cols
+
+
 def test_divide_matches_the_callback_machine_on_segments():
     """Bit rows settle each bottom frame as the midpoint scan does: same verdicts and counters."""
     for seed in range(24):
@@ -95,8 +113,8 @@ def test_divide_matches_the_callback_machine_on_segments():
         n = machine.n
         heights = {_ceil_log2(t) for t in range(1, n)}
         for word in all_words(machine.alphabet, 2):
-            rows = _segment_rows(machine, word)
             table = return_table(machine, word)
+            rows = _base_rows(table)
             cells = [[a == b or b in table[a] for b in range(n)] for a in range(n)]
             for height in heights:
                 for q in range(n):
@@ -119,7 +137,7 @@ def test_divide_suspends_and_resumes_like_the_callback_machine(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 9)
     cells = [[rng.choice((True, False, None)) for _ in range(n)] for _ in range(n)]
-    rows = _base_rows(cells)
+    rows = cell_rows(cells)
     q, p = rng.randrange(n), rng.randrange(n)
     for height in range(5):
         want, got = ReachableStats(), ReachableStats()
@@ -184,7 +202,7 @@ def test_reachable_matches_chain_oracle(nf_corpus):
     cases += [(random_nf_onfa(seed, n_max=9), 2) for seed in (7, 9, 11, 83)]
     for machine, max_len in cases:
         for word in all_words(machine.alphabet, max_len):
-            rows = _segment_rows(machine, word)
+            rows = _base_rows(return_table(machine, word))
             for e in range(_stack_height(machine.n) + 1):
                 for q in range(machine.n):
                     for p in range(machine.n):
@@ -233,7 +251,9 @@ def test_emitted_base_cases_agree_with_the_segment_oracle(nf_corpus, monkeypatch
 
     A true bit is an equal pair or a segment on every word, and a base case
     with neither bit set is a segment on no word; only an open bit needs
-    the tape.
+    the tape.  `decide_det`'s rows on each word lie between the two: each
+    of the emitter's true bits is true in them, and each of their true bits
+    is true or open in the emitter's.
     """
     passed = []
 
@@ -255,6 +275,15 @@ def test_emitted_base_cases_agree_with_the_segment_oracle(nf_corpus, monkeypatch
                     assert a == b or all(segments), (machine, a, b)
                 elif not open_rows[a] >> b & 1:
                     assert not any(segments), (machine, a, b)
+        for word in words:
+            passed.clear()
+            decide_det(machine, word)
+            if not passed:  # the initial state accepts at once
+                continue
+            word_rows = passed[0][0]
+            for a in range(n):
+                assert true_rows[a] & ~word_rows[a] == 0, (machine, word, a)
+                assert word_rows[a] & ~(true_rows[a] | open_rows[a]) == 0, (machine, word, a)
 
 
 def test_materialize_ea():
