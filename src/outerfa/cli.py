@@ -54,6 +54,10 @@ EXIT_INVARIANT = 6
 
 METHODS = ("oracle", "svfa", "divide", "gap", "agap")
 
+# The words `equiv` may compare, all lengths together: each costs two oracle
+# calls, and E1's 2**17 - 1 words up to length 16 took about 0.7 s.
+EQUIV_WORDS = 10**6
+
 
 def _load(path: str) -> TwoWayAutomaton:
     with open(path, "r", encoding="utf-8") as handle:
@@ -236,7 +240,15 @@ def _cmd_equiv(args) -> int:
     right = _load(args.file2)
     if set(left.alphabet) != set(right.alphabet):
         raise NotApplicable("the two machines use different alphabets")
-    for word in all_words(left.alphabet, args.max_len):
+    max_len = args.max_len if left.alphabet else 0  # without letters only the empty word
+    words = length_words = 1
+    for _ in range(max_len):
+        length_words *= len(left.alphabet)
+        words += length_words
+        if words > EQUIV_WORDS:
+            raise BudgetExceeded(f"--max-len {args.max_len} asks for more than equiv's ceiling "
+                                 f"of {EQUIV_WORDS:,} words")
+    for word in all_words(left.alphabet, max_len):
         if _oracle(left, word) != _oracle(right, word):
             _emit({"equivalent": False, "counterexample": word}, args.json)
             return EXIT_MISMATCH
@@ -306,7 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("equiv", _cmd_equiv, "brute-force language comparison up to a length")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=int, required=True,
+                   help=f"longest word compared; more than {EQUIV_WORDS:,} words in all exits 4")
 
     return parser
 

@@ -12,13 +12,16 @@ The search is materialized as a deterministic finite-state controller with
 exactly 4n - 3 states, walking the input tape.  Each tree node (q, i) is
 handled in two modes: first the predecessors one cell to the left, then the
 predecessors one cell to the right, with one start and one finish state per
-mode.  The states are the integers 0 ... 4n - 4: four kinds times the n - 1
-states other than the accepting one, then ACCEPT.  Their fixed moves fill
-one flat table indexed by state and symbol column.  Only one move depends
-on the q_from parameter: SCAN_LEFT(q) on the left endmarker accepts exactly
-when a choice of q_from launches q rightward, which the controller reads
-off one reverse launch index; the table holds the move for every other
-start.  Only this module knows the numbering.
+mode.  The table is built from the backward tree in first-child/next-sibling
+form, with one rule: a scan state goes to the first child of its node in
+state order, a finished node to its next sibling, and either, with none
+left, closes its mode.  The states are the integers 0 ... 4n - 4: four kinds
+times the n - 1 states other than the accepting one, then ACCEPT.  Their
+fixed moves fill one flat table indexed by state and symbol column.  Only
+one move depends on the q_from parameter: SCAN_LEFT(q) on the left
+endmarker accepts exactly when a choice of q_from launches q rightward,
+which the controller reads off one reverse launch index; the table holds
+the move for every other start.  Only this module knows the numbering.
 
 One stepper, `_walk`, is the only source of the search's choice points: it
 first lists the stationary launchers of q_to, then runs the controller over
@@ -211,12 +214,24 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
         return kind * (n - 1) + _rank(q, q_final)
 
     moves, launchers, _, _, _ = _single_moves(automaton)
-    # only[(sym, move)]: in state order, the states whose one move on sym is `move`
-    only: dict[tuple[str, Move], list[int]] = {}
+    # The backward tree in first-child/next-sibling form, from one pass in
+    # reverse state order: first_child[(sym, move)] is the first state whose
+    # one move on sym is `move`, and next_sibling[(sym, p)] the next state
+    # after p with p's move on sym, or None.
+    first_child: dict[tuple[str, Move], int] = {}
+    next_sibling: dict[tuple[str, int], int | None] = {}
     for sym, row in moves.items():
-        for p, move in enumerate(row):
-            if move is not None:
-                only.setdefault((sym, move), []).append(p)
+        for p in reversed(range(n)):
+            if row[p] is not None:
+                next_sibling[(sym, p)] = first_child.get((sym, row[p]))
+                first_child[(sym, row[p])] = p
+
+    def scan(child: int | None, kind: int, q: int, d: int) -> Move:
+        """The search's one rule: scan the subtree of `child` one cell left, or else close a mode.
+
+        With no child left, the search goes to kind(q) moving in direction d.
+        """
+        return (state(kind, q), d) if child is None else (state(_SCAN_LEFT, child), LEFT)
 
     rows: dict[int, list[Move | None]] = {accept: [None] * len(column)}
     for q in (q for q in range(n) if q != q_final):
@@ -224,28 +239,22 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
             rows.setdefault(state(kind, q), [None] * len(column)) for kind in range(4))
 
         # Mode 1: predecessors one cell to the left of (q, i); the head sits
-        # at i - 1.  The left endmarker, where `only` lists no one, takes
-        # the move of a search that does not accept there (see `hits`); the
-        # right endmarker is unreachable here.
+        # at i - 1.  The left endmarker, where no state has a first child,
+        # takes the move of a search that does not accept there (see `hits`);
+        # the right endmarker is unreachable here.  Once Mode 1 is done, move
+        # right onto (q, i) itself and open Mode 2, unless the head already
+        # scans the right endmarker, in which case (q, i) has no right
+        # predecessors at all.
         for sym in letters + (LEFT_ENDMARKER,):
-            preds = only.get((sym, (q, RIGHT)))
-            scan_left[column[sym]] = ((state(_SCAN_LEFT, preds[0]), LEFT) if preds
-                                      else (state(_DONE_LEFT, q), RIGHT))
-
-        # Mode 1 finished: move right onto (q, i) itself and open Mode 2,
-        # unless the head already scans the right endmarker, in which case
-        # (q, i) has no right predecessors at all.
-        for sym in letters + (LEFT_ENDMARKER,):
+            scan_left[column[sym]] = scan(first_child.get((sym, (q, RIGHT))), _DONE_LEFT, q, RIGHT)
             done_left[column[sym]] = (state(_SCAN_RIGHT, q), RIGHT)
         done_left[column[RIGHT_ENDMARKER]] = (state(_DONE_RIGHT, q), STAY)
 
         # Mode 2: predecessors one cell to the right; the head sits at i + 1.
         for sym in letters + (RIGHT_ENDMARKER,):
-            preds = only.get((sym, (q, LEFT)))
-            scan_right[column[sym]] = ((state(_SCAN_LEFT, preds[0]), LEFT) if preds
-                                       else (state(_DONE_RIGHT, q), LEFT))
+            scan_right[column[sym]] = scan(first_child.get((sym, (q, LEFT))), _DONE_RIGHT, q, LEFT)
 
-        # Both modes done: (q, i) and its whole subtree are exhausted.  Find
+        # Both modes done: (q, i) and its whole subtree are exhausted.  Scan
         # the next sibling predecessor of the unique successor of (q, i), or
         # close the parent's mode.  At the left endmarker the search is back
         # at the root with nothing left, which rejects by halting here.
@@ -255,10 +264,8 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
             (r, d) = row[q]
             if d == STAY:
                 raise InvariantViolation("stationary move away from the left endmarker")
-            siblings = [p for p in only[(sym, (r, d))] if p > q]
             closed = _DONE_LEFT if d == RIGHT else _DONE_RIGHT  # the parent's mode
-            done_right[column[sym]] = ((state(_SCAN_LEFT, siblings[0]), LEFT) if siblings
-                                       else (state(closed, r), d))
+            done_right[column[sym]] = scan(next_sibling[(sym, q)], closed, r, d)
 
     table = tuple(move for s in sorted(rows) for move in rows[s])
     if len(table) != (4 * n - 3) * len(column) or any(move and move[0] >= accept for move in table):

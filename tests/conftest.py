@@ -9,7 +9,8 @@ run of the suite sees the same corpus.  The sweepers (`mod_p_sweeper`,
 the whole length of long words.  `INITIAL_ACCEPTING` holds two
 strict-normal-form documents whose initial state is the accepting one.
 Every generator puts the accepting state last; `accepting_at` renumbers a
-machine to move it elsewhere.
+machine to move it elsewhere, and `universal_twin` makes its initial state
+universal.
 """
 
 import random
@@ -74,6 +75,12 @@ def chain_sweeper(k: int) -> TwoWayAutomaton:
         delta[(fwd, RIGHT_ENDMARKER)] = [(back, LEFT)]
         delta[(back, LEFT_ENDMARKER)] = [(q_final, STAY) if j == k else (fwd + 2, RIGHT)]
     return TwoWayAutomaton(names, "ab", delta, 0, [q_final], declared_flavor="onfa")
+
+
+def universal_twin(machine: TwoWayAutomaton) -> TwoWayAutomaton:
+    """The same machine with its initial state universal: a mod-p sweeper's twin picks every p at once."""
+    return TwoWayAutomaton(machine.state_names, machine.alphabet, machine.delta,
+                           machine.initial, machine.accepting, universal=[machine.initial])
 
 
 def permute_states(machine: TwoWayAutomaton, order: list[int]) -> TwoWayAutomaton:

@@ -10,9 +10,11 @@ n * (|w| + 2) configurations, reachable or not.  The visit-bounded oracle
 exists only here, and so does the branch-by-branch walk of the
 self-verifying simulation's tree (`reference_svfa_tree`), which
 `svfa_decide`'s pass over distinct snapshots is checked against.
+`exhaust` runs a trace-driven search (`n_reach`, `t_reach`, `svfa_run`)
+over every choice trace and counts each result.
 """
 
-from collections import deque
+from collections import Counter, deque
 from typing import NamedTuple
 
 from outerfa.core import (
@@ -29,6 +31,7 @@ from outerfa.core import (
     and_or_reach,
     check_word,
 )
+from outerfa.reach import TraceUnderflow
 from outerfa.svfa import _advance, _SimContext, _start
 
 Q_I, P_A, P_B, R_A, R_B, Q_F = range(6)
@@ -249,6 +252,21 @@ def reference_alternating(automaton, word):
     universal = automaton.universal
     good = and_or_reach(succs, accepting, lambda c: c.state in universal)
     return Configuration(automaton.initial, 0) in good
+
+
+def exhaust(func) -> Counter:
+    """Every result of a trace-driven callable over all of its traces, with its count."""
+    results: Counter = Counter()
+    stack = [()]
+    while stack:
+        trace = stack.pop()
+        try:
+            result = func(trace)
+        except TraceUnderflow as stop:
+            stack.extend(trace + (j,) for j in range(stop.options))
+            continue
+        results[result] += 1
+    return results
 
 
 def reference_svfa_tree(automaton, word, budget):

@@ -401,6 +401,27 @@ def test_equiv_rejects_a_negative_length(e1_file, capsys):
     assert "--max-len" in captured.err
 
 
+def test_equiv_refuses_more_words_than_its_ceiling(e1_file, tmp_path, capsys, monkeypatch):
+    # 2**41 - 1 words: refused at once, before any oracle call
+    monkeypatch.setattr("outerfa.cli._oracle", None)
+    assert main(["equiv", e1_file, e1_file, "--max-len", "40"]) == 4
+    captured = capsys.readouterr()
+    assert "equivalent" not in captured.out
+    assert "ceiling of 1,000,000 words" in captured.err
+    monkeypatch.undo()
+    # without letters there is one word, whatever the length
+    empty = tmp_path / "empty.2wa"
+    empty.write_text(INITIAL_ACCEPTING["one_state"].replace("alphabet: a", "alphabet:"))
+    assert main(["equiv", str(empty), str(empty), "--max-len", str(10**12)]) == 0
+    # the ceiling counts every length: 31 words of E1's two letters, or of one letter, pass
+    monkeypatch.setattr("outerfa.cli.EQUIV_WORDS", 31)
+    unary = str(E1_FILE.parent / "mod_p_3_4.2wa")
+    for path, fits in ((e1_file, 4), (unary, 30)):
+        assert main(["equiv", path, path, "--max-len", str(fits)]) == 0
+        assert main(["equiv", path, path, "--max-len", str(fits + 1)]) == 4
+    assert capsys.readouterr().err.count("ceiling of 31 words") == 2
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.2wa"
     bad.write_text("type: onfa\nstates q\n")

@@ -8,9 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outerfa import (
-    LEFT,
-    RIGHT,
-    STAY,
     MalformedAutomaton,
     NotApplicable,
     TwoWayAutomaton,
@@ -25,7 +22,7 @@ from outerfa import (
 )
 from outerfa import core
 
-from conftest import random_onfa
+from conftest import mod_p_sweeper, random_onfa, universal_twin
 from reference import (
     P_A,
     P_B,
@@ -324,32 +321,11 @@ def test_and_or_reach_small_cases():
     assert and_or_reach({0: []}, [0], universal) == {0}
 
 
-def universal_mod_p_sweeper(periods):
-    """qI picks every period p at once; c_p counts |w| mod p, r_p returns to accept."""
-    names = ["qI"]
-    delta = {}
-    launches = []
-    for p in periods:
-        base = len(names)
-        names += [f"c{p}_{i}" for i in range(p)] + [f"r{p}"]
-        launches.append((base, RIGHT))
-        for i in range(p):
-            delta[(base + i, "a")] = [(base + (i + 1) % p, RIGHT)]
-        delta[(base, ">")] = [(base + p, LEFT)]
-        delta[(base + p, "a")] = [(base + p, LEFT)]
-    q_final = len(names)
-    names.append("qF")
-    for (base, _), p in zip(launches, periods):
-        delta[(base + p, "<")] = [(q_final, STAY)]
-    delta[(0, "<")] = launches
-    return TwoWayAutomaton(names, "a", delta, 0, [q_final], universal=[0])
-
-
 def test_alternating_oracle_on_long_words(monkeypatch):
     # the re-scanning fixpoint took seconds per word at this length; the
     # solver's work is bounded by the configuration graph's edge count
     periods = (3, 5, 7)
-    machine = universal_mod_p_sweeper(periods)
+    machine = universal_twin(mod_p_sweeper(periods))
     real = core.and_or_reach
     work = []
 

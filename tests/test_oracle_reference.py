@@ -18,7 +18,7 @@ from outerfa import (
 )
 from outerfa import core
 
-from conftest import mod_p_sweeper
+from conftest import mod_p_sweeper, universal_twin
 from reference import reference_accepts, reference_alternating, reference_segment
 
 PERIODS = (3, 5, 7)
@@ -60,11 +60,6 @@ def test_alternating_oracle_matches_reference(raw_corpus, nf_corpus, raw_alt_cor
         for word in all_words(machine.alphabet, 3):
             assert alternating_accepts_oracle(machine, word) == \
                 reference_alternating(machine, word), (machine, word)
-
-
-def universal_twin(machine):
-    return TwoWayAutomaton(machine.state_names, machine.alphabet, machine.delta,
-                           machine.initial, machine.accepting, universal=[machine.initial])
 
 
 def sweeper_lengths():

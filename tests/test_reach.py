@@ -1,6 +1,8 @@
 """Backward-search controller, guessing searches, chain checks."""
 
 import dataclasses
+import hashlib
+import re
 import sys
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from outerfa import (
     n_reach,
     normalize_oafa,
     normalize_onfa,
+    parse,
     reach,
     return_table,
     segment_exists_oracle,
@@ -49,24 +52,10 @@ from reference import (
     R_B,
     build_e1,
     build_trivial_empty,
+    exhaust,
 )
 
 E1 = build_e1()
-
-
-def enumerate_outcomes(func, options_of_first_call=None):
-    """Exhaust every trace of a trace-driven callable; returns verdict -> traces."""
-    outcomes = {}
-    stack = [()]
-    while stack:
-        trace = stack.pop()
-        try:
-            result = func(trace)
-        except TraceUnderflow as stop:
-            stack.extend(trace + (j,) for j in range(stop.options))
-            continue
-        outcomes.setdefault(result, []).append(trace)
-    return outcomes
 
 
 def test_controller_state_counts():
@@ -86,10 +75,32 @@ def test_controller_checks_its_numbering(monkeypatch, rank):
         build_controller(accepting_at(E1, 0))
 
 
-def test_controller_dump_is_pinned():
-    """E1's whole table, parameter rows included, as `reach --dump-controller` prints it."""
-    golden = Path(__file__).parent / "data" / "e1_controller_dump.txt"
-    assert build_controller(E1).dump() == golden.read_text(encoding="utf-8").rstrip("\n")
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["e1", "nf65"])
+def test_controller_dump_is_pinned(name):
+    """A whole table, parameter rows included, as `reach --dump-controller` prints it.
+
+    nf65's has a move to a next sibling, DONE_RIGHT(q0) on a to SCAN_LEFT(q2); E1's has none.
+    """
+    machine = parse((DATA / f"{name}.2wa").read_text(encoding="utf-8"))
+    golden = DATA / f"{name}_controller_dump.txt"
+    assert build_controller(machine).dump() == golden.read_text(encoding="utf-8").rstrip("\n")
+
+
+def test_controllers_are_pinned(nf_corpus, alt_nf_corpus, raw_corpus, raw_alt_corpus):
+    """Every corpus machine's, sweeper's and committed machine's table, as one digest of their dumps."""
+    machines = (nf_corpus + alt_nf_corpus + [normalize_onfa(m) for m in raw_corpus]
+                + [normalize_oafa(m) for m in raw_alt_corpus]
+                + [mod_p_sweeper(periods) for periods in ((2, 3), (3, 4, 5), (2, 3, 5, 7))]
+                + [chain_sweeper(k) for k in range(1, 5)]
+                + [parse(path.read_text(encoding="utf-8")) for path in sorted(DATA.glob("*.2wa"))])
+    dumps = "\n".join(build_controller(machine).dump() for machine in machines)
+    # moves to a next sibling, the ones E1's golden dump lacks
+    siblings = len(re.findall(r"^  DONE_RIGHT\(\w+\) \S -> SCAN_LEFT", dumps, re.MULTILINE))
+    assert (len(machines), siblings, hashlib.sha256(dumps.encode()).hexdigest()) == (
+        371, 701, "a5cc89730c5a66e1f7db2bf733933ec0037bb1b1bbf76fc087f22076c03f5a8c")
 
 
 def test_controller_shares_the_machines_launch_index(nf_corpus, alt_nf_corpus):
@@ -177,7 +188,7 @@ def test_n_reach_examples():
     # demanding a candidate where none exists aborts
     assert n_reach(E1, "aa", R_A, [5]) is Verdict.DONT_KNOW
     # no segment ever enters rb on "aa"
-    outcomes = enumerate_outcomes(lambda tr: n_reach(E1, "aa", R_B, tr))
+    outcomes = exhaust(lambda tr: n_reach(E1, "aa", R_B, tr))
     assert set(outcomes) == {Verdict.DONT_KNOW}
     # an empty backward tree aborts without consuming the trace:
     # nothing moves left into pa, so (pa, 0) has no predecessors on "b"
@@ -199,7 +210,7 @@ def test_n_reach_examples():
     for word in ("", "a", "aa"):
         assert segment_exists_oracle(machine, word, q_i, p)
         assert segment_reach(machine, word, q_i, p)
-        outcomes = enumerate_outcomes(lambda tr: n_reach(machine, word, p, tr))
+        outcomes = exhaust(lambda tr: n_reach(machine, word, p, tr))
         assert set(outcomes) == {q_i, Verdict.DONT_KNOW}
         # the stationary launchers are the search's first choice point
         assert n_reach(machine, word, p, [1]) == q_i
@@ -215,7 +226,7 @@ def test_n_reach_outcomes_match_segment_oracle(nf_corpus, alt_nf_corpus):
     for machine in list(nf_corpus[:10]) + list(alt_nf_corpus[:10]) + [E1]:
         for word in all_words(machine.alphabet, 3):
             for q_to in range(machine.n):
-                outcomes = enumerate_outcomes(
+                outcomes = exhaust(
                     lambda tr: n_reach(machine, word, q_to, tr))
                 emitted = {v for v in outcomes if isinstance(v, int)}
                 expected = {
@@ -229,7 +240,7 @@ def test_t_reach_examples():
     assert t_reach(E1, "aa", R_A, 1, [0, 1]) is True
     assert t_reach(E1, "aa", Q_I, 0, []) is True
     assert t_reach(E1, "aa", P_B, 0, []) is False
-    outcomes = enumerate_outcomes(lambda tr: t_reach(E1, "aa", R_B, 1, tr))
+    outcomes = exhaust(lambda tr: t_reach(E1, "aa", R_B, 1, tr))
     assert set(outcomes) == {Verdict.DONT_KNOW}
 
 
@@ -295,7 +306,7 @@ def test_t_reach_matches_chain_oracle(nf_corpus, alt_nf_corpus):
                 if t:
                     chain = {q for q in range(n) if any(seg[p][q] for p in chain)}
                 for q in range(n):
-                    outcomes = enumerate_outcomes(
+                    outcomes = exhaust(
                         lambda tr: t_reach(machine, word, q, t, tr))
                     assert (True in outcomes) == (q in chain)
 

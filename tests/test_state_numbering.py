@@ -9,7 +9,6 @@ controller against the brute-force oracles.
 import pytest
 
 from outerfa import (
-    TraceUnderflow,
     Verdict,
     accepts_oracle,
     all_words,
@@ -24,22 +23,7 @@ from outerfa import (
 )
 
 from conftest import accepting_at, mod_p_sweeper
-from reference import build_e1
-
-
-def exhaust(func):
-    """Every result of a trace-driven callable over all of its traces, with its count."""
-    results = {}
-    stack = [()]
-    while stack:
-        trace = stack.pop()
-        try:
-            result = func(trace)
-        except TraceUnderflow as stop:
-            stack.extend(trace + (j,) for j in range(stop.options))
-            continue
-        results[result] = results.get(result, 0) + 1
-    return results
+from reference import build_e1, exhaust
 
 
 @pytest.fixture(scope="module")

@@ -29,7 +29,7 @@ from outerfa.normalform import NotNormalForm
 from outerfa.reach import _walk
 
 from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, random_nf_onfa, random_onfa
-from reference import (build_e1, build_e2, build_trivial_all, build_trivial_empty,
+from reference import (build_e1, build_e2, build_trivial_all, build_trivial_empty, exhaust,
                        reference_svfa_tree)
 
 E1 = build_e1()
@@ -124,16 +124,7 @@ def test_decide_matches_trace_replay_enumeration(nf_corpus):
         for word in all_words(machine.alphabet, 3):
             merged += any(sum(1 for point in _walk(controller, word, q) if point) >= 2
                           for q in range(machine.n))
-            tallies = {verdict: 0 for verdict in Verdict}
-            stack = [()]
-            while stack:
-                trace = stack.pop()
-                try:
-                    verdict = svfa_run(machine, word, trace)
-                except TraceUnderflow as stop:
-                    stack.extend(trace + (j,) for j in range(stop.options))
-                    continue
-                tallies[verdict] += 1
+            tallies = exhaust(lambda trace: svfa_run(machine, word, trace))
             report = svfa_decide(machine, word)
             assert report.verdict_exists_yes == (tallies[Verdict.ACCEPT] > 0)
             assert report.verdict_exists_no == (tallies[Verdict.REJECT] > 0)
