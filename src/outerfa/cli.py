@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from .core import (
     BudgetExceeded,
@@ -43,7 +43,7 @@ from .normalform import (
 )
 from .reach import build_controller  # noqa: F401  (perfbench/tracing.py wraps it here by name)
 from .reach import reach
-from .svfa import SVFA_BUDGET, complement_decide, svfa_decide, svfa_state_accounting
+from .svfa import SVFA_BUDGET, svfa_decide, svfa_state_accounting
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -85,22 +85,17 @@ def _ensure_normal_form(automaton: TwoWayAutomaton, alternating: bool) -> TwoWay
     return automaton
 
 
-def _oracle(automaton: TwoWayAutomaton, word: str) -> bool:
-    """Brute-force acceptance, alternating when the machine has universal states."""
-    if automaton.universal:
-        return alternating_accepts_oracle(automaton, word)
-    return accepts_oracle(automaton, word)
-
-
 def _decide(automaton: TwoWayAutomaton, word: str, method: str, budget: int | None):
     """Boolean acceptance through one of the decision pipelines.
 
+    The oracle is the alternating one when the machine has universal states.
     `budget` bounds svfa's distinct snapshots and divide's base cases; None
     keeps each method's library default.
     """
     extras: dict = {}
     if method == "oracle":
-        return _oracle(automaton, word), extras
+        oracle = alternating_accepts_oracle if automaton.universal else accepts_oracle
+        return oracle(automaton, word), extras
     if method == "agap":
         return oafa_decide(_ensure_normal_form(automaton, alternating=True), word), extras
     machine = _ensure_normal_form(automaton, alternating=False)
@@ -146,14 +141,14 @@ def _cmd_normalize(args) -> int:
     else:
         normalized = normalize_onfa(automaton)
     # the budget is the input's: 3n for the machine that was normalized
-    report = replace(check_normal_form(normalized, alternating=args.alternating),
-                     bound_3n=3 * automaton.n)
+    report = {**asdict(check_normal_form(normalized, alternating=args.alternating)),
+              "state_count": normalized.n, "bound_3n": 3 * automaton.n}
     document = serialize(normalized)
     if args.json:
-        _emit({"machine": document, "report": asdict(report)}, True)
+        _emit({"machine": document, "report": report}, True)
     else:
         sys.stdout.write(document)
-        for key, value in asdict(report).items():
+        for key, value in report.items():
             print(f"# {key}: {value}")
     return EXIT_OK
 
@@ -199,10 +194,9 @@ def _cmd_segment_graph(args) -> int:
 
 
 def _cmd_complement(args) -> int:
-    automaton = _load(args.file)
-    machine = _ensure_normal_form(automaton, alternating=False)
-    limit = {} if args.budget is None else {"budget": args.budget}
-    _emit({"result": complement_decide(machine, args.word, **limit)}, args.json)
+    # a word is in the complement when some svfa branch rejects it
+    _, extras = _decide(_load(args.file), args.word, "svfa", args.budget)
+    _emit({"result": extras["reject_branch_exists"]}, args.json)
     return EXIT_OK
 
 
@@ -240,7 +234,8 @@ def _cmd_equiv(args) -> int:
     right = _load(args.file2)
     if set(left.alphabet) != set(right.alphabet):
         raise NotApplicable("the two machines use different alphabets")
-    max_len = args.max_len if left.alphabet else 0  # without letters only the empty word
+    # without letters only the empty word; the count below still loops over each length
+    max_len = args.max_len if left.alphabet else 0
     words = length_words = 1
     for _ in range(max_len):
         length_words *= len(left.alphabet)
@@ -249,7 +244,7 @@ def _cmd_equiv(args) -> int:
             raise BudgetExceeded(f"--max-len {args.max_len} asks for more than equiv's ceiling "
                                  f"of {EQUIV_WORDS:,} words")
     for word in all_words(left.alphabet, max_len):
-        if _oracle(left, word) != _oracle(right, word):
+        if _decide(left, word, "oracle", None)[0] != _decide(right, word, "oracle", None)[0]:
             _emit({"equivalent": False, "counterexample": word}, args.json)
             return EXIT_MISMATCH
     _emit({"equivalent": True, "max_len": args.max_len}, args.json)

@@ -430,6 +430,8 @@ def all_words(alphabet: Iterable[str], max_len: int) -> Iterable[str]:
     from itertools import product
 
     letters = list(alphabet)
+    if not letters:  # the empty word is the only one
+        max_len = min(max_len, 0)
     for length in range(max_len + 1):
         for tup in product(letters, repeat=length):
             yield "".join(tup)

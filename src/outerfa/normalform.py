@@ -53,19 +53,12 @@ class NotNormalForm(ValueError):
 
 @dataclass(frozen=True)
 class NormalFormReport:
-    """Result of the structural normal-form scan.
-
-    `bound_3n` is three times the scanned machine's states: the budget a
-    normalization of that machine must stay within, not a bound on the
-    machine itself.
-    """
+    """Result of the structural normal-form scan."""
 
     property1: bool  # choices only at the left endmarker
     property2: bool  # unique halting accepting state
     property3: bool  # accepting state entered only at the left endmarker, stationary
     property4: bool  # stationary moves confined to the left endmarker
-    state_count: int
-    bound_3n: int
 
     @property
     def all_properties(self) -> bool:
@@ -79,15 +72,7 @@ def check_normal_form(automaton: TwoWayAutomaton, alternating: bool = False) -> 
     universal states can pass with `alternating=False`, where
     `require_normal_form` refuses it.
     """
-    p1, p2, p3, p4 = _normal_form_flags(automaton, alternating=alternating)
-    return NormalFormReport(
-        property1=p1,
-        property2=p2,
-        property3=p3,
-        property4=p4,
-        state_count=automaton.n,
-        bound_3n=3 * automaton.n,
-    )
+    return NormalFormReport(*_normal_form_flags(automaton, alternating=alternating))
 
 
 def require_normal_form(automaton: TwoWayAutomaton, alternating: bool) -> int:

@@ -6,7 +6,9 @@ generated directly in the strict normal form, and partitioned machines
 generated in the relaxed normal form.  All generators are seeded, so every
 run of the suite sees the same corpus.  The sweepers (`mod_p_sweeper`,
 `chain_sweeper`) are strict-normal-form machines whose backward trees run
-the whole length of long words.  `INITIAL_ACCEPTING` holds two
+the whole length of long words.  `gap_machine(m)` decides reachability
+in the graph its word lists, so its segment graphs are arbitrary graphs
+on m vertices.  `INITIAL_ACCEPTING` holds two
 strict-normal-form documents whose initial state is the accepting one.
 Every generator puts the accepting state last; `accepting_at` renumbers a
 machine to move it elsewhere, and `universal_twin` makes its initial state
@@ -15,6 +17,7 @@ universal.
 
 import random
 import re
+import string
 
 import pytest
 
@@ -75,6 +78,39 @@ def chain_sweeper(k: int) -> TwoWayAutomaton:
         delta[(fwd, RIGHT_ENDMARKER)] = [(back, LEFT)]
         delta[(back, LEFT_ENDMARKER)] = [(q_final, STAY) if j == k else (fwd + 2, RIGHT)]
     return TwoWayAutomaton(names, "ab", delta, 0, [q_final], declared_flavor="onfa")
+
+
+def gap_pairs(m: int) -> list[tuple[int, int]]:
+    """The edges (i, j), i != j, of `gap_machine(m)`, in the order of its letters."""
+    return [(i, j) for i in range(m) for j in range(m) if i != j]
+
+
+def gap_machine(m: int) -> TwoWayAutomaton:
+    """Graph reachability: accept iff vertex m - 1 is reachable from vertex 0.
+
+    The word is a list of edges, one letter e(i, j) per ordered pair i != j
+    (a-z then A-Z, so m <= 7).  At `<` v_i guesses an edge (i, j) and scans
+    right as c(i, j); on e(i, j) it walks back left as v_j, and on `>` it
+    halts.  v_{m-1} may also enter qF.  n = m^2 + 1, in strict normal form as
+    built, and the segment graph of a word is the graph the word lists.
+    """
+    pairs = gap_pairs(m)
+    letters = string.ascii_letters[:len(pairs)]
+    if len(letters) < len(pairs):
+        raise ValueError("gap_machine has single-letter edges only up to m = 7")
+    c = {pair: m + index for index, pair in enumerate(pairs)}
+    q_final = m + len(pairs)
+    delta = {(i, LEFT_ENDMARKER): [(c[(i, j)], RIGHT) for j in range(m) if j != i]
+             for i in range(m)}
+    delta[(m - 1, LEFT_ENDMARKER)].append((q_final, STAY))
+    for v in range(m):
+        for letter in letters:
+            delta[(v, letter)] = [(v, LEFT)]
+    for (i, j), letter in zip(pairs, letters):
+        for other in letters:
+            delta[(c[(i, j)], other)] = [(j, LEFT) if other == letter else (c[(i, j)], RIGHT)]
+    names = [f"v{i}" for i in range(m)] + [f"c{i}_{j}" for (i, j) in pairs] + ["qF"]
+    return TwoWayAutomaton(names, letters, delta, 0, [q_final], declared_flavor="onfa")
 
 
 def universal_twin(machine: TwoWayAutomaton) -> TwoWayAutomaton:

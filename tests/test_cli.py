@@ -268,6 +268,30 @@ def test_complement(e1_file, capsys):
     assert "result: false" in capsys.readouterr().out
 
 
+def test_complement_prints_the_reject_side_of_svfa(nf_corpus, tmp_path, capsys):
+    files = [str(E1_FILE.parent / name) for name in COMMITTED]
+    for index, machine in enumerate(nf_corpus[:10]):
+        path = tmp_path / f"nf{index}.2wa"
+        path.write_text(serialize(machine))
+        files.append(str(path))
+    refused = 0
+    for path in files:
+        for word in all_words(parse(Path(path).read_text()).alphabet, 2):
+            for budget in ([], ["--budget", "50"]):
+                code = main(["run", path, "--word", word, "--method", "svfa", "--json", *budget])
+                run = capsys.readouterr()
+                assert main(["complement", path, "--word", word, "--json", *budget]) == code
+                complement = capsys.readouterr()
+                if code == 0:
+                    expected = {"result": json.loads(run.out)["reject_branch_exists"]}
+                    assert json.loads(complement.out) == expected, (path, word, budget)
+                else:
+                    assert code == 4 and complement.err == run.err, (path, word, budget)
+                    refused += 1
+    # 50 snapshots refuse 9 of the 94 words, so both exits are compared
+    assert refused == 9
+
+
 def test_bounds(e1_file, capsys):
     assert main(["bounds", e1_file]) == 0
     out = capsys.readouterr().out
@@ -402,8 +426,8 @@ def test_equiv_rejects_a_negative_length(e1_file, capsys):
 
 
 def test_equiv_refuses_more_words_than_its_ceiling(e1_file, tmp_path, capsys, monkeypatch):
-    # 2**41 - 1 words: refused at once, before any oracle call
-    monkeypatch.setattr("outerfa.cli._oracle", None)
+    # 2**41 - 1 words: refused at once, before any word is decided
+    monkeypatch.setattr("outerfa.cli._decide", None)
     assert main(["equiv", e1_file, e1_file, "--max-len", "40"]) == 4
     captured = capsys.readouterr()
     assert "equivalent" not in captured.out

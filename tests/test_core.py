@@ -363,3 +363,10 @@ def test_check_word():
     assert check_word(E1, "") == ""
     with pytest.raises(NotApplicable, match="'c'"):
         check_word(E1, "abc")
+
+
+def test_all_words_without_letters_is_the_empty_word():
+    # one word for any length, at once: the lengths past 0 are not walked
+    assert list(all_words("", 10**12)) == [""]
+    assert list(all_words("", -1)) == []
+    assert list(all_words("ab", 2)) == ["", "a", "b", "aa", "ab", "ba", "bb"]

@@ -1,8 +1,11 @@
 """Segment graphs, plain and alternating reachability decisions."""
 
+import random
+
 import pytest
 
 from outerfa import (
+    BudgetExceeded,
     NotApplicable,
     SegmentGraph,
     accepts_oracle,
@@ -17,8 +20,10 @@ from outerfa import (
     segment_exists_oracle,
     segment_graph_to_dot,
 )
+from outerfa.cli import METHODS, _decide
 from outerfa.normalform import NotNormalForm
 
+from conftest import gap_machine, gap_pairs
 from reference import Q_I, R_A, build_e1, build_e2, build_trivial_empty
 
 E1 = build_e1()
@@ -158,3 +163,38 @@ def test_foreign_letters_raise(decide):
     for machine in (E1, E2):
         with pytest.raises(NotApplicable, match="not in the machine's alphabet"):
             decide(machine, "ac")
+
+
+def _reachable(edges: set, source: int) -> set:
+    """The vertices a breadth-first search reaches from `source`."""
+    seen, frontier = {source}, [source]
+    while frontier:
+        frontier = [j for i in frontier for (k, j) in edges if k == i and j not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_gap_machine_matches_bfs_on_the_decoded_graph(m):
+    machine = gap_machine(m)
+    q_final = machine.n - 1
+    letter_edge = dict(zip(machine.alphabet, gap_pairs(m)))
+    rng = random.Random(7)
+    decided = dict.fromkeys(METHODS, 0)
+    accepted = 0
+    for _ in range(10):
+        word = "".join(rng.choice(machine.alphabet) for _ in range(rng.randint(0, 2 * m)))
+        edges = {letter_edge[letter] for letter in word}
+        # the segment graph is the graph the word lists, plus v_{m-1}'s step into qF
+        assert build_segment_graph(machine, word).edges == edges | {(m - 1, q_final)}
+        expected = m - 1 in _reachable(edges, 0)
+        accepted += expected
+        for method in METHODS:
+            try:
+                verdict, _ = _decide(machine, word, method, None)
+            except BudgetExceeded:
+                continue  # skipped, never counted as agreement
+            assert verdict == expected, (m, word, method)
+            decided[method] += 1
+    assert decided == dict.fromkeys(METHODS, 10)
+    assert 0 < accepted < 10

@@ -132,7 +132,6 @@ def test_normalize_onfa_rejects_universal_states():
 def test_check_normal_form_examples():
     report = check_normal_form(E1)
     assert report.all_properties
-    assert report.bound_3n == 18
     # a stationary interior move breaks property 4
     delta = dict(E1.delta)
     delta[(P_A, "a")] = [(P_A, 0)]
