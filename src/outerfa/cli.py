@@ -42,7 +42,7 @@ from .normalform import (
     require_normal_form,
 )
 from .reach import build_controller  # noqa: F401  (perfbench/tracing.py wraps it here by name)
-from .reach import reach
+from .reach import _single_moves, reach
 from .svfa import SVFA_BUDGET, svfa_decide, svfa_state_accounting
 
 EXIT_OK = 0
@@ -203,9 +203,11 @@ def _cmd_complement(args) -> int:
 def _cmd_bounds(args) -> int:
     automaton = _load(args.file)
     normal = check_normal_form(automaton, alternating=bool(automaton.universal)).all_properties
-    bound = asdict(dfa_state_bound(automaton.n))
+    # the port count, and the bound over ports, only for a machine in the normal form
+    ports = len(_single_moves(automaton)[5]) if normal else None
+    bound = asdict(dfa_state_bound(automaton.n, ports))
     payload = {"dfa_n": bound.pop("n"), "dfa_normal_form_assumed": normal}
-    payload.update({f"dfa_{k}": v for k, v in bound.items()})
+    payload.update({f"dfa_{k}": v for k, v in bound.items() if v is not None})
     payload.update({f"svfa_{k}": v for k, v in asdict(svfa_state_accounting(automaton.n)).items()})
     _emit(payload, args.json)
     return EXIT_OK
@@ -308,7 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--max-states", type=int, default=MAX_STATES,
                    help=f"emitted states past which it exits 4 (default {MAX_STATES:,}); each "
-                        "costs about 1.5 kB of memory while the machine is built")
+                        "costs about 1.5 kB of memory on two letters, more with more letters, "
+                        "while the machine is built")
 
     p = add("equiv", _cmd_equiv, "brute-force language comparison up to a length")
     p.add_argument("file1")

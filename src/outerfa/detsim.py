@@ -2,16 +2,23 @@
 
 Whether some chain of at most 2^h segments joins two states splits into two
 questions about 2^(h-1) segments through a guessed midpoint, so acceptance
-(a chain of at most n - 1 segments from the initial to the accepting state)
-resolves with a stack whose height is only ceil(log2(n - 1)).  One explicit
+(a chain of segments from the initial to the accepting state) resolves with
+a stack of logarithmic height.  The midpoints are guessed among the ports
+alone: the states with a choice at the left endmarker, plus the initial and
+the accepting state, which `reach._single_moves` lists once per machine.
+Every state of a chain but the last starts a segment with a choice at `<`,
+and the last is the accepting state, so with k ports a shortest chain has at
+most k - 1 segments and the stack is ceil(log2(k - 1)) halvings high, where
+guessing among all n states would need ceil(log2(n - 1)).  One explicit
 stack machine, `_divide`, does this work for its only two entries,
 `decide_det` and `materialize_dfa`.  It reads the base cases off bit rows
-of the base-case relation (`_BaseRows`): a set bit in a true row holds, one
-in an open row needs the tape.  Both entries make those rows with one
-builder that reads rows of end states, `_base_rows`.  A frame one level
-above the bottom, whose questions each split into two base cases, scans
-its midpoints in one inline loop: it settles each such bottom question
-with a few big-integer operations, counts the base cases the
+of the base-case relation over the ports (`_BaseRows`): a set bit in a true
+row holds, one in an open row needs the tape.  Both entries make those rows
+with one builder, `_base_rows`, which reads rows of end states indexed by
+state and is the one place where they are narrowed to the ports.  A frame
+one level above the bottom, whose questions each split into two base
+cases, scans its midpoints in one inline loop: it settles each such bottom
+question with a few big-integer operations, counts the base cases the
 midpoint-by-midpoint scan would have asked, and pushes a bottom frame only
 where a half suspends.  `decide_det` runs it to a verdict, with rows built
 from the word's return table as it stands and no open bits, under a budget
@@ -63,7 +70,10 @@ class BoundReport:
     already in normal form; `rough_bound` first pays the 3n conversion.
     `c_exponent` is the honest excess exponent c with
     rough_bound = n ** (log2(n) + c); it drifts down toward (and around) 6
-    only for astronomically large n.
+    only for astronomically large n.  Given the machine's k ports,
+    `port_stack_configurations_bound` prices the machine `materialize_dfa`
+    emits, whose halvings guess their midpoints among the ports alone; it
+    is None when k is not given.
     """
 
     n: int
@@ -71,14 +81,19 @@ class BoundReport:
     rough_bound: int
     c_exponent: float
     degenerate: bool
+    k: int | None = None
+    port_stack_configurations_bound: int | None = None
 
 
-# The base cases one divide-and-conquer decision may ask by default.  The
-# benchmark's costliest item asks about 2.0 * 10**6; a mod-(5, 7, 11) sweeper
-# (28 states) rejecting a^31 would ask 17.9 * 10**6.
+# The base cases one divide-and-conquer decision may ask by default.  Over
+# ports, the benchmark's costliest item asks 1 062 and a mod-(5, 7, 11)
+# sweeper (28 states, 5 ports) rejecting a^31 asks 32; a ring of 28 states,
+# each of them a port, rejecting a word would ask 22.4 * 10**6.
 DIVIDE_BUDGET = 10**7
 
-# The states `materialize_dfa` may emit by default: about 1.5 GB while it runs.
+# The states `materialize_dfa` may emit by default.  Each costs about 1.5 kB
+# while the call runs on a machine of one or two letters, so about 1.5 GB in
+# all, and more with more letters: about 12 kB on a machine of 30.
 MAX_STATES = 10**6
 
 
@@ -86,12 +101,12 @@ def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-def _stack_height(n: int) -> int:
-    """Halvings for a chain of at most n - 1 segments: ceil(log2(n - 1)), and 0 for n <= 2."""
-    return _ceil_log2(max(n - 1, 1))
+def _stack_height(k: int) -> int:
+    """Halvings for a chain of at most k - 1 segments: ceil(log2(k - 1)), and 0 for k <= 2."""
+    return _ceil_log2(max(k - 1, 1))
 
 
-# The stack machine's base-case relation over range(n), as four lists of bit
+# The stack machine's base-case relation over the k ports, as four lists of bit
 # rows (true_rows, open_rows, true_cols, open_cols): bit b of true_rows[a]
 # says the base case (a, b) holds, bit b of open_rows[a] that it needs the
 # tape, and a base case with neither fails.  The cols are the transposes.
@@ -102,30 +117,37 @@ def _stack_height(n: int) -> int:
 _BaseRows = tuple[list[int], list[int], list[int], list[int]]
 
 
-def _base_rows(ends: Sequence[Sequence[int | None]],
+def _base_rows(ports: Sequence[int], port_of: dict[int | None, int | None],
+               ends: Sequence[Sequence[int | None]],
                open_ends: Sequence[Sequence[int]] = ()) -> _BaseRows:
-    """Bit rows of the base cases: (a, a) and (a, b) for b in row a of `ends` hold.
+    """Bit rows of the base cases over the ports: (a, a) and (a, b) for b in row a of `ends` hold.
 
-    Row a of `ends` lists end states of a's choices, in `return_table`'s
-    shape, None where a choice ends in no segment.  A pair (a, b) with b in
-    `open_ends[a]` needs the tape unless it already holds; every other pair
-    fails.
+    The rows are indexed by port, `port_of` each state's index in `ports`
+    (None for a state that is not a port, and for None).  Row q of `ends`
+    lists end states of q's choices, in `return_table`'s shape, None where
+    a choice ends in no segment.  A pair (a, b) of ports with b in row a's
+    state of `open_ends` needs the tape unless it already holds; every other
+    pair fails.  An end that is not a port is dropped, as no chain goes on
+    from it.
     """
-    n = len(ends)
-    true_rows = [1 << a for a in range(n)]
+    k = len(ports)
+    true_rows = [1 << a for a in range(k)]
     true_cols = true_rows.copy()
-    open_rows = [0] * n
+    open_rows = [0] * k
     open_cols = open_rows.copy()
-    for a, row in enumerate(ends):
-        for b in row:
+    for a, q in enumerate(ports):
+        for b in ends[q]:
+            b = port_of[b]
             if b is not None:
                 true_rows[a] |= 1 << b
                 true_cols[b] |= 1 << a
-    for a, row in enumerate(open_ends):
-        for b in row:
-            if not true_rows[a] >> b & 1:
-                open_rows[a] |= 1 << b
-                open_cols[b] |= 1 << a
+    if open_ends:
+        for a, q in enumerate(ports):
+            for b in open_ends[q]:
+                b = port_of[b]
+                if b is not None and not true_rows[a] >> b & 1:
+                    open_rows[a] |= 1 << b
+                    open_cols[b] |= 1 << a
     return true_rows, open_rows, true_cols, open_cols
 
 
@@ -241,14 +263,17 @@ def _divide(stack: list[list[int]], height: int, rows: _BaseRows, answer: bool |
 
 def decide_det(automaton: TwoWayAutomaton, word: str,
                stats: ReachableStats | None = None, budget: int = DIVIDE_BUDGET) -> bool:
-    """Deterministic acceptance: a chain of at most n - 1 segments reaches the accepting state.
+    """Deterministic acceptance: a chain of at most k - 1 segments reaches the accepting state.
 
-    One run of `_divide` at height ceil(log2(n - 1)) answers it: its chains
-    of at most 2^height >= n - 1 segments reach no further, as a shortest
-    chain repeats no state.  A machine whose initial state is the accepting
-    one accepts at once, once the word has passed the alphabet check.  A
-    run that asks more than `budget` base cases raises BudgetExceeded; a
-    negative budget raises ValueError.
+    k counts the machine's ports, the only states a chain stands on.  One
+    run of `_divide` over the ports, at height ceil(log2(k - 1)), answers
+    it: its chains of at most 2^height >= k - 1 segments reach no further,
+    as a shortest chain repeats no port.  An initial state with no choice
+    at `<` that is not the accepting one starts no chain, so every word is
+    rejected.  A machine whose initial state is the accepting one accepts
+    at once, once the word has passed the alphabet check.  A run that asks
+    more than `budget` base cases raises BudgetExceeded; a negative budget
+    raises ValueError.
     """
     if budget < 0:
         raise ValueError("the base-call budget must be at least 0")
@@ -256,18 +281,31 @@ def decide_det(automaton: TwoWayAutomaton, word: str,
     check_word(automaton, word)
     if q_init == q_final:
         return True
-    return _divide([[q_init, q_final, q_init, 2]], _stack_height(automaton.n),
-                   _base_rows(return_table(automaton, word)), stats=stats, budget=budget)
+    ports, port_of = _single_moves(automaton)[5:]
+    start = port_of[q_init]
+    return _divide([[start, port_of[q_final], start, 2]], _stack_height(len(ports)),
+                   _base_rows(ports, port_of, return_table(automaton, word)),
+                   stats=stats, budget=budget)
 
 
-def dfa_state_bound(n: int) -> BoundReport:
+def dfa_state_bound(n: int, k: int | None = None) -> BoundReport:
     """Exact integer evaluation of the simulating machine's size formulas.
 
-    A 1-state machine accepts at once; its report is flagged `degenerate`,
-    and its `c_exponent`, which no power of n = 1 can fit, reads 0.0.
+    The stack configurations bound, 4n * (2n) ** ceil(log2(n - 1)), counts
+    a midpoint and a phase, 2n choices, at each of ceil(log2(n - 1))
+    halvings below a fixed root, times 4n for the cursor's 4n - 3
+    controller states and the two terminals.  Its k-form, given the k
+    ports among which `materialize_dfa` guesses midpoints, has
+    ceil(log2(k - 1)) halvings of 2k choices each, while the cursor still
+    ranges over every controller state: 4n * (2k) ** ceil(log2(k - 1)).
+    It never exceeds the n-form.  A 1-state machine accepts at once; its
+    report is flagged `degenerate`, and its `c_exponent`, which no power of
+    n = 1 can fit, reads 0.0.  k outside 1 ... n raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if k is not None and not 1 <= k <= n:
+        raise ValueError("k must be between 1 and n")
     stack_bound = 4 * n * (2 * n) ** _stack_height(n)
     rough = 4 * (3 * n) ** (_ceil_log2(3 * n - 1) + 2)
     c_exponent = log(rough) / log(n) - log2(n) if n > 1 else 0.0
@@ -277,6 +315,8 @@ def dfa_state_bound(n: int) -> BoundReport:
         rough_bound=rough,
         c_exponent=c_exponent,
         degenerate=n < 2,
+        k=k,
+        port_stack_configurations_bound=None if k is None else 4 * n * (2 * k) ** _stack_height(k),
     )
 
 
@@ -293,32 +333,37 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = MAX_STATES) ->
     choices, in the machine's one move index, wherever it can be: an equal
     pair or a stationary choice's target holds, and a start without a
     rightward choice, or an end at the accepting state, fails; the cursor
-    answers the rest.  The worklist mints only the states reachable from
-    the start, and a machine needing more than `max_states` states, the two
-    terminals included, raises BudgetExceeded, so a ceiling below 2 fits
-    none; the count never exceeds
-    `dfa_state_bound(n).stack_configurations_bound`, 4n * (2n) **
-    ceil(log2(n - 1)).  The ceiling counts states, not memory: each
-    emitted state costs about 1.5 kB while the call runs (E1's 12-state
-    normal form emits 345 439 states at about 530 MB peak RSS), so the
-    default, `MAX_STATES`, lets one call grow to roughly 1.5 GB.  A 1-state
-    machine yields the machine that accepts at once.  A negative
-    `max_states` raises ValueError.
+    answers the rest.  The stack guesses its midpoints among the ports
+    alone, so its frames hold port indices, mapped back through the port
+    list wherever the cursor needs a state; an initial state with no
+    choice at `<` that is not accepting yields the machine that rejects at
+    once.  The worklist mints only the states reachable from the start,
+    and a machine needing more than `max_states` states, the two terminals
+    included, raises BudgetExceeded, so a ceiling below 2 fits none; the
+    count is checked against both forms of `dfa_state_bound`, the
+    paper's 4n * (2n) ** ceil(log2(n - 1)) and its k-form over k ports,
+    4n * (2k) ** ceil(log2(k - 1)).  The ceiling counts states, not memory:
+    each emitted state costs about 1.5 kB while the call runs on a machine
+    of one or two letters, and more with more letters (E1's 12-state normal
+    form, 9 ports, emits 13 056 states in about 0.1 s and 21 MB; a 30-letter
+    machine paid about 12 kB a state), so the default, `MAX_STATES`, lets
+    one call grow to roughly 1.5 GB on two letters.  A 1-state machine
+    yields the machine that accepts at once.  A negative `max_states`
+    raises ValueError.
     """
     if max_states < 0:
         raise ValueError("the state ceiling must be at least 0")
     require_normal_form(automaton, alternating=False)
     if max_states < 2:  # acc and rej alone fill the ceiling
         raise BudgetExceeded(f"the machine needs more than {max_states} states")
-    n = automaton.n
-    height = _stack_height(n)
     controller = build_controller(automaton)
     q_final, accept = controller.final_state, controller.accept
-    # a stationary choice is a segment; a rightward one leaves every end but
+    _, _, _, choices, _, ports, port_of = _single_moves(automaton)
+    height = _stack_height(len(ports))
+    # a stationary choice is a segment; a rightward one leaves every port but
     # the accepting state, which only a stationary launch reaches, to the tape
-    choices = _single_moves(automaton)[3]
-    tape = [b for b in range(n) if b != q_final]
-    rows = _base_rows([[x for x, d in row if d == STAY] for row in choices],
+    tape = [b for b in ports if b != q_final]
+    rows = _base_rows(ports, port_of, [[x for x, d in row if d == STAY] for row in choices],
                       [tape if any(d == RIGHT for _, d in row) else () for row in choices])
 
     ids: dict[tuple, int] = {}
@@ -341,17 +386,18 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = MAX_STATES) ->
         if verdict is not None:
             return 0 if verdict else 1
         q, p, r, phase = stack[-1]
-        return state_id((tuple(map(tuple, stack)), controller.start(r if phase == 1 else p)))
+        return state_id((tuple(map(tuple, stack)), controller.start(ports[r if phase == 1 else p])))
 
     symbols = automaton.symbols()
     delta: dict[tuple[int, str], list[tuple[int, int]]] = {}
-    initial_id = resume([[automaton.initial, q_final, automaton.initial, 2]], None)
+    start = port_of[automaton.initial]
+    initial_id = resume([[start, port_of[q_final], start, 2]], None)
     while worklist:
         key = worklist.pop()
         frames, cursor = key
         sid = ids[key]
         q, p, r, phase = frames[-1]
-        q_from = q if phase == 1 else r  # the base case's first endpoint
+        q_from = ports[q if phase == 1 else r]  # the base case's first endpoint
         for sym in symbols:
             entry = controller.entry(cursor, sym, q_from)
             if entry is not None:
@@ -370,8 +416,9 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = MAX_STATES) ->
         accepting=[0],
         declared_flavor="dfa",
     )
-    bound = dfa_state_bound(n).stack_configurations_bound
-    if result.n > bound:
-        raise InvariantViolation(
-            f"materialized machine has {result.n} states, over its bound {bound}")
+    report = dfa_state_bound(automaton.n, len(ports))
+    for bound in (report.stack_configurations_bound, report.port_stack_configurations_bound):
+        if result.n > bound:
+            raise InvariantViolation(
+                f"materialized machine has {result.n} states, over its bound {bound}")
     return result

@@ -168,7 +168,7 @@ class ReachController:
 
 def _single_moves(automaton: TwoWayAutomaton) -> tuple[
         dict[str, list[Move | None]], Launchers, tuple[int, ...], tuple[tuple[Move, ...], ...],
-        re.Pattern[str]]:
+        re.Pattern[str], tuple[int, ...], dict[int | None, int | None]]:
     """The one index of what this module reads of a machine, built once per machine.
 
     These are each symbol's move of every state away from the left
@@ -176,11 +176,17 @@ def _single_moves(automaton: TwoWayAutomaton) -> tuple[
     halts); the reverse launch index, whose entry (q, d) lists in state
     order the states with a left-endmarker choice into q moving in
     direction d; the states it launches rightward, in order; each state's
-    left-endmarker choices, in the order of `successors(p, "<")`; and a
-    pattern matching the maximal runs of one symbol.  `build_controller`
-    and `return_table` take their moves and launches from it, and the
-    controller shares its launch index as `launchers`.  It is cached on the
-    machine, which is immutable.
+    left-endmarker choices, in the order of `successors(p, "<")`; a
+    pattern matching the maximal runs of one symbol; the ports; and
+    `port_of`, each state's index among the ports, None for a state that
+    is not one and for None itself.  The ports are, in state order, the
+    states with a left-endmarker choice and the initial and accepting
+    states: every state of a segment chain but its last starts a segment,
+    so with a choice at `<`, and the last is the accepting state.
+    `build_controller` and `return_table` take their moves and launches
+    from it, the controller shares its launch index as `launchers`, and
+    the divide-and-conquer stack machine guesses its midpoints among the
+    ports.  It is cached on the machine, which is immutable.
     """
     if automaton._single_moves is None:
         n = automaton.n
@@ -195,8 +201,13 @@ def _single_moves(automaton: TwoWayAutomaton) -> tuple[
         # one repeat per symbol: a backreference `(.)\1*` matched a long run 80 times slower
         runs = re.compile("|".join(re.escape(sym) + "+" for sym in symbols))
         launched = tuple(sorted(x for (x, d) in launchers if d == RIGHT))
+        ports = tuple(sorted({automaton.initial, *automaton.accepting,
+                              *(p for p, row in enumerate(choices) if row)}))
+        port_of: dict[int | None, int | None] = dict.fromkeys([*range(n), None])
+        port_of.update((q, i) for i, q in enumerate(ports))
         automaton._single_moves = (
-            moves, {move: tuple(ps) for move, ps in launchers.items()}, launched, choices, runs)
+            moves, {move: tuple(ps) for move, ps in launchers.items()}, launched, choices, runs,
+            ports, port_of)
     return automaton._single_moves
 
 
@@ -213,7 +224,7 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
     def state(kind: int, q: int) -> int:
         return kind * (n - 1) + _rank(q, q_final)
 
-    moves, launchers, _, _, _ = _single_moves(automaton)
+    moves, launchers = _single_moves(automaton)[:2]
     # The backward tree in first-child/next-sibling form, from one pass in
     # reverse state order: first_child[(sym, move)] is the first state whose
     # one move on sym is `move`, and next_sibling[(sym, p)] the next state
@@ -426,7 +437,7 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> tuple[tuple[int | Non
     require_normal_form(automaton, alternating=True)
     check_word(automaton, word)
     n = automaton.n
-    moves, _, launched, choices, runs_of = _single_moves(automaton)
+    moves, _, launched, choices, runs_of, _, _ = _single_moves(automaton)
     runs = runs_of.findall(word + RIGHT_ENDMARKER)
     # fate[slot * n + q]: where entering slot 2j + 1 + e, run j at its left
     # (e = 0) or right (e = 1) end, in state q leads; slot 0 is back at the

@@ -6,10 +6,12 @@ generated directly in the strict normal form, and partitioned machines
 generated in the relaxed normal form.  All generators are seeded, so every
 run of the suite sees the same corpus.  The sweepers (`mod_p_sweeper`,
 `chain_sweeper`) are strict-normal-form machines whose backward trees run
-the whole length of long words.  `gap_machine(m)` decides reachability
-in the graph its word lists, so its segment graphs are arbitrary graphs
-on m vertices.  `INITIAL_ACCEPTING` holds two
-strict-normal-form documents whose initial state is the accepting one.
+the whole length of long words.  Every state of `port_ring` is a port (it
+has a choice at `<`, or accepts), so the stack machine guesses midpoints
+among all of them.  `gap_machine(m)` decides reachability in the graph its
+word lists, so its segment graphs are arbitrary graphs on m vertices.
+`INITIAL_ACCEPTING` holds two strict-normal-form documents whose initial
+state is the accepting one.
 Every generator puts the accepting state last; `accepting_at` renumbers a
 machine to move it elsewhere, and `universal_twin` makes its initial state
 universal.
@@ -78,6 +80,23 @@ def chain_sweeper(k: int) -> TwoWayAutomaton:
         delta[(fwd, RIGHT_ENDMARKER)] = [(back, LEFT)]
         delta[(back, LEFT_ENDMARKER)] = [(q_final, STAY) if j == k else (fwd + 2, RIGHT)]
     return TwoWayAutomaton(names, "ab", delta, 0, [q_final], declared_flavor="onfa")
+
+
+def port_ring(n: int) -> TwoWayAutomaton:
+    """n - 1 states in a ring, each launching the next at `<`, and an accepting state none reaches.
+
+    Each launch steps back onto `<` at once, so on every word the segments
+    run q_i -> q_(i+1 mod n-1) and the machine rejects.  Every state is a
+    port, so the stack machine scans every midpoint of every frame over all
+    n states.
+    """
+    m = n - 1
+    delta = {}
+    for i in range(m):
+        delta[(i, LEFT_ENDMARKER)] = [((i + 1) % m, RIGHT)]
+        delta[(i, "a")] = delta[(i, RIGHT_ENDMARKER)] = [(i, LEFT)]
+    return TwoWayAutomaton([f"q{i}" for i in range(m)] + ["qF"], "a", delta, 0, [m],
+                           declared_flavor="onfa")
 
 
 def gap_pairs(m: int) -> list[tuple[int, int]]:

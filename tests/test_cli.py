@@ -20,7 +20,14 @@ from outerfa import (
 from outerfa.cli import METHODS, main
 from outerfa.reach import build_controller
 
-from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, random_nf_onfa, random_oafa
+from conftest import (
+    INITIAL_ACCEPTING,
+    chain_sweeper,
+    mod_p_sweeper,
+    port_ring,
+    random_nf_onfa,
+    random_oafa,
+)
 from reference import build_e1, build_e2, build_ea
 
 
@@ -292,11 +299,27 @@ def test_complement_prints_the_reject_side_of_svfa(nf_corpus, tmp_path, capsys):
     assert refused == 9
 
 
-def test_bounds(e1_file, capsys):
+def test_bounds(e1_file, tmp_path, capsys):
     assert main(["bounds", e1_file]) == 0
     out = capsys.readouterr().out
     assert "dfa_stack_configurations_bound: 41472" in out
     assert "svfa_total: 14117880" in out
+    # every one of E1's 6 states is a port, so the bound over ports is the paper's
+    assert "\ndfa_k: 6\ndfa_port_stack_configurations_bound: 41472\n" in out
+    # its 12-state normal form has 9 ports: 4n * (2k) ** ceil(log2(k - 1)) = 48 * 18 ** 3
+    normal = tmp_path / "e1-normal.2wa"
+    normal.write_text(serialize(normalize_onfa(build_e1())))
+    assert main(["bounds", str(normal)]) == 0
+    out = capsys.readouterr().out
+    assert "dfa_stack_configurations_bound: 15925248" in out
+    assert "\ndfa_k: 9\ndfa_port_stack_configurations_bound: 279936\n" in out
+    # a machine outside the normal form prints no ports
+    raw = tmp_path / "raw.2wa"
+    raw.write_text(serialize(random_oafa(1000)))
+    assert main(["bounds", str(raw)]) == 0
+    out = capsys.readouterr().out
+    assert "dfa_normal_form_assumed: false" in out
+    assert "dfa_k" not in out and "dfa_port" not in out
 
 
 def test_one_state_machine_bounds_and_emit_dfa(tmp_path, capsys):
@@ -349,6 +372,15 @@ def test_emit_dfa_on_e1(e1_file, tmp_path, capsys):
     assert out_path.read_bytes() == emitted
 
 
+@pytest.mark.parametrize("name, states", [("chain_2.2wa", 93), ("mod_p_3_4.2wa", 192)])
+def test_emit_dfa_on_the_committed_sweepers(name, states, tmp_path, capsys):
+    """CI's cli-smoke job emits both sweepers' machines and pins these counts."""
+    source, out_path = str(E1_FILE.parent / name), tmp_path / "dfa.2wa"
+    assert main(["emit-dfa", source, "--out", str(out_path)]) == 0
+    assert f"states: {states}\n" in capsys.readouterr().out
+    assert main(["equiv", source, str(out_path), "--max-len", "6"]) == 0
+
+
 def test_run_budget_exit_code(e1_file, capsys):
     assert main(["run", e1_file, "--word", "aa", "--method", "svfa", "--budget", "2"]) == 4
     # svfa decides seed 65 on "bbb" over 95 distinct snapshots
@@ -363,15 +395,15 @@ def test_run_budget_exit_code(e1_file, capsys):
 
 def test_run_divide_budget_exit_code(tmp_path, capsys):
     """divide counts base cases against --budget, by default against its own 10^7."""
-    deep, deeper = tmp_path / "mod-3-5-7.2wa", tmp_path / "mod-5-7-11.2wa"
-    deep.write_text(serialize(mod_p_sweeper((3, 5, 7))))
-    deeper.write_text(serialize(mod_p_sweeper((5, 7, 11))))
+    deep, deeper = tmp_path / "ring-18.2wa", tmp_path / "ring-28.2wa"
+    deep.write_text(serialize(port_ring(18)))
+    deeper.write_text(serialize(port_ring(28)))
     deep, deeper, word = str(deep), str(deeper), "a" * 31
-    # 3 377 776 base cases: past svfa's default of 10^6, within divide's own
+    # 3 304 713 base cases over 18 ports: past svfa's default of 10^6, within divide's own
     assert main(["run", deep, "--word", word, "--method", "divide"]) == 0
     assert "result: false" in capsys.readouterr().out
     assert main(["run", deep, "--word", word, "--method", "divide", "--budget", "1000"]) == 4
-    # the 28-state sweeper would ask 17 872 304
+    # 28 ports would ask 22 378 415
     assert main(["run", deeper, "--word", word, "--method", "divide"]) == 4
     assert capsys.readouterr().err.count("budget of base cases") == 2
 

@@ -24,13 +24,23 @@ from outerfa import (
     serialize,
 )
 from outerfa.detsim import _base_rows, _ceil_log2, _divide, _stack_height
-from outerfa.reach import return_table
+from outerfa.reach import _single_moves, return_table
 
-from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, random_nf_onfa
+from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, port_ring, random_nf_onfa
 from reference import build_e1, build_ea, build_trivial_empty
 
 E1 = build_e1()
 EA = build_ea()
+
+
+def port_index(machine):
+    """The machine's ports and each state's index among them, as `_single_moves` keeps them."""
+    return _single_moves(machine)[5:]
+
+
+def word_rows(machine, word):
+    """`decide_det`'s base rows on one word, over the machine's ports."""
+    return _base_rows(*port_index(machine), return_table(machine, word))
 
 
 def chain_reachable(machine, word, q, p, t):
@@ -110,17 +120,18 @@ def test_divide_matches_the_callback_machine_on_segments():
     """Bit rows settle each bottom frame as the midpoint scan does: same verdicts and counters."""
     for seed in range(24):
         machine = random_nf_onfa(seed, n_max=9)
-        n = machine.n
-        heights = {_ceil_log2(t) for t in range(1, n)}
+        ports, _ = port_index(machine)
+        k = len(ports)
+        heights = {_ceil_log2(t) for t in range(1, machine.n)}
         for word in all_words(machine.alphabet, 2):
             table = return_table(machine, word)
-            rows = _base_rows(table)
-            cells = [[a == b or b in table[a] for b in range(n)] for a in range(n)]
+            rows = word_rows(machine, word)
+            cells = [[a == b or b in table[a] for b in ports] for a in ports]
             for height in heights:
-                for q in range(n):
-                    for p in range(n):
+                for q in range(k):
+                    for p in range(k):
                         want, got = ReachableStats(), ReachableStats()
-                        verdict = reference_divide([[q, p, q, 2]], height, n,
+                        verdict = reference_divide([[q, p, q, 2]], height, k,
                                                    counted_leaf(cells, want), stats=want)
                         assert _divide([[q, p, q, 2]], height, rows, stats=got) == verdict
                         assert got == want, (seed, word, height, q, p)
@@ -166,48 +177,57 @@ def test_divide_counters_are_pinned(nf_corpus):
             calls.append(stats.base_calls)
             heights.append(stats.max_stack_height)
     assert len(calls) == 1860
-    assert (sum(calls), max(calls)) == (31568, 44)
-    assert (sum(heights), max(heights)) == (3131, 2)
+    assert (sum(calls), max(calls)) == (27512, 38)
+    assert (sum(heights), max(heights)) == (3007, 2)
 
 
 @pytest.mark.parametrize("periods, calls, height", [
-    ((2, 3, 5), 54_518, 4),
-    ((3, 5, 7), 3_377_776, 5),
+    ((2, 3, 5), 32, 2),
+    ((3, 5, 7), 32, 2),
 ], ids=["mod_2_3_5", "mod_3_5_7"])
 def test_rejected_sweepers_are_pinned(periods, calls, height):
-    """Deep rejections: a^31 fits no period, so every midpoint of every frame is scanned."""
+    """Rejections: a^31 fits no period, so every midpoint of every frame is scanned.
+
+    Each sweeper has 5 ports, its initial, accepting and three return
+    states, whatever its 15 or 20 states, so the stack is 2 halvings high.
+    """
     stats = ReachableStats()
     assert not decide_det(mod_p_sweeper(periods), "a" * 31, stats=stats)
     assert (stats.base_calls, stats.max_stack_height) == (calls, height)
 
 
 def test_divide_budget_counts_base_cases():
-    """The budget bounds base cases, checked as frames settle; the default refuses n = 28."""
-    machine = mod_p_sweeper((2, 3, 5))
-    assert not decide_det(machine, "a" * 31, budget=54_518)
+    """The budget bounds base cases, checked as frames settle; the default refuses 28 ports."""
+    machine = port_ring(14)
+    assert not decide_det(machine, "a" * 31, budget=54_902)
     with pytest.raises(BudgetExceeded):
-        decide_det(machine, "a" * 31, budget=54_517)
+        decide_det(machine, "a" * 31, budget=54_901)
     stats = ReachableStats()
     with pytest.raises(BudgetExceeded, match="budget of base cases"):
-        decide_det(mod_p_sweeper((5, 7, 11)), "a" * 31, stats=stats)  # 17 872 304 to finish
+        decide_det(port_ring(28), "a" * 31, stats=stats)  # 22 378 415 to finish
     assert 10**7 < stats.base_calls < 10**7 + 10**4
     with pytest.raises(ValueError, match="at least 0"):
         decide_det(machine, "a", budget=-1)
 
 
 def test_reachable_matches_chain_oracle(nf_corpus):
-    """At height e the stack machine answers whether at most 2^e segments join its root's ends."""
+    """At height e the stack machine answers whether at most 2^e segments join its root's ends.
+
+    Its rows range over the ports alone, which holds every state a chain
+    stands on at `<`: each segment starts with a choice there.
+    """
     cases = [(machine, 3) for machine in nf_corpus[:10]]
     # machines with up to 9 states, whose stacks grow to height 3, on shorter words
     cases += [(random_nf_onfa(seed, n_max=9), 2) for seed in (7, 9, 11, 83)]
     for machine, max_len in cases:
+        ports, _ = port_index(machine)
         for word in all_words(machine.alphabet, max_len):
-            rows = _base_rows(return_table(machine, word))
+            rows = word_rows(machine, word)
             for e in range(_stack_height(machine.n) + 1):
-                for q in range(machine.n):
-                    for p in range(machine.n):
+                for q, a in enumerate(ports):
+                    for p, b in enumerate(ports):
                         assert _divide([[q, p, q, 2]], e, rows) == \
-                            chain_reachable(machine, word, q, p, 2**e), (machine, word, e, q, p)
+                            chain_reachable(machine, word, a, b, 2**e), (machine, word, e, a, b)
 
 
 def test_decide_det_examples():
@@ -223,9 +243,12 @@ def test_decide_det_matches_oracle(nf_corpus):
 
 
 def test_stack_height_stays_logarithmic(nf_corpus):
-    for machine in list(nf_corpus[:10]) + [build_ea(), build_trivial_empty()]:
-        limit = math.ceil(math.log2(machine.n - 1)) if machine.n > 2 else 0
-        assert _stack_height(machine.n) == limit
+    """The stack of halvings stays within ceil(log2(k - 1)) for the machine's k ports."""
+    sweepers = [chain_sweeper(3), mod_p_sweeper((2, 3, 5))]
+    for machine in list(nf_corpus[:10]) + [build_ea(), build_trivial_empty()] + sweepers:
+        k = len(port_index(machine)[0])
+        limit = math.ceil(math.log2(k - 1)) if k > 2 else 0
+        assert _stack_height(k) == limit
         for word in all_words(machine.alphabet, 3):
             stats = ReachableStats()
             decide_det(machine, word, stats=stats)
@@ -244,16 +267,42 @@ def test_bound_formulas():
     # the excess exponent is self-consistent: rough = n ** (log2 n + c)
     rebuilt = 5 ** (math.log2(5) + report.c_exponent)
     assert math.isclose(rebuilt, report.rough_bound, rel_tol=1e-9)
+    # over k ports, 4n * (2k) ** ceil(log2(k - 1)); with k = n it is the bound above
+    assert report.k is None and report.port_stack_configurations_bound is None
+    assert dfa_state_bound(5, 5).port_stack_configurations_bound == 2000
+    assert dfa_state_bound(12, 9).port_stack_configurations_bound == 4 * 12 * 18**3
+    assert dfa_state_bound(17, 2).port_stack_configurations_bound == 4 * 17
+    for k in (0, 6):
+        with pytest.raises(ValueError, match="k must be"):
+            dfa_state_bound(5, k)
+
+
+def test_an_initial_state_without_a_choice_rejects_at_once():
+    """An initial state with no choice at `<` that is not accepting starts no chain.
+
+    Every word is rejected, and the emitted machine settles the root at the
+    start, with no tape: its initial state is `rej`, and it mints no other
+    state.
+    """
+    machine = parse("type: onfa\nalphabet: a b\nstates: qI q qF\ninitial: qI\naccepting: qF\n"
+                    "trans: q < qF S\ntrans: q a q R\ntrans: qI a qI R\n")
+    for word in all_words(machine.alphabet, 4):
+        assert not accepts_oracle(machine, word)
+        assert not decide_det(machine, word)
+    emitted = materialize_dfa(machine)
+    assert (emitted.initial, emitted.state_names) == (1, ["acc", "rej"])
+    assert not any(accepts_oracle(emitted, word) for word in all_words(machine.alphabet, 4))
 
 
 def test_emitted_base_cases_agree_with_the_segment_oracle(nf_corpus, monkeypatch):
     """The base cases `materialize_dfa` settles without the tape hold on every word.
 
-    A true bit is an equal pair or a segment on every word, and a base case
-    with neither bit set is a segment on no word; only an open bit needs
-    the tape.  `decide_det`'s rows on each word lie between the two: each
-    of the emitter's true bits is true in them, and each of their true bits
-    is true or open in the emitter's.
+    Both entries' rows range over the ports, bit b of row a standing for
+    the pair (ports[a], ports[b]).  A true bit is an equal pair or a segment
+    on every word, and a base case with neither bit set is a segment on no
+    word; only an open bit needs the tape.  `decide_det`'s rows on each word
+    lie between the two: each of the emitter's true bits is true in them,
+    and each of their true bits is true or open in the emitter's.
     """
     passed = []
 
@@ -266,22 +315,23 @@ def test_emitted_base_cases_agree_with_the_segment_oracle(nf_corpus, monkeypatch
         passed.clear()
         materialize_dfa(machine)
         true_rows, open_rows = passed[0][:2]
-        n = machine.n
+        ports, _ = port_index(machine)
+        assert len(true_rows) == len(ports)
         words = list(all_words(machine.alphabet, 4))
-        for a in range(n):
-            for b in range(n):
-                segments = [segment_exists_oracle(machine, word, a, b) for word in words]
+        for a, q in enumerate(ports):
+            for b, p in enumerate(ports):
+                segments = [segment_exists_oracle(machine, word, q, p) for word in words]
                 if true_rows[a] >> b & 1:
-                    assert a == b or all(segments), (machine, a, b)
+                    assert q == p or all(segments), (machine, q, p)
                 elif not open_rows[a] >> b & 1:
-                    assert not any(segments), (machine, a, b)
+                    assert not any(segments), (machine, q, p)
         for word in words:
             passed.clear()
             decide_det(machine, word)
             if not passed:  # the initial state accepts at once
                 continue
             word_rows = passed[0][0]
-            for a in range(n):
+            for a in range(len(ports)):
                 assert true_rows[a] & ~word_rows[a] == 0, (machine, word, a)
                 assert word_rows[a] & ~(true_rows[a] | open_rows[a]) == 0, (machine, word, a)
 
@@ -328,8 +378,8 @@ def test_materialized_machines_are_pinned():
         emitted = materialize_dfa(random_nf_onfa(seed))
         total += emitted.n
         digest.update(serialize(emitted).encode("utf-8"))
-    assert total == 30294
-    assert digest.hexdigest() == "db728d156769aa467e7fa226643060786ccd22c8bd973d66af296e5f7f5b5fb9"
+    assert total == 25338
+    assert digest.hexdigest() == "d04b2d25bd3a6b511ca0ade82513373fb97f2505be9d8c6b359fabf30e61ede4"
 
 
 def test_materialize_respects_ceiling():
@@ -337,22 +387,35 @@ def test_materialize_respects_ceiling():
         materialize_dfa(build_ea(), max_states=10)
 
 
-@pytest.mark.parametrize("build", [
-    build_e1, lambda: chain_sweeper(2), lambda: chain_sweeper(3), lambda: mod_p_sweeper((2, 3)),
-], ids=["E1", "chain_sweeper_2", "chain_sweeper_3", "mod_p_sweeper_2_3"])
-def test_materialize_sources_above_five_states(build):
-    """Only the states the worklist emits count: 6- to 9-state sources materialize."""
+@pytest.mark.parametrize("build, states", [
+    (build_e1, 1120),
+    (lambda: chain_sweeper(2), 93),
+    (lambda: chain_sweeper(3), 185),
+    (lambda: mod_p_sweeper((2, 3)), 152),
+    (lambda: normalize_onfa(build_e1()), 13_056),
+    (lambda: mod_p_sweeper((3, 4, 5)), 380),
+], ids=["E1", "chain_sweeper_2", "chain_sweeper_3", "mod_p_sweeper_2_3", "E1_normal_form",
+        "mod_p_sweeper_3_4_5"])
+def test_materialize_sources_above_five_states(build, states):
+    """Only the states the worklist emits count: 6- to 17-state sources materialize.
+
+    The halvings guess midpoints among the ports alone, so the counts stay
+    within the k-form of the state bound: E1's 12-state normal form has 9
+    ports, the sweepers 4 or 5.
+    """
     machine = build()
     assert machine.n > 5
     emitted = materialize_dfa(machine)
+    assert emitted.n == states
     assert classify(emitted).is_deterministic
-    assert emitted.n <= dfa_state_bound(machine.n).stack_configurations_bound
+    report = dfa_state_bound(machine.n, len(port_index(machine)[0]))
+    assert emitted.n <= report.port_stack_configurations_bound <= report.stack_configurations_bound
     for word in all_words(machine.alphabet, 6):
         assert accepts_oracle(emitted, word) == accepts_oracle(machine, word), word
 
 
 def test_materialize_stops_at_the_ceiling():
-    blown = normalize_onfa(build_e1())  # 12 states; the worklist would emit 345 439
+    blown = normalize_onfa(build_e1())  # 12 states; the worklist would emit 13 056
     with pytest.raises(BudgetExceeded, match="more than 1000 states"):
         materialize_dfa(blown, max_states=1000)
     # the ceiling bounds the emitted machine itself: E1's emits 1 120 states
@@ -362,13 +425,17 @@ def test_materialize_stops_at_the_ceiling():
 
 
 def test_materialize_checks_the_state_bound(monkeypatch):
-    """The emitted machine is checked against the paper's state bound, not assumed to fit it."""
-    def tight_bound(n):
-        return dataclasses.replace(dfa_state_bound(n), stack_configurations_bound=1)
+    """The emitted machine is checked against the paper's state bound and its k-form.
 
-    monkeypatch.setattr("outerfa.detsim.dfa_state_bound", tight_bound)
-    with pytest.raises(InvariantViolation, match="over its bound 1"):
-        materialize_dfa(EA)
+    Neither is assumed to hold: a report tightened to 1 in either field fails the call.
+    """
+    for field in ("stack_configurations_bound", "port_stack_configurations_bound"):
+        def tight_bound(n, k=None, field=field):
+            return dataclasses.replace(dfa_state_bound(n, k), **{field: 1})
+
+        monkeypatch.setattr("outerfa.detsim.dfa_state_bound", tight_bound)
+        with pytest.raises(InvariantViolation, match="over its bound 1"):
+            materialize_dfa(EA)
 
 
 def test_materialize_rejects_a_negative_ceiling():

@@ -174,7 +174,7 @@ def _reachable(edges: set, source: int) -> set:
     return seen
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", range(2, 8))
 def test_gap_machine_matches_bfs_on_the_decoded_graph(m):
     machine = gap_machine(m)
     q_final = machine.n - 1
