@@ -105,6 +105,8 @@ def _decide(automaton: TwoWayAutomaton, word: str, method: str, budget: int | No
     if method == "divide":
         return decide_det(machine, word, **limit), extras
     report = svfa_decide(machine, word, **limit)
+    # the state budget over all n states, and over the k ports it counts and guesses among
+    accounting = svfa_state_accounting(machine.n, len(_single_moves(machine)[5]))
     extras = {
         "accept_branch_exists": report.verdict_exists_yes,
         "reject_branch_exists": report.verdict_exists_no,
@@ -112,7 +114,8 @@ def _decide(automaton: TwoWayAutomaton, word: str, method: str, budget: int | No
         "branches_explored": report.branches_explored,
         "all_halting": report.all_halting,
         "snapshots": report.snapshots,
-        "svfa_state_bound": svfa_state_accounting(machine.n).total,
+        "svfa_state_bound": accounting.total,
+        "svfa_port_state_bound": accounting.port_total,
     }
     return report.verdict_exists_yes, extras
 
@@ -208,7 +211,8 @@ def _cmd_bounds(args) -> int:
     bound = asdict(dfa_state_bound(automaton.n, ports))
     payload = {"dfa_n": bound.pop("n"), "dfa_normal_form_assumed": normal}
     payload.update({f"dfa_{k}": v for k, v in bound.items() if v is not None})
-    payload.update({f"svfa_{k}": v for k, v in asdict(svfa_state_accounting(automaton.n)).items()})
+    accounting = asdict(svfa_state_accounting(automaton.n, ports))
+    payload.update({f"svfa_{k}": v for k, v in accounting.items() if v is not None})
     _emit(payload, args.json)
     return EXIT_OK
 

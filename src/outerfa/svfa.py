@@ -1,12 +1,17 @@
 """Halting self-verifying simulation by inductive counting.
 
 The decision procedure replays one nondeterministic branch per choice
-trace.  It counts, for every segment budget t, how many states the machine
+trace.  It counts, for every segment budget t, how many ports the machine
 reaches at the left endmarker with chains of exactly t segments out of the
 initial state, regenerating that set by guessing its members in increasing
-state order.  Each guess is checked by the backward search (a wrong guess
-aborts the branch in the don't-know verdict), then the next level is probed
-one segment further.  Reaching the accepting state stops a branch with
+port order.  The ports (`reach._single_moves`) are the states with a choice
+at `<` and the initial and accepting states: every state of a chain but the
+last starts a segment, and the last is the accepting state, so a state that
+is not a port starts no segment, and dropping it from a level changes no
+later level.  With k ports a shortest chain has at most k - 1 segments, so
+the levels stop there.  Each guess is checked by the backward search (a
+wrong guess aborts the branch in the don't-know verdict), then the next
+level is probed one segment further.  Reaching the accepting state stops a branch with
 ACCEPT; surviving every level without meeting it stops with REJECT.  Every
 branch halts, at most one of the two definite verdicts is realizable for a
 given word, and the realizable one matches plain acceptance.
@@ -25,7 +30,7 @@ one don't-know leaf, so the verdicts realized and the leaf counts depend
 only on which candidates there are.  It gives each search one point
 listing them all, read off the rows of the word's return table without
 building the controller.  A snapshot is exactly the simulation's state,
-nine fields: six state-bounded counting variables, the chain check's
+nine fields: six port-bounded counting variables, the chain check's
 counter and the two-field backward-search cursor, which is what
 `svfa_state_accounting` prices out; the equivalent single transition table
 is astronomically large and is never materialized.
@@ -38,7 +43,7 @@ from typing import Sequence
 
 from .core import BudgetExceeded, InvariantViolation, TwoWayAutomaton, Verdict
 from .normalform import require_normal_form
-from .reach import TraceUnderflow, _check_call, _walk, return_table
+from .reach import TraceUnderflow, _check_call, _single_moves, _walk, return_table
 # perfbench/tracing.py wraps these here by name
 from .reach import build_controller, segment_reach  # noqa: F401
 
@@ -76,7 +81,12 @@ class SvfaStateAccounting:
     Six simulation variables each range over at most n + 1 values; the
     chain checker adds a counter bounded by n times the guessing cursor's
     4n - 4 states, with the plain backward search recycling that space.
-    The product is therefore on the order of n**8.
+    The product is therefore on the order of n**8.  Given the machine's k
+    ports, `port_total` prices the simulation `svfa_decide` runs, whose
+    counts, levels and guesses range over the ports alone: six variables
+    over k + 1 values and a chain counter bounded by k, while the cursor
+    still ranges over the 4n - 4 controller states, so
+    (k + 1)**6 * k * (4n - 4).  It is None when k is not given.
     """
 
     n: int
@@ -86,32 +96,43 @@ class SvfaStateAccounting:
     n8: int
     ratio: float
     degenerate: bool
+    k: int | None = None
+    port_total: int | None = None
 
 
 class _SimContext:
     """Per-(machine, word) tables shared by every replayed branch.
 
-    `rows` is the word's one-segment relation: q is one segment away from
-    p exactly when q is in `rows[p]`, which the chain check tests directly.
-    `scripts[q]` lists the choice points of the guessing search for
-    segments into q, each as the states that may be emitted there.  A
-    replayed trace (`replay`) needs them in the order of the controller's
-    walk, and reads both off the walks of the machine's one controller,
-    which it takes through the searches' gate: a segment runs from p to q
-    exactly when some point of the walk into q lists p.  It reads no return
-    table, so it can audit one.  The decider reads the word's return table
-    for the rows and its candidates for the scripts (`_decider_scripts`).
+    `ports` lists the machine's ports in state order; the counts, levels
+    and guesses range over them, and a snapshot's q_target and q_prev are
+    indices into it.  `rows` is the word's one-segment relation by state:
+    q is one segment away from p exactly when q is in `rows[p]`, which the
+    chain check tests directly.  `scripts[q]` lists the choice points of
+    the guessing search for segments into the port q, each as the states
+    that may be emitted there, every one of them a port, since it starts a
+    segment; the searches into other states are never run.  A replayed
+    trace (`replay`) needs them in the order of the controller's walk, and
+    reads both off the walks of the machine's one controller into the k
+    ports, which it takes through the searches' gate: a segment runs from p
+    to the port q exactly when some point of the walk into q lists p.  It
+    reads no return table, so it can audit one.  The decider reads the
+    word's return table for the rows and its candidates for the scripts
+    (`_decider_scripts`).
     """
 
     def __init__(self, automaton: TwoWayAutomaton, word: str, replay: bool):
         self.final = require_normal_form(automaton, alternating=False)
-        self.n = automaton.n
         self.initial = automaton.initial
+        self.ports = _single_moves(automaton)[5]
         if replay:
             controller = _check_call(automaton, word)  # rejects foreign letters
-            self.scripts = [list(_walk(controller, word, q)) for q in range(automaton.n)]
-            self.rows = [{q for q, script in enumerate(self.scripts) for point in script if p in point}
-                         for p in range(automaton.n)]
+            self.scripts = [[] for _ in range(automaton.n)]
+            self.rows = [set() for _ in range(automaton.n)]
+            for q in self.ports:
+                self.scripts[q] = list(_walk(controller, word, q))
+                for point in self.scripts[q]:
+                    for p in point:
+                        self.rows[p].add(q)
         else:
             self.rows = return_table(automaton, word)  # rejects foreign letters
             self.scripts = _decider_scripts(self.rows)
@@ -139,20 +160,22 @@ def _decider_scripts(rows: tuple[tuple[int | None, ...], ...]) -> list[list[list
 # A branch pauses at a snapshot, a 9-tuple, and ends in a Verdict.  A
 # snapshot is the state `svfa_state_accounting` prices: the six counting
 # variables (t, m, m_new, q_target, i, q_prev), then the chain check's
-# counter k and the guessing-search cursor (cur, idx).  Level t holds m
-# states, m_new of level t + 1 are counted so far, q_target is the cell's
-# target and i the rank of the level-t state being guessed, above q_prev
-# (-1 before the first guess).  k is the number of backward walks still
-# owed, cur the state whose walk is in progress and idx its position.
-# Picks are made only while walks are owed, so k == 0 marks a state guess.
+# counter `owed` and the guessing-search cursor (cur, idx).  Level t holds m
+# ports, m_new of level t + 1 are counted so far, q_target is the index
+# among the ports of the cell's target and i the rank of the level-t port
+# being guessed, whose index is above q_prev (-1 before the first guess).
+# `owed` is the number of backward walks still owed, cur the state whose
+# walk is in progress and idx its position.  Picks are made only while
+# walks are owed, so owed == 0 marks a state guess.
 ACCEPT, REJECT, DONT_KNOW = Verdict.ACCEPT, Verdict.REJECT, Verdict.DONT_KNOW
 
 
 def _next_cell(ctx: _SimContext, t: int, m: int, m_new: int, q_target: int):
-    """Move to the next (level, target-state) cell; an empty level rejects at once."""
-    if q_target == ctx.n:  # the level is finished: open the next one
+    """Move to the next (level, target-port) cell; an empty level rejects at once."""
+    k = len(ctx.ports)
+    if q_target == k:  # the level is finished: open the next one
         t, m, m_new, q_target = t + 1, m_new, 0, 0
-        if t >= ctx.n - 1 or m == 0:
+        if t >= k - 1 or m == 0:
             return REJECT
     return (t, m, m_new, q_target, 1, -1, 0, 0, 0)
 
@@ -165,9 +188,10 @@ def _start(ctx: _SimContext):
 
 
 def _verified(ctx: _SimContext, t: int, m: int, m_new: int, q_target: int, i: int, q_prev: int):
-    """Go on once the guessed state q_prev passed the chain check: is the target a segment away?"""
-    if q_target in ctx.rows[q_prev]:
-        if q_target == ctx.final:
+    """Go on once the guessed port q_prev passed the chain check: is the target a segment away?"""
+    target = ctx.ports[q_target]
+    if target in ctx.rows[ctx.ports[q_prev]]:
+        if target == ctx.final:
             return ACCEPT
         return _next_cell(ctx, t, m, m_new + 1, q_target + 1)
     if i < m:
@@ -178,32 +202,35 @@ def _verified(ctx: _SimContext, t: int, m: int, m_new: int, q_target: int, i: in
 def _advance(ctx: _SimContext, snapshot) -> list:
     """Every child of a paused branch, one per pick, each run to its next snapshot or a verdict.
 
-    At a state guess pick q guesses state q, and guesses come in
-    increasing state order, so the first q_prev + 1 picks abort.  Inside a
+    At a state guess pick q guesses the q-th port, and guesses come in
+    increasing port order, so the first q_prev + 1 picks abort.  Inside a
     backward walk pick 0 ignores the launch states listed at the cursor and
     keeps searching, and pick j emits the j-th of them.  A walk that runs
     out of points, and a chain check that ends anywhere but the initial
     state, abort in don't-know.
     """
-    t, m, m_new, q_target, i, q_prev, k, cur, idx = snapshot
+    t, m, m_new, q_target, i, q_prev, owed, cur, idx = snapshot
     scripts = ctx.scripts
     initial = ctx.initial
-    if k == 0:
+    if owed == 0:
+        ports = ctx.ports
         children = [DONT_KNOW] * (q_prev + 1)
         if t:  # the guess owes t backward walks, starting at its own search
-            for q in range(q_prev + 1, ctx.n):
-                children.append((t, m, m_new, q_target, i, q, t, q, 0) if scripts[q] else DONT_KNOW)
+            for q in range(q_prev + 1, len(ports)):
+                state = ports[q]
+                children.append((t, m, m_new, q_target, i, q, t, state, 0) if scripts[state]
+                                else DONT_KNOW)
         else:  # level 0 holds the initial state alone
-            for q in range(q_prev + 1, ctx.n):
-                children.append(_verified(ctx, t, m, m_new, q_target, i, q) if q == initial
+            for q in range(q_prev + 1, len(ports)):
+                children.append(_verified(ctx, t, m, m_new, q_target, i, q) if ports[q] == initial
                                 else DONT_KNOW)
         return children
     script = scripts[cur]
-    children = [(t, m, m_new, q_target, i, q_prev, k, cur, idx + 1) if idx + 1 < len(script)
+    children = [(t, m, m_new, q_target, i, q_prev, owed, cur, idx + 1) if idx + 1 < len(script)
                 else DONT_KNOW]
-    if k > 1:
+    if owed > 1:
         for p in script[idx]:
-            children.append((t, m, m_new, q_target, i, q_prev, k - 1, p, 0) if scripts[p]
+            children.append((t, m, m_new, q_target, i, q_prev, owed - 1, p, 0) if scripts[p]
                             else DONT_KNOW)
     else:  # the last walk owed: emitting p ends the chain check, passed only by the initial state
         for p in script[idx]:
@@ -215,9 +242,9 @@ def _advance(ctx: _SimContext, snapshot) -> list:
 def svfa_run(automaton: TwoWayAutomaton, word: str, trace: Sequence[int]) -> Verdict:
     """Replay one branch of the self-verifying simulation under `trace`.
 
-    Choice points are the state guesses of the counting loop and the
-    keep-searching/emit decisions inside the backward searches, in
-    execution order.  The run always halts, with one of the three verdicts;
+    Choice points are the state guesses of the counting loop, pick q
+    guessing the q-th port, and the keep-searching/emit decisions inside
+    the backward searches, in execution order.  The run always halts, with one of the three verdicts;
     an out-of-range selector aborts in don't-know and a trace shorter than
     the branch raises TraceUnderflow.
     """
@@ -324,12 +351,18 @@ def complement_decide(automaton: TwoWayAutomaton, word: str, budget: int = SVFA_
     return svfa_decide(automaton, word, budget=budget).verdict_exists_no
 
 
-def svfa_state_accounting(n: int) -> SvfaStateAccounting:
-    """Multiplicative state budget of the simulator for an n-state machine."""
+def svfa_state_accounting(n: int, k: int | None = None) -> SvfaStateAccounting:
+    """Multiplicative state budget of the simulator for an n-state machine with k ports.
+
+    k outside 1 ... n raises ValueError; without k the port form is None.
+    """
     if n < 1:
         raise ValueError("n must be positive")
+    if k is not None and not 1 <= k <= n:
+        raise ValueError("k must be between 1 and n")
+    cursor = max(4 * n - 4, 0)
     variables = (n + 1) ** 6
-    treach = n * max(4 * n - 4, 0)
+    treach = n * cursor
     total = variables * treach
     n8 = n ** 8
     return SvfaStateAccounting(
@@ -340,4 +373,6 @@ def svfa_state_accounting(n: int) -> SvfaStateAccounting:
         n8=n8,
         ratio=total / n8,
         degenerate=n < 2,
+        k=k,
+        port_total=None if k is None else (k + 1) ** 6 * k * cursor,
     )

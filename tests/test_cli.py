@@ -23,6 +23,7 @@ from outerfa.reach import build_controller
 from conftest import (
     INITIAL_ACCEPTING,
     chain_sweeper,
+    gap_machine,
     mod_p_sweeper,
     port_ring,
     random_nf_onfa,
@@ -45,6 +46,7 @@ COMMITTED = {
     "mod_p_3_4.2wa": lambda: mod_p_sweeper((3, 4)),
     "chain_2.2wa": lambda: chain_sweeper(2),
     "nf65.2wa": lambda: random_nf_onfa(65),
+    "gap4.2wa": lambda: gap_machine(4),
 }
 
 
@@ -86,6 +88,8 @@ def test_run_svfa_reports_branches(e1_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert (payload["branches_explored"], payload["snapshots"]) == (85, 24)
     assert payload["svfa_state_bound"] == 14117880
+    # every one of E1's states is a port, so the bound over ports is the same
+    assert payload["svfa_port_state_bound"] == 14117880
     assert payload["all_halting"] is True
 
 
@@ -295,8 +299,8 @@ def test_complement_prints_the_reject_side_of_svfa(nf_corpus, tmp_path, capsys):
                 else:
                     assert code == 4 and complement.err == run.err, (path, word, budget)
                     refused += 1
-    # 50 snapshots refuse 9 of the 94 words, so both exits are compared
-    assert refused == 9
+    # 50 snapshots refuse 10 of the 251 words, so both exits are compared
+    assert refused == 10
 
 
 def test_bounds(e1_file, tmp_path, capsys):
@@ -306,6 +310,7 @@ def test_bounds(e1_file, tmp_path, capsys):
     assert "svfa_total: 14117880" in out
     # every one of E1's 6 states is a port, so the bound over ports is the paper's
     assert "\ndfa_k: 6\ndfa_port_stack_configurations_bound: 41472\n" in out
+    assert "\nsvfa_k: 6\nsvfa_port_total: 14117880\n" in out
     # its 12-state normal form has 9 ports: 4n * (2k) ** ceil(log2(k - 1)) = 48 * 18 ** 3
     normal = tmp_path / "e1-normal.2wa"
     normal.write_text(serialize(normalize_onfa(build_e1())))
@@ -313,6 +318,9 @@ def test_bounds(e1_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "dfa_stack_configurations_bound: 15925248" in out
     assert "\ndfa_k: 9\ndfa_port_stack_configurations_bound: 279936\n" in out
+    # (n + 1) ** 6 * n * (4n - 4) = 13 ** 6 * 12 * 44 beside (k + 1) ** 6 * k * (4n - 4)
+    assert "svfa_total: 2548555152\n" in out
+    assert "\nsvfa_k: 9\nsvfa_port_total: 396000000\n" in out
     # a machine outside the normal form prints no ports
     raw = tmp_path / "raw.2wa"
     raw.write_text(serialize(random_oafa(1000)))
@@ -320,6 +328,7 @@ def test_bounds(e1_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "dfa_normal_form_assumed: false" in out
     assert "dfa_k" not in out and "dfa_port" not in out
+    assert "svfa_k" not in out and "svfa_port" not in out
 
 
 def test_one_state_machine_bounds_and_emit_dfa(tmp_path, capsys):
@@ -381,12 +390,21 @@ def test_emit_dfa_on_the_committed_sweepers(name, states, tmp_path, capsys):
     assert main(["equiv", source, str(out_path), "--max-len", "6"]) == 0
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_run_every_method_on_the_committed_gap_machine(method, capsys):
+    """CI's cli-smoke job runs these words: "aei" is a path 0->1->2->3, "aeg" a cycle missing 3."""
+    path = str(E1_FILE.parent / "gap4.2wa")
+    for word, expected in (("aei", "true"), ("aeg", "false")):
+        assert main(["run", path, "--word", word, "--method", method]) == 0
+        assert f"result: {expected}\n" in capsys.readouterr().out
+
+
 def test_run_budget_exit_code(e1_file, capsys):
     assert main(["run", e1_file, "--word", "aa", "--method", "svfa", "--budget", "2"]) == 4
-    # svfa decides seed 65 on "bbb" over 95 distinct snapshots
+    # svfa decides seed 65 on "bbb" over 44 distinct snapshots
     nf65 = str(E1_FILE.parent / "nf65.2wa")
-    assert main(["run", nf65, "--word", "bbb", "--method", "svfa", "--budget", "95"]) == 0
-    assert main(["run", nf65, "--word", "bbb", "--method", "svfa", "--budget", "94"]) == 4
+    assert main(["run", nf65, "--word", "bbb", "--method", "svfa", "--budget", "44"]) == 0
+    assert main(["run", nf65, "--word", "bbb", "--method", "svfa", "--budget", "43"]) == 4
     # a negative budget is a bad argument, not an exhausted budget
     assert main(["run", e1_file, "--word", "aa", "--method", "svfa", "--budget", "-5"]) == 3
     assert main(["complement", e1_file, "--word", "aa", "--budget", "-1"]) == 3

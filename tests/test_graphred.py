@@ -176,25 +176,27 @@ def _reachable(edges: set, source: int) -> set:
 
 @pytest.mark.parametrize("m", range(2, 8))
 def test_gap_machine_matches_bfs_on_the_decoded_graph(m):
+    """Every method decides every word under its default budget, and agrees with a BFS.
+
+    Ten words of up to 2m edges, then twenty of 2m.  svfa counts and
+    guesses among the m + 1 ports, so it decides each m = 7 word within
+    10^4 snapshots; among all m^2 + 1 states some of them ask more than
+    10^6.
+    """
     machine = gap_machine(m)
     q_final = machine.n - 1
     letter_edge = dict(zip(machine.alphabet, gap_pairs(m)))
     rng = random.Random(7)
-    decided = dict.fromkeys(METHODS, 0)
+    words = ["".join(rng.choice(machine.alphabet) for _ in range(rng.randint(0, 2 * m)))
+             for _ in range(10)]
+    words += ["".join(rng.choice(machine.alphabet) for _ in range(2 * m)) for _ in range(20)]
     accepted = 0
-    for _ in range(10):
-        word = "".join(rng.choice(machine.alphabet) for _ in range(rng.randint(0, 2 * m)))
+    for word in words:
         edges = {letter_edge[letter] for letter in word}
         # the segment graph is the graph the word lists, plus v_{m-1}'s step into qF
         assert build_segment_graph(machine, word).edges == edges | {(m - 1, q_final)}
         expected = m - 1 in _reachable(edges, 0)
         accepted += expected
         for method in METHODS:
-            try:
-                verdict, _ = _decide(machine, word, method, None)
-            except BudgetExceeded:
-                continue  # skipped, never counted as agreement
-            assert verdict == expected, (m, word, method)
-            decided[method] += 1
-    assert decided == dict.fromkeys(METHODS, 10)
-    assert 0 < accepted < 10
+            assert _decide(machine, word, method, None)[0] == expected, (m, word, method)
+    assert 0 < accepted < len(words)

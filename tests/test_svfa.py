@@ -28,13 +28,15 @@ from outerfa import (
 from outerfa.normalform import NotNormalForm
 from outerfa.reach import _walk
 
-from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, random_nf_onfa, random_onfa
+from conftest import (INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, port_ring, random_nf_onfa,
+                      random_onfa)
 from reference import (build_e1, build_e2, build_trivial_all, build_trivial_empty, exhaust,
                        reference_svfa_tree)
 
 E1 = build_e1()
 
-# level 1 is {y}, which launches nothing, so level 2 is empty at t = 2 < n - 1
+# the ports are qI, y, z and qF; level 1 is {y}, whose one launch halts on
+# an a, so level 2 is empty at t = 2 < k - 1
 EMPTY_LEVEL = parse("""type: onfa
 alphabet: a
 states: qI x y z qF
@@ -44,6 +46,8 @@ trans: qI < x R
 trans: x a x R
 trans: x > y L
 trans: y a y L
+trans: y < z R
+trans: z < z R
 """)
 
 
@@ -58,25 +62,27 @@ def test_run_examples_on_e1():
 
 
 def test_run_ordering_violation_aborts():
-    # two states are reachable in one segment, so the second-level loop
-    # guesses twice and must do so in increasing order
+    # two ports are reachable in one segment, so the second-level loop
+    # guesses twice and must do so in increasing port order
     from outerfa import TwoWayAutomaton
 
     machine = TwoWayAutomaton(
         ["qI", "x", "y", "qF"], "a",
         {
             (0, "<"): [(1, 1), (2, 1)],
+            (1, "<"): [(3, 0)],
             (1, ">"): [(1, -1)],
+            (2, "<"): [(3, 0)],
             (2, ">"): [(2, -1)],
         },
         0, [3], declared_flavor="onfa",
     )
-    # level 0 guesses qI four times, then level 1 guesses y (checked by one
-    # emit choice) and x: decreasing, so the branch aborts
+    # level 0 guesses qI once per port, four times, then level 1 guesses y
+    # (checked by one emit choice) and x: decreasing, so the branch aborts
     assert svfa_run(machine, "", [0, 0, 0, 0, 2, 1, 1]) is Verdict.DONT_KNOW
-    # the increasing variant survives past the check
-    assert svfa_run(machine, "", [0, 0, 0, 0, 1, 1, 2, 1, 0, 0]) in (
-        Verdict.ACCEPT, Verdict.REJECT, Verdict.DONT_KNOW)
+    # the increasing variant, x then y, passes both checks in the cells of
+    # qI, x and y; in qF's cell x alone, one segment before qF, accepts
+    assert svfa_run(machine, "", [0, 0, 0, 0] + [1, 1, 2, 1] * 3 + [1, 1]) is Verdict.ACCEPT
     # a malformed selector aborts rather than crashing
     assert svfa_run(E1, "aa", [99]) is Verdict.DONT_KNOW
 
@@ -154,14 +160,15 @@ def test_budget_exhaustion_reports_partial():
     assert not report.all_halting
     assert (report.snapshots, report.branches_explored, report.dont_know_count) == (12, 12, 12)
     assert report.branches_explored <= svfa_decide(E1, "aa").branches_explored
-    # 95 distinct snapshots decide seed 65 on "bbb"; one fewer does not
-    machine = random_nf_onfa(65)
-    assert svfa_decide(machine, "bbb", budget=95).snapshots == 95
+    # 330 distinct snapshots decide a 6-state ring, every state a port, on
+    # "a"; one fewer does not
+    machine = port_ring(6)
+    assert svfa_decide(machine, "a", budget=330).snapshots == 330
     with pytest.raises(BudgetExceeded) as info:
-        svfa_decide(machine, "bbb", budget=94)
+        svfa_decide(machine, "a", budget=329)
     report = info.value.report
-    assert (report.snapshots, report.all_halting) == (94, False)
-    assert 0 < report.branches_explored < 6297485
+    assert (report.snapshots, report.all_halting) == (329, False)
+    assert 0 < report.branches_explored < 451
 
 
 def test_negative_budgets_raise():
@@ -184,6 +191,23 @@ def test_accounting_values():
     assert degenerate.total == 0
 
 
+def test_accounting_over_ports():
+    # (k + 1)**6 * k * (4n - 4): six variables and the chain counter over the
+    # k ports, the cursor over the controller's states; with k = n it is the n-form
+    record = svfa_state_accounting(6)
+    assert (record.k, record.port_total) == (None, None)
+    e1 = svfa_state_accounting(6, 6)
+    assert e1.port_total == e1.total == 14117880
+    # E1's 12-state normal form has 9 ports
+    normal = svfa_state_accounting(12, 9)
+    assert normal.total == 13**6 * 12 * 44 == 2548555152
+    assert normal.port_total == 10**6 * 9 * 44 == 396000000
+    assert svfa_state_accounting(1, 1).port_total == 0
+    for k in (0, 7):
+        with pytest.raises(ValueError, match="k must be"):
+            svfa_state_accounting(6, k)
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_accounting_refuses_machines_without_states(n):
     with pytest.raises(ValueError, match="n must be positive"):
@@ -197,6 +221,34 @@ def test_accounting_growth_is_degree_eight():
     # asymptotically the ratio settles at 2**8
     big = svfa_state_accounting(2**20).total / svfa_state_accounting(2**19).total
     assert abs(big - 2**8) < 1.0
+
+
+def test_guesses_range_over_ports(monkeypatch):
+    # the mod-(3, 4, 5) sweeper has 17 states but 5 ports: qI, r3, r4, r5
+    # and qF, so every state guess has at most k children and the levels
+    # stop below k - 1
+    from outerfa import svfa
+    from outerfa.reach import _single_moves
+
+    machine = mod_p_sweeper((3, 4, 5))
+    k = len(_single_moves(machine)[5])
+    assert (machine.n, k) == (17, 5)
+    guesses, levels = [], set()
+    step = svfa._advance
+
+    def spy(ctx, snapshot):
+        children = step(ctx, snapshot)
+        levels.add(snapshot[0])
+        if snapshot[6] == 0:  # no walk owed: a state guess
+            guesses.append(len(children))
+        return children
+
+    monkeypatch.setattr(svfa, "_advance", spy)
+    for word in ("a" * 7, "a" * 12):
+        report = svfa_decide(machine, word)
+        assert report.verdict_exists_yes == accepts_oracle(machine, word)
+    assert max(guesses) == k
+    assert max(levels) < k - 1
 
 
 def _both_verdicts(ctx, snapshot):
@@ -273,13 +325,13 @@ def _refuse_table(automaton, word):
 @pytest.mark.parametrize("machine, word, report, trace, verdict", [
     (E1, "aa", (True, False, 84, 85), (0,) * 6 + (3, 0, 1) * 6, Verdict.ACCEPT),
     (E1, "ab", (False, True, 30, 31), (0,) * 6, Verdict.REJECT),
-    (mod_p_sweeper((2, 3)), "a" * 4, (True, False, 171, 172), (0,) * 9 + (3, 0, 1) * 9,
+    (mod_p_sweeper((2, 3)), "a" * 4, (True, False, 36, 37), (0,) * 4 + (1, 0, 1) * 4,
      Verdict.ACCEPT),
-    (mod_p_sweeper((2, 3)), "a" * 5, (False, True, 72, 73), (0,) * 9, Verdict.REJECT),
-    (chain_sweeper(2), "aa", (True, False, 138, 139),
-     (0,) * 6 + (2, 0, 1) * 6 + (4, 0, 1, 0, 1) * 6, Verdict.ACCEPT),
-    (chain_sweeper(2), "aab", (False, True, 72, 73), (0,) * 6 + (2, 0, 1) * 6, Verdict.REJECT),
-    (EMPTY_LEVEL, "a", (False, True, 45, 46), (0,) * 5 + (2, 0, 1) * 5, Verdict.REJECT),
+    (mod_p_sweeper((2, 3)), "a" * 5, (False, True, 12, 13), (0,) * 4, Verdict.REJECT),
+    (chain_sweeper(2), "aa", (True, False, 68, 69),
+     (0,) * 4 + (1, 0, 1) * 4 + (2, 0, 1, 0, 1) * 4, Verdict.ACCEPT),
+    (chain_sweeper(2), "aab", (False, True, 32, 33), (0,) * 4 + (1, 0, 1) * 4, Verdict.REJECT),
+    (EMPTY_LEVEL, "a", (False, True, 28, 29), (0,) * 4 + (1, 0, 1) * 4, Verdict.REJECT),
 ], ids=["e1_aa", "e1_ab", "mod23_accept", "mod23_reject", "chain_accept", "chain_reject",
         "empty_level"])
 def test_decisions_build_no_controller(monkeypatch, machine, word, report, trace, verdict):
@@ -340,8 +392,8 @@ def test_decision_reports_are_pinned():
             digest.update(repr((seed, word, report.verdict_exists_yes, report.verdict_exists_no,
                                 report.dont_know_count, report.branches_explored)).encode("utf-8"))
     assert refused == []
-    assert (branches, dont_knows) == (6546573, 5449358)
-    assert digest.hexdigest() == "0a7054a52099352afc76d1e223d5480836f55302ca50b7e950050548de39bf32"
+    assert (branches, dont_knows) == (152034, 131852)
+    assert digest.hexdigest() == "5e9c7343bce907de1fe68607100916c3c8677ed4667af843c94091a0c7d653a0"
 
 
 def test_decisions_match_the_tree_walk():
@@ -361,17 +413,15 @@ def test_decisions_match_the_tree_walk():
             assert (report.verdict_exists_yes, report.verdict_exists_no, report.dont_know_count,
                     report.branches_explored) == (accepts > 0, rejects > 0, dont_knows,
                                                   accepts + rejects + dont_knows), (seed, word)
-    assert refused == 13
+    assert refused == 12
     assert largest <= 10**4
 
 
 @pytest.mark.parametrize("machine, word, report", [
-    (random_nf_onfa(65), "bbb", DecisionReport(False, True, 5248909, 6297485, True, 95)),
+    (random_nf_onfa(65), "bbb", DecisionReport(False, True, 2502, 2758, True, 44)),
     (normalize_onfa(random_onfa(156)), "b", DecisionReport(
-        False, True, 18064802012868128233741095855238444779140162427377240844971,
-        18460742878990553426984971426021113236903201249777240844971, True, 3530)),
+        False, True, 1392555074, 1432368194, True, 440)),
 ], ids=["nf65_bbb", "raw156_b"])
 def test_large_trees_are_pinned(machine, word, report):
-    # millions of branches and more, over a few thousand distinct snapshots
+    # thousands of branches and more, over a few hundred distinct snapshots
     assert svfa_decide(machine, word) == report
-
