@@ -55,18 +55,15 @@ from .normalform import (
 )
 from .reach import (
     ReachController,
-    TraceUnderflow,
     build_controller,
-    n_reach,
     reach,
     return_table,
     segment_reach,
-    t_reach,
 )
 from .svfa import (
     DecisionReport,
     SvfaStateAccounting,
-    complement_decide,
+    TraceUnderflow,
     svfa_decide,
     svfa_run,
     svfa_state_accounting,

@@ -42,7 +42,7 @@ from .normalform import (
     require_normal_form,
 )
 from .reach import build_controller  # noqa: F401  (perfbench/tracing.py wraps it here by name)
-from .reach import _single_moves, reach
+from .reach import machine_index, reach
 from .svfa import SVFA_BUDGET, svfa_decide, svfa_state_accounting
 
 EXIT_OK = 0
@@ -106,7 +106,7 @@ def _decide(automaton: TwoWayAutomaton, word: str, method: str, budget: int | No
         return decide_det(machine, word, **limit), extras
     report = svfa_decide(machine, word, **limit)
     # the state budget over all n states, and over the k ports it counts and guesses among
-    accounting = svfa_state_accounting(machine.n, len(_single_moves(machine)[5]))
+    accounting = svfa_state_accounting(machine.n, len(machine_index(machine).ports))
     extras = {
         "accept_branch_exists": report.verdict_exists_yes,
         "reject_branch_exists": report.verdict_exists_no,
@@ -207,7 +207,7 @@ def _cmd_bounds(args) -> int:
     automaton = _load(args.file)
     normal = check_normal_form(automaton, alternating=bool(automaton.universal)).all_properties
     # the port count, and the bound over ports, only for a machine in the normal form
-    ports = len(_single_moves(automaton)[5]) if normal else None
+    ports = len(machine_index(automaton).ports) if normal else None
     bound = asdict(dfa_state_bound(automaton.n, ports))
     payload = {"dfa_n": bound.pop("n"), "dfa_normal_form_assumed": normal}
     payload.update({f"dfa_{k}": v for k, v in bound.items() if v is not None})

@@ -126,9 +126,9 @@ class TwoWayAutomaton:
         self._choice_symbols = frozenset(sym for (_, sym), succs in self._delta.items()
                                          if len(succs) > 1)
         self._form_flags: list = [None, None]  # normal-form flags, by `alternating`
-        # `reach._single_moves`: the moves, launch index and ports the controller, the
-        # return table and the divide-and-conquer stack machine read, built on first use
-        self._single_moves = None
+        # `reach.machine_index`: the moves, launch index and ports the controller, the
+        # return table and the deciders read, built on first use
+        self._index = None
         self._controller = None  # `reach._check_call`: the searches' controller, built on first use
         self._letters = "".join(self.alphabet)  # for check_word; a set per machine slowed set-up
 

@@ -5,7 +5,7 @@ questions about 2^(h-1) segments through a guessed midpoint, so acceptance
 (a chain of segments from the initial to the accepting state) resolves with
 a stack of logarithmic height.  The midpoints are guessed among the ports
 alone: the states with a choice at the left endmarker, plus the initial and
-the accepting state, which `reach._single_moves` lists once per machine.
+the accepting state, which `reach.machine_index` lists once per machine.
 Every state of a chain but the last starts a segment with a choice at `<`,
 and the last is the accepting state, so with k ports a shortest chain has at
 most k - 1 segments and the stack is ceil(log2(k - 1)) halvings high, where
@@ -46,7 +46,7 @@ from .core import (
     check_word,
 )
 from .normalform import require_normal_form
-from .reach import _single_moves, build_controller, return_table
+from .reach import build_controller, machine_index, return_table
 from .reach import reach  # noqa: F401  (perfbench/tracing.py wraps it here by name)
 
 
@@ -281,10 +281,10 @@ def decide_det(automaton: TwoWayAutomaton, word: str,
     check_word(automaton, word)
     if q_init == q_final:
         return True
-    ports, port_of = _single_moves(automaton)[5:]
-    start = port_of[q_init]
-    return _divide([[start, port_of[q_final], start, 2]], _stack_height(len(ports)),
-                   _base_rows(ports, port_of, return_table(automaton, word)),
+    index = machine_index(automaton)
+    start = index.port_of[q_init]
+    return _divide([[start, index.port_of[q_final], start, 2]], _stack_height(len(index.ports)),
+                   _base_rows(index.ports, index.port_of, return_table(automaton, word)),
                    stats=stats, budget=budget)
 
 
@@ -358,13 +358,14 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = MAX_STATES) ->
         raise BudgetExceeded(f"the machine needs more than {max_states} states")
     controller = build_controller(automaton)
     q_final, accept = controller.final_state, controller.accept
-    _, _, _, choices, _, ports, port_of = _single_moves(automaton)
+    index = machine_index(automaton)
+    ports, port_of = index.ports, index.port_of
     height = _stack_height(len(ports))
     # a stationary choice is a segment; a rightward one leaves every port but
     # the accepting state, which only a stationary launch reaches, to the tape
     tape = [b for b in ports if b != q_final]
-    rows = _base_rows(ports, port_of, [[x for x, d in row if d == STAY] for row in choices],
-                      [tape if any(d == RIGHT for _, d in row) else () for row in choices])
+    rows = _base_rows(ports, port_of, [[x for x, d in row if d == STAY] for row in index.choices],
+                      [tape if any(d == RIGHT for _, d in row) else () for row in index.choices])
 
     ids: dict[tuple, int] = {}
     worklist: list[tuple] = []

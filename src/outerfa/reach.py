@@ -27,14 +27,13 @@ One stepper, `_walk`, is the only source of the search's choice points: it
 first lists the stationary launchers of q_to, then runs the controller over
 a tape, mapped to columns once, and reports the launch candidates of each
 scan-left visit to the left endmarker.  The plain search (`segment_reach`)
-stops at the first point listing its q_from.  The guessing variant
-(`n_reach`) takes every point as a choice and emits some state with a
-segment into q_to; its iterated form (`t_reach`) checks a chain of exactly
-t segments out of the initial state, and `n_reach` is its one-segment case.
-Both are driven by explicit choice traces so that callers can replay or
-exhaust them.  The controller depends on the machine alone, so every search
-takes just the machine: its one gate, `_check_call`, builds the controller
-on the machine's first search and keeps it on the machine.
+stops at the first point listing its q_from; the self-verifying
+simulation's replay takes every point as a choice.  The controller depends
+on the machine alone, so every search takes just the machine: its one gate,
+`_check_call`, builds the controller on the machine's first search and
+keeps it on the machine.  What the controller and the per-word pass read of
+a machine, its moves, launches and ports, is one index, `machine_index`,
+built once per machine.
 
 The controller is the paper's constant-memory device.  The deciders, which
 may spend memory linear in the tape, instead read the whole segment
@@ -52,7 +51,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple
 
 from .core import (
     LEFT,
@@ -62,7 +61,6 @@ from .core import (
     STAY,
     InvariantViolation,
     TwoWayAutomaton,
-    Verdict,
     _check_states,
     check_word,
 )
@@ -73,14 +71,6 @@ _SCAN_LEFT, _DONE_LEFT, _SCAN_RIGHT, _DONE_RIGHT = range(4)
 
 Move = tuple[int, int]
 Launchers = dict[Move, tuple[int, ...]]  # (q, d): the states launching q in direction d
-
-
-class TraceUnderflow(Exception):
-    """The choice trace ran out; `options` says how many choices were open."""
-
-    def __init__(self, options: int):
-        super().__init__(f"trace exhausted with {options} choices open")
-        self.options = options
 
 
 def _rank(q: int, q_final: int) -> int:
@@ -99,7 +89,7 @@ class ReachController:
     moves, (next state, direction) or None to halt, at
     `state * width + column[symbol]`; ACCEPT's row is all None.  It never
     depends on the segment endpoints.  `launchers` is the machine's reverse
-    launch index, the one `_single_moves` keeps and `return_table` reads:
+    launch index, the one `machine_index` keeps and `return_table` reads:
     `launchers[(q, d)]` lists, in state order, the states with a
     left-endmarker choice into q moving in direction d (RIGHT or STAY).
     It fixes the one parameter-dependent move: SCAN_LEFT(q) on the left
@@ -166,29 +156,42 @@ class ReachController:
         return "\n".join(lines)
 
 
-def _single_moves(automaton: TwoWayAutomaton) -> tuple[
-        dict[str, list[Move | None]], Launchers, tuple[int, ...], tuple[tuple[Move, ...], ...],
-        re.Pattern[str], tuple[int, ...], dict[int | None, int | None]]:
-    """The one index of what this module reads of a machine, built once per machine.
+class MachineIndex(NamedTuple):
+    """What the searches, the return table and the deciders read of a machine.
 
-    These are each symbol's move of every state away from the left
-    endmarker, of which the relaxed normal form allows at most one (None
-    halts); the reverse launch index, whose entry (q, d) lists in state
-    order the states with a left-endmarker choice into q moving in
-    direction d; the states it launches rightward, in order; each state's
-    left-endmarker choices, in the order of `successors(p, "<")`; a
-    pattern matching the maximal runs of one symbol; the ports; and
-    `port_of`, each state's index among the ports, None for a state that
-    is not one and for None itself.  The ports are, in state order, the
-    states with a left-endmarker choice and the initial and accepting
-    states: every state of a segment chain but its last starts a segment,
-    so with a choice at `<`, and the last is the accepting state.
-    `build_controller` and `return_table` take their moves and launches
-    from it, the controller shares its launch index as `launchers`, and
-    the divide-and-conquer stack machine guesses its midpoints among the
-    ports.  It is cached on the machine, which is immutable.
+    `moves[sym][q]` is q's one move on sym away from the left endmarker, of
+    which the relaxed normal form allows at most one (None halts).
+    `launchers` is the reverse launch index, whose entry (q, d) lists in
+    state order the states with a left-endmarker choice into q moving in
+    direction d, and `launched` the states it launches rightward, in order.
+    `choices[p]` are p's left-endmarker choices, in the order of
+    `successors(p, "<")`, and `runs` a pattern matching the maximal runs of
+    one symbol.  `ports` are, in state order, the states with a
+    left-endmarker choice and the initial and accepting states: every state
+    of a segment chain but its last starts a segment, so with a choice at
+    `<`, and the last is the accepting state.  `port_of` gives each state's
+    index among the ports, None for a state that is not one and for None
+    itself.
     """
-    if automaton._single_moves is None:
+
+    moves: dict[str, list[Move | None]]
+    launchers: Launchers
+    launched: tuple[int, ...]
+    choices: tuple[tuple[Move, ...], ...]
+    runs: re.Pattern[str]
+    ports: tuple[int, ...]
+    port_of: dict[int | None, int | None]
+
+
+def machine_index(automaton: TwoWayAutomaton) -> MachineIndex:
+    """The machine's `MachineIndex`, cached on the machine, which is immutable.
+
+    `build_controller` and `return_table` take their moves and launches
+    from it, the controller shares its launch index as `launchers`, and the
+    divide-and-conquer stack machine and the self-verifying simulation
+    guess among its ports.
+    """
+    if automaton._index is None:
         n = automaton.n
         symbols = automaton.alphabet + (RIGHT_ENDMARKER,)
         moves = {sym: [(automaton.successors(q, sym) or (None,))[0] for q in range(n)]
@@ -205,10 +208,10 @@ def _single_moves(automaton: TwoWayAutomaton) -> tuple[
                               *(p for p, row in enumerate(choices) if row)}))
         port_of: dict[int | None, int | None] = dict.fromkeys([*range(n), None])
         port_of.update((q, i) for i, q in enumerate(ports))
-        automaton._single_moves = (
+        automaton._index = MachineIndex(
             moves, {move: tuple(ps) for move, ps in launchers.items()}, launched, choices, runs,
             ports, port_of)
-    return automaton._single_moves
+    return automaton._index
 
 
 def build_controller(automaton: TwoWayAutomaton) -> ReachController:
@@ -224,14 +227,14 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
     def state(kind: int, q: int) -> int:
         return kind * (n - 1) + _rank(q, q_final)
 
-    moves, launchers = _single_moves(automaton)[:2]
+    index = machine_index(automaton)
     # The backward tree in first-child/next-sibling form, from one pass in
     # reverse state order: first_child[(sym, move)] is the first state whose
     # one move on sym is `move`, and next_sibling[(sym, p)] the next state
     # after p with p's move on sym, or None.
     first_child: dict[tuple[str, Move], int] = {}
     next_sibling: dict[tuple[str, int], int | None] = {}
-    for sym, row in moves.items():
+    for sym, row in index.moves.items():
         for p in reversed(range(n)):
             if row[p] is not None:
                 next_sibling[(sym, p)] = first_child.get((sym, row[p]))
@@ -269,7 +272,7 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
         # the next sibling predecessor of the unique successor of (q, i), or
         # close the parent's mode.  At the left endmarker the search is back
         # at the root with nothing left, which rejects by halting here.
-        for sym, row in moves.items():
+        for sym, row in index.moves.items():
             if row[q] is None:
                 continue  # never reached backward; left undefined
             (r, d) = row[q]
@@ -288,7 +291,7 @@ def build_controller(automaton: TwoWayAutomaton) -> ReachController:
         final_state=q_final,
         column=column,
         table=table,
-        launchers=launchers,
+        launchers=index.launchers,
     )
 
 
@@ -437,8 +440,9 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> tuple[tuple[int | Non
     require_normal_form(automaton, alternating=True)
     check_word(automaton, word)
     n = automaton.n
-    moves, _, launched, choices, runs_of, _, _ = _single_moves(automaton)
-    runs = runs_of.findall(word + RIGHT_ENDMARKER)
+    index = machine_index(automaton)
+    moves, launched, choices = index.moves, index.launched, index.choices
+    runs = index.runs.findall(word + RIGHT_ENDMARKER)
     # fate[slot * n + q]: where entering slot 2j + 1 + e, run j at its left
     # (e = 0) or right (e = 1) end, in state q leads; slot 0 is back at the
     # left endmarker, in the state q itself
@@ -465,60 +469,3 @@ def return_table(automaton: TwoWayAutomaton, word: str) -> tuple[tuple[int | Non
     # built from lists: a tuple filled from a generator is resized as it grows,
     # and in long benchmark runs that made peak RSS creep up pass after pass
     return tuple([tuple([x if d == STAY else fate[n + x] for (x, d) in row]) for row in choices])
-
-
-def _chain(controller: ReachController, word: str, q: int, t: int,
-           trace: Sequence[int]) -> int | None:
-    """Run t guessing searches backward from q, each from the state the last one emitted.
-
-    At every choice point, option 0 keeps searching and option j >= 1 emits
-    the j-th candidate.  Returns the last state emitted, or None if a search
-    exhausts its backward tree or the trace picks a candidate that does not
-    exist.  A too-short trace raises TraceUnderflow.
-    """
-    pos = 0
-    for _ in range(t):
-        for candidates in _walk(controller, word, q):
-            if pos == len(trace):
-                raise TraceUnderflow(1 + len(candidates))
-            pick = trace[pos]
-            pos += 1
-            if not 0 <= pick <= len(candidates):
-                return None
-            if pick:
-                q = candidates[pick - 1]
-                break
-        else:
-            return None
-    return q
-
-
-def n_reach(automaton: TwoWayAutomaton, word: str, q_to: int,
-            trace: Sequence[int]) -> int | Verdict:
-    """Emit some state with a segment into q_to, as directed by `trace`.
-
-    At every choice point, option 0 keeps searching backward and option
-    j >= 1 emits the j-th candidate in state order.  Exhausting the
-    backward tree, or demanding a candidate that does not exist, yields
-    Verdict.DONT_KNOW.  A too-short trace raises TraceUnderflow.
-    """
-    result = _chain(_check_call(automaton, word, q_to), word, q_to, 1, trace)
-    return Verdict.DONT_KNOW if result is None else result
-
-
-def t_reach(automaton: TwoWayAutomaton, word: str, q: int, t: int,
-            trace: Sequence[int]) -> bool | Verdict:
-    """Check a chain of exactly t segments from the initial state down to q.
-
-    The check walks backward: t guessing searches, each feeding the next,
-    must end exactly at the initial state.  Any abort or mismatch is a
-    don't-know, not a refusal.  With t = 0 the answer is simply whether q
-    is the initial state, once the machine has passed the same normal-form
-    gate as for t >= 1; a negative t raises ValueError.
-    """
-    if t < 0:
-        raise ValueError("the chain length t must be at least 0")
-    controller = _check_call(automaton, word, q)
-    if t == 0:
-        return q == automaton.initial
-    return True if _chain(controller, word, q, t, trace) == automaton.initial else Verdict.DONT_KNOW

@@ -4,7 +4,7 @@ The decision procedure replays one nondeterministic branch per choice
 trace.  It counts, for every segment budget t, how many ports the machine
 reaches at the left endmarker with chains of exactly t segments out of the
 initial state, regenerating that set by guessing its members in increasing
-port order.  The ports (`reach._single_moves`) are the states with a choice
+port order.  The ports (`reach.machine_index`) are the states with a choice
 at `<` and the initial and accepting states: every state of a chain but the
 last starts a segment, and the last is the accepting state, so a state that
 is not a port starts no segment, and dropping it from a level changes no
@@ -43,7 +43,7 @@ from typing import Sequence
 
 from .core import BudgetExceeded, InvariantViolation, TwoWayAutomaton, Verdict
 from .normalform import require_normal_form
-from .reach import TraceUnderflow, _check_call, _single_moves, _walk, return_table
+from .reach import _check_call, _walk, machine_index, return_table
 # perfbench/tracing.py wraps these here by name
 from .reach import build_controller, segment_reach  # noqa: F401
 
@@ -123,7 +123,7 @@ class _SimContext:
     def __init__(self, automaton: TwoWayAutomaton, word: str, replay: bool):
         self.final = require_normal_form(automaton, alternating=False)
         self.initial = automaton.initial
-        self.ports = _single_moves(automaton)[5]
+        self.ports = machine_index(automaton).ports
         if replay:
             controller = _check_call(automaton, word)  # rejects foreign letters
             self.scripts = [[] for _ in range(automaton.n)]
@@ -239,6 +239,14 @@ def _advance(ctx: _SimContext, snapshot) -> list:
     return children
 
 
+class TraceUnderflow(Exception):
+    """The choice trace ran out; `options` says how many choices were open."""
+
+    def __init__(self, options: int):
+        super().__init__(f"trace exhausted with {options} choices open")
+        self.options = options
+
+
 def svfa_run(automaton: TwoWayAutomaton, word: str, trace: Sequence[int]) -> Verdict:
     """Replay one branch of the self-verifying simulation under `trace`.
 
@@ -344,11 +352,6 @@ def _report(accepts: int, rejects: int, dont_knows: int, snapshots: int,
     """The report on a tally of leaves: which definite verdicts occur, and how many leaves in all."""
     return DecisionReport(accepts > 0, rejects > 0, dont_knows, accepts + rejects + dont_knows,
                           all_halting, snapshots)
-
-
-def complement_decide(automaton: TwoWayAutomaton, word: str, budget: int = SVFA_BUDGET) -> bool:
-    """Membership in the complement language: does a rejecting branch exist?"""
-    return svfa_decide(automaton, word, budget=budget).verdict_exists_no
 
 
 def svfa_state_accounting(n: int, k: int | None = None) -> SvfaStateAccounting:

@@ -9,13 +9,16 @@ step, and the alternating one runs the and-or solver over all
 n * (|w| + 2) configurations, reachable or not.  The visit-bounded oracle
 exists only here, and so does the branch-by-branch walk of the
 self-verifying simulation's tree (`reference_svfa_tree`), which
-`svfa_decide`'s pass over distinct snapshots is checked against.
-`exhaust` runs a trace-driven search (`n_reach`, `t_reach`, `svfa_run`)
-over every choice trace and counts each result.
+`svfa_decide`'s pass over distinct snapshots is checked against.  The
+guessing chain searches over the backward controller's walk (`_chain`,
+`n_reach` and its iterated form `t_reach`, driven by choice traces) are the
+reference for the chain check inside `svfa._advance`.  `exhaust` runs a
+trace-driven search (`n_reach`, `t_reach`, `svfa_run`) over every choice
+trace and counts each result.
 """
 
 from collections import Counter, deque
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from outerfa.core import (
     LEFT,
@@ -31,8 +34,8 @@ from outerfa.core import (
     and_or_reach,
     check_word,
 )
-from outerfa.reach import TraceUnderflow
-from outerfa.svfa import _advance, _SimContext, _start
+from outerfa.reach import ReachController, _check_call, _walk
+from outerfa.svfa import TraceUnderflow, _advance, _SimContext, _start
 
 Q_I, P_A, P_B, R_A, R_B, Q_F = range(6)
 
@@ -252,6 +255,63 @@ def reference_alternating(automaton, word):
     universal = automaton.universal
     good = and_or_reach(succs, accepting, lambda c: c.state in universal)
     return Configuration(automaton.initial, 0) in good
+
+
+def _chain(controller: ReachController, word: str, q: int, t: int,
+           trace: Sequence[int]) -> int | None:
+    """Run t guessing searches backward from q, each from the state the last one emitted.
+
+    At every choice point, option 0 keeps searching and option j >= 1 emits
+    the j-th candidate.  Returns the last state emitted, or None if a search
+    exhausts its backward tree or the trace picks a candidate that does not
+    exist.  A too-short trace raises TraceUnderflow.
+    """
+    pos = 0
+    for _ in range(t):
+        for candidates in _walk(controller, word, q):
+            if pos == len(trace):
+                raise TraceUnderflow(1 + len(candidates))
+            pick = trace[pos]
+            pos += 1
+            if not 0 <= pick <= len(candidates):
+                return None
+            if pick:
+                q = candidates[pick - 1]
+                break
+        else:
+            return None
+    return q
+
+
+def n_reach(automaton: TwoWayAutomaton, word: str, q_to: int,
+            trace: Sequence[int]) -> int | Verdict:
+    """Emit some state with a segment into q_to, as directed by `trace`.
+
+    At every choice point, option 0 keeps searching backward and option
+    j >= 1 emits the j-th candidate in state order.  Exhausting the
+    backward tree, or demanding a candidate that does not exist, yields
+    Verdict.DONT_KNOW.  A too-short trace raises TraceUnderflow.
+    """
+    result = _chain(_check_call(automaton, word, q_to), word, q_to, 1, trace)
+    return Verdict.DONT_KNOW if result is None else result
+
+
+def t_reach(automaton: TwoWayAutomaton, word: str, q: int, t: int,
+            trace: Sequence[int]) -> bool | Verdict:
+    """Check a chain of exactly t segments from the initial state down to q.
+
+    The check walks backward: t guessing searches, each feeding the next,
+    must end exactly at the initial state.  Any abort or mismatch is a
+    don't-know, not a refusal.  With t = 0 the answer is simply whether q
+    is the initial state, once the machine has passed the same normal-form
+    gate as for t >= 1; a negative t raises ValueError.
+    """
+    if t < 0:
+        raise ValueError("the chain length t must be at least 0")
+    controller = _check_call(automaton, word, q)
+    if t == 0:
+        return q == automaton.initial
+    return True if _chain(controller, word, q, t, trace) == automaton.initial else Verdict.DONT_KNOW
 
 
 def exhaust(func) -> Counter:

@@ -19,7 +19,6 @@ from outerfa import (
     build_segment_graph,
     check_normal_form,
     classify,
-    complement_decide,
     decide_det,
     dfa_state_bound,
     gap_decide,
@@ -130,7 +129,6 @@ def test_criterion_4_svfa_suite(nf_corpus):
             assert not (report.verdict_exists_yes and report.verdict_exists_no)
             assert report.all_halting
             branches += report.branches_explored
-            assert complement_decide(machine, word) == (not expected)
     elapsed = time.perf_counter() - started
     assert elapsed < 300
     _passline(4, f"{len(machines)} machines, words to length 5, "

@@ -24,7 +24,7 @@ from outerfa import (
     serialize,
 )
 from outerfa.detsim import _base_rows, _ceil_log2, _divide, _stack_height
-from outerfa.reach import _single_moves, return_table
+from outerfa.reach import machine_index, return_table
 
 from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, port_ring, random_nf_onfa
 from reference import build_e1, build_ea, build_trivial_empty
@@ -33,14 +33,10 @@ E1 = build_e1()
 EA = build_ea()
 
 
-def port_index(machine):
-    """The machine's ports and each state's index among them, as `_single_moves` keeps them."""
-    return _single_moves(machine)[5:]
-
-
 def word_rows(machine, word):
     """`decide_det`'s base rows on one word, over the machine's ports."""
-    return _base_rows(*port_index(machine), return_table(machine, word))
+    index = machine_index(machine)
+    return _base_rows(index.ports, index.port_of, return_table(machine, word))
 
 
 def chain_reachable(machine, word, q, p, t):
@@ -120,7 +116,7 @@ def test_divide_matches_the_callback_machine_on_segments():
     """Bit rows settle each bottom frame as the midpoint scan does: same verdicts and counters."""
     for seed in range(24):
         machine = random_nf_onfa(seed, n_max=9)
-        ports, _ = port_index(machine)
+        ports = machine_index(machine).ports
         k = len(ports)
         heights = {_ceil_log2(t) for t in range(1, machine.n)}
         for word in all_words(machine.alphabet, 2):
@@ -220,7 +216,7 @@ def test_reachable_matches_chain_oracle(nf_corpus):
     # machines with up to 9 states, whose stacks grow to height 3, on shorter words
     cases += [(random_nf_onfa(seed, n_max=9), 2) for seed in (7, 9, 11, 83)]
     for machine, max_len in cases:
-        ports, _ = port_index(machine)
+        ports = machine_index(machine).ports
         for word in all_words(machine.alphabet, max_len):
             rows = word_rows(machine, word)
             for e in range(_stack_height(machine.n) + 1):
@@ -246,7 +242,7 @@ def test_stack_height_stays_logarithmic(nf_corpus):
     """The stack of halvings stays within ceil(log2(k - 1)) for the machine's k ports."""
     sweepers = [chain_sweeper(3), mod_p_sweeper((2, 3, 5))]
     for machine in list(nf_corpus[:10]) + [build_ea(), build_trivial_empty()] + sweepers:
-        k = len(port_index(machine)[0])
+        k = len(machine_index(machine).ports)
         limit = math.ceil(math.log2(k - 1)) if k > 2 else 0
         assert _stack_height(k) == limit
         for word in all_words(machine.alphabet, 3):
@@ -315,7 +311,7 @@ def test_emitted_base_cases_agree_with_the_segment_oracle(nf_corpus, monkeypatch
         passed.clear()
         materialize_dfa(machine)
         true_rows, open_rows = passed[0][:2]
-        ports, _ = port_index(machine)
+        ports = machine_index(machine).ports
         assert len(true_rows) == len(ports)
         words = list(all_words(machine.alphabet, 4))
         for a, q in enumerate(ports):
@@ -408,7 +404,7 @@ def test_materialize_sources_above_five_states(build, states):
     emitted = materialize_dfa(machine)
     assert emitted.n == states
     assert classify(emitted).is_deterministic
-    report = dfa_state_bound(machine.n, len(port_index(machine)[0]))
+    report = dfa_state_bound(machine.n, len(machine_index(machine).ports))
     assert emitted.n <= report.port_stack_configurations_bound <= report.stack_configurations_bound
     for word in all_words(machine.alphabet, 6):
         assert accepts_oracle(emitted, word) == accepts_oracle(machine, word), word

@@ -26,7 +26,6 @@ from outerfa import (
     build_segment_graph,
     decide_det,
     gap_decide,
-    n_reach,
     normalize_oafa,
     normalize_onfa,
     parse,
@@ -36,10 +35,9 @@ from outerfa import (
     segment_reach,
     svfa_decide,
     svfa_run,
-    t_reach,
 )
 from outerfa.normalform import NotNormalForm
-from outerfa.reach import _cross, _single_moves, _walk
+from outerfa.reach import _cross, _walk, machine_index
 from outerfa.svfa import _decider_scripts
 
 from conftest import accepting_at, chain_sweeper, mod_p_sweeper, random_nf_oafa, random_nf_onfa
@@ -53,6 +51,8 @@ from reference import (
     build_e1,
     build_trivial_empty,
     exhaust,
+    n_reach,
+    t_reach,
 )
 
 E1 = build_e1()
@@ -107,7 +107,7 @@ def test_controller_shares_the_machines_launch_index(nf_corpus, alt_nf_corpus):
     """The controller's launch index is the machine's one index, which `return_table` reads."""
     for machine in [E1] + nf_corpus + alt_nf_corpus:
         launchers = build_controller(machine).launchers
-        assert launchers is _single_moves(machine)[1]
+        assert launchers is machine_index(machine).launchers
         # (q, d) lists in state order the states with a choice into q moving in direction d
         choices = [machine.successors(p, LEFT_ENDMARKER) for p in range(machine.n)]
         assert launchers == {move: tuple(p for p in range(machine.n) if move in choices[p])
@@ -510,7 +510,7 @@ def test_run_crossings_skip_whole_laps(spec):
     # long: past the n-step tail, the measured lap and some skipped laps
     machine = orbit_machine(spec)
     n = machine.n
-    moves = _single_moves(machine)[0]["a"]
+    moves = machine_index(machine).moves["a"]
     for length in range(1, 3 * n + 4):
         for at in (0, length - 1):
             for q in range(n):

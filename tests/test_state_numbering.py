@@ -14,16 +14,14 @@ from outerfa import (
     all_words,
     build_controller,
     materialize_dfa,
-    n_reach,
     segment_exists_oracle,
     segment_reach,
     svfa_decide,
     svfa_run,
-    t_reach,
 )
 
 from conftest import accepting_at, mod_p_sweeper
-from reference import build_e1, exhaust
+from reference import build_e1, exhaust, n_reach, t_reach
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,6 @@ from outerfa import (
     all_words,
     build_controller,
     build_segment_graph,
-    complement_decide,
     decide_det,
     gap_decide,
     normalize_onfa,
@@ -31,7 +30,7 @@ from outerfa.reach import _walk
 from conftest import (INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, port_ring, random_nf_onfa,
                       random_onfa)
 from reference import (build_e1, build_e2, build_trivial_all, build_trivial_empty, exhaust,
-                       reference_svfa_tree)
+                       reference_svfa_tree, t_reach)
 
 E1 = build_e1()
 
@@ -140,15 +139,15 @@ def test_decide_matches_trace_replay_enumeration(nf_corpus):
 
 
 def test_complement_examples():
-    assert complement_decide(E1, "ab")
-    assert not complement_decide(E1, "aa")
-    assert complement_decide(build_trivial_empty(), "")
+    assert svfa_decide(E1, "ab").verdict_exists_no
+    assert not svfa_decide(E1, "aa").verdict_exists_no
+    assert svfa_decide(build_trivial_empty(), "").verdict_exists_no
 
 
 def test_complement_matches_negated_oracle(nf_corpus):
     for machine in nf_corpus[:8]:
         for word in all_words(machine.alphabet, 3):
-            assert complement_decide(machine, word) == (not accepts_oracle(machine, word))
+            assert svfa_decide(machine, word).verdict_exists_no == (not accepts_oracle(machine, word))
 
 
 def test_budget_exhaustion_reports_partial():
@@ -172,11 +171,10 @@ def test_budget_exhaustion_reports_partial():
 
 
 def test_negative_budgets_raise():
-    for decide in (svfa_decide, complement_decide):
-        with pytest.raises(ValueError, match="at least 0"):
-            decide(E1, "aa", budget=-1)
-        with pytest.raises(BudgetExceeded):  # a budget of 0 admits no snapshot
-            decide(E1, "aa", budget=0)
+    with pytest.raises(ValueError, match="at least 0"):
+        svfa_decide(E1, "aa", budget=-1)
+    with pytest.raises(BudgetExceeded):  # a budget of 0 admits no snapshot
+        svfa_decide(E1, "aa", budget=0)
 
 
 def test_accounting_values():
@@ -228,10 +226,10 @@ def test_guesses_range_over_ports(monkeypatch):
     # and qF, so every state guess has at most k children and the levels
     # stop below k - 1
     from outerfa import svfa
-    from outerfa.reach import _single_moves
+    from outerfa.reach import machine_index
 
     machine = mod_p_sweeper((3, 4, 5))
-    k = len(_single_moves(machine)[5])
+    k = len(machine_index(machine).ports)
     assert (machine.n, k) == (17, 5)
     guesses, levels = [], set()
     step = svfa._advance
@@ -249,6 +247,33 @@ def test_guesses_range_over_ports(monkeypatch):
         assert report.verdict_exists_yes == accepts_oracle(machine, word)
     assert max(guesses) == k
     assert max(levels) < k - 1
+
+
+def test_chain_check_matches_the_reference_chain(nf_corpus, monkeypatch):
+    # the chain check inside `_advance` passes, reaching `_verified`, on some
+    # branch exactly when the reference's t guessing searches back from q can
+    # end at the initial state; both drivers' contexts are checked
+    from outerfa import svfa
+
+    passed = object()
+    monkeypatch.setattr(svfa, "_verified", lambda *args: passed)
+    for machine in nf_corpus[:8]:
+        for word in all_words(machine.alphabet, 3):
+            for replay in (False, True):
+                ctx = svfa._SimContext(machine, word, replay)
+                for t in (1, 2):
+                    # the guess of each port at level t, before any other: the
+                    # snapshot owing its t walks, or don't-know without a search
+                    guesses = svfa._advance(ctx, (t, 1, 0, 0, 1, -1, 0, 0, 0))
+                    for q, start in zip(ctx.ports, guesses):
+                        stack, reached = [start], False
+                        while stack and not reached:
+                            state = stack.pop()
+                            reached = state is passed
+                            if not (reached or isinstance(state, Verdict)):
+                                stack.extend(svfa._advance(ctx, state))
+                        expected = True in exhaust(lambda tr: t_reach(machine, word, q, t, tr))
+                        assert reached == expected, (machine, word, replay, q, t)
 
 
 def _both_verdicts(ctx, snapshot):
@@ -275,8 +300,6 @@ def test_repeated_snapshot_raises_invariant_violation(monkeypatch):
     monkeypatch.setattr(svfa, "_advance", _repeats_itself)
     with pytest.raises(InvariantViolation, match="repeats on a branch"):
         svfa_decide(E1, "aa")
-    with pytest.raises(InvariantViolation, match="repeats on a branch"):
-        complement_decide(E1, "aa")
 
 
 def test_both_verdicts_check_survives_optimize_flag():
@@ -309,7 +332,7 @@ def test_both_verdicts_check_survives_optimize_flag():
 
 
 def test_foreign_letters_raise():
-    for call in (svfa_decide, complement_decide, lambda m, w: svfa_run(m, w, [0])):
+    for call in (svfa_decide, lambda m, w: svfa_run(m, w, [0])):
         with pytest.raises(NotApplicable, match="not in the machine's alphabet"):
             call(E1, "ac")
 
@@ -350,7 +373,7 @@ def test_decisions_build_no_controller(monkeypatch, machine, word, report, trace
         assert (decided.verdict_exists_yes, decided.verdict_exists_no,
                 decided.dont_know_count, decided.branches_explored) == report
         assert decided.all_halting
-        assert complement_decide(machine, word) == (verdict is Verdict.REJECT)
+        assert decided.verdict_exists_no == (verdict is Verdict.REJECT)
     with monkeypatch.context() as refusal:
         refusal.setattr(reach, "return_table", _refuse_table)
         refusal.setattr(svfa, "return_table", _refuse_table)
@@ -367,7 +390,6 @@ def test_initial_accepting_state_accepts_at_once(name):
         assert accepts_oracle(machine, word)
         assert svfa_decide(machine, word) == DecisionReport(True, False, 0, 1, True)
         assert svfa_run(machine, word, []) is Verdict.ACCEPT
-        assert not complement_decide(machine, word)
         assert decide_det(machine, word)
         assert gap_decide(build_segment_graph(machine, word, alternating=False))
         assert oafa_decide(machine, word)
