@@ -8,22 +8,27 @@ to a finite set of (state, direction) pairs and may be partial: an undefined
 entry simply halts that computation path.
 
 Besides the data model, this module holds the executable ground truth the
-rest of the package is checked against: a breadth-first acceptance oracle
-over the (finite) configuration graph, an and-or oracle for machines with
-universal states, and a restricted-path oracle for computation segments
-(left endmarker to left endmarker, with no left-endmarker visit in between;
-the right endmarker may be crossed freely).  Every oracle rejects a word
-with a letter outside the machine's alphabet (`check_word`).  The oracles
-index a configuration (state, head) as the integer head * n + state on the
-endmarked tape and look up its successors in the transition table when
-they expand it (`_tape_rule`), so each pays only for the configurations it
-visits.
+rest of the package is checked against: an acceptance oracle over the
+(finite) configuration graph, an and-or oracle for machines with universal
+states, and a restricted-path oracle for computation segments (left
+endmarker to left endmarker, with no left-endmarker visit in between; the
+right endmarker may be crossed freely).  Every oracle rejects a word with a
+letter outside the machine's alphabet (`check_word`).  The oracles index a
+configuration (state, head) as the integer head * n + state on the
+endmarked tape and step it through one successor table per machine, whose
+row for (symbol, state) holds the offsets from a configuration's id to its
+successors' (`_tape_rule`).  The machines of the paper choose only at the
+endmarkers, so away from them almost every configuration has exactly one
+successor.  The acceptance oracle follows such a configuration at once
+instead of queueing it, and the and-or oracle contracts each chain of them
+into one edge, so both pay queue and graph work only for the
+configurations where a computation branches, halts or accepts.
 
 `and_or_reach` is the package's one and-or reachability solver: the least
 fixpoint of the and-or path predicate by a worklist over reverse edges, in
 time linear in nodes plus edges.  The alternating oracle runs it over the
-configurations reachable from the start and `graphred.agap_decide` over
-segment graphs.
+contracted configurations reachable from the start and
+`graphred.agap_decide` over segment graphs.
 """
 
 from __future__ import annotations
@@ -130,6 +135,8 @@ class TwoWayAutomaton:
         # return table and the deciders read, built on first use
         self._index = None
         self._controller = None  # `reach._check_call`: the searches' controller, built on first use
+        self._offsets = None  # `_tape_rule`: the oracles' successor table, built on first use
+        self._replay = None  # `svfa.svfa_run`: (word, context) of the last replayed word
         self._letters = "".join(self.alphabet)  # for check_word; a set per machine slowed set-up
 
     @property
@@ -276,42 +283,70 @@ def classify(automaton: TwoWayAutomaton) -> FlavorReport:
     )
 
 
-def _tape_rule(automaton: TwoWayAutomaton, word: str) -> tuple[int, str, Callable]:
-    """The one successor rule every oracle steps configurations by, as (n, tape, get).
+def _tape_rule(automaton: TwoWayAutomaton, word: str) -> tuple[int, str, dict]:
+    """The one successor rule every oracle steps configurations by, as (n, tape, table).
 
     A configuration (state, head) is the integer c = head * n + state, so
     head 0 holds exactly the ids below n, and `tape` is the endmarked word,
-    `tape[head]` the symbol under the head.  The successors of c are
-    (head + d) * n + p for each (p, d) in get((state, tape[head]), ()),
-    looked up when c is expanded.  Validation keeps every move on the tape.
-    A letter outside the alphabet raises NotApplicable.
+    `tape[head]` the symbol under the head.  Row `table[sym][q]` is the
+    tuple of offsets d * n + p - q, one for each move (p, d) of q on sym,
+    so the successors of c are c + offset for each offset in
+    `table[tape[head]][state]`.  The table depends on the machine alone:
+    the machine's first oracle call builds it and keeps it on the machine,
+    so set-up does not pay for it.  Validation keeps every move on the
+    tape.  A letter outside the alphabet raises NotApplicable.
     """
     check_word(automaton, word)
-    return automaton.n, LEFT_ENDMARKER + word + RIGHT_ENDMARKER, automaton._delta.get
+    n = automaton.n
+    table = automaton._offsets
+    if table is None:
+        get = automaton._delta.get
+        table = automaton._offsets = {
+            sym: [tuple(d * n + p - q for (p, d) in get((q, sym), ())) for q in range(n)]
+            for sym in automaton.symbols()}
+    return n, LEFT_ENDMARKER + word + RIGHT_ENDMARKER, table
 
 
 def accepts_oracle(automaton: TwoWayAutomaton, word: str) -> bool:
-    """BFS ground truth: is some accepting state reachable from (initial, 0)?"""
+    """Ground truth: is some accepting state reachable from (initial, 0)?
+
+    A depth-first search over configurations with a `bytearray` as its
+    visited set.  A configuration with exactly one successor is not pushed:
+    the inner loop follows it at once, until it meets a visited
+    configuration, a branch, a dead end or an accepting state.  The
+    successors of a branch are tested for acceptance as they are pushed,
+    so the search stops at the first accepting configuration it meets.
+    """
     if automaton.universal:
         raise NotApplicable("machine has universal states; use alternating_accepts_oracle")
-    n, tape, get = _tape_rule(automaton, word)
+    n, tape, table = _tape_rule(automaton, word)
     accepting = automaton.accepting
     start = automaton.initial  # (initial, 0)
     if start in accepting:
         return True
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        c = queue.popleft()
-        head, state = divmod(c, n)
-        for (p, d) in get((state, tape[head]), ()):
-            succ = (head + d) * n + p
-            if succ in seen:
-                continue
-            if p in accepting:
+    seen = bytearray(n * len(tape))
+    seen[start] = 1
+    stack = [start]
+    while stack:
+        c = stack.pop()
+        while True:  # chase c's stretch of one-successor configurations
+            head, state = divmod(c, n)
+            if state in accepting:
                 return True
-            seen.add(succ)
-            queue.append(succ)
+            offsets = table[tape[head]][state]
+            if len(offsets) != 1:
+                for offset in offsets:
+                    succ = c + offset
+                    if not seen[succ]:
+                        if succ % n in accepting:
+                            return True
+                        seen[succ] = 1
+                        stack.append(succ)
+                break
+            c += offsets[0]
+            if seen[c]:
+                break
+            seen[c] = 1
     return False
 
 
@@ -325,23 +360,23 @@ def segment_exists_oracle(automaton: TwoWayAutomaton, word: str,
     stationary move at the left endmarker is the shortest possible segment.
     The existential/universal partition is ignored; only delta matters.
     """
-    n, tape, get = _tape_rule(automaton, word)
+    n, tape, table = _tape_rule(automaton, word)
     _check_states(automaton, p, q)
     # (p, 0) and (q, 0) are the ids p and q; an id below n sits at position 0
-    seen = set()
-    frontier = deque([p])
-    while frontier:
-        c = frontier.popleft()
+    seen = bytearray(n * len(tape))
+    stack = [p]
+    while stack:
+        c = stack.pop()
         head, state = divmod(c, n)
-        for (x, d) in get((state, tape[head]), ()):
-            succ = (head + d) * n + x
+        for offset in table[tape[head]][state]:
+            succ = c + offset
             if succ < n:
                 if succ == q:
                     return True
                 continue  # touching the left endmarker mid-path is not a segment
-            if succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
+            if not seen[succ]:
+                seen[succ] = 1
+                stack.append(succ)
     return False
 
 
@@ -355,7 +390,8 @@ def and_or_reach(succs: Mapping[Node, Collection[Node]], goals: Iterable[Node],
     A goal is good.  Any other node is good if it is existential and some
     successor is good, or universal and it has successors, all of them
     good; so a dead node that is not a goal is bad, and so is a node that
-    can only loop.  `succs` has every node as a key, successors included.
+    can only loop.  `succs` has every node as a key, successors included;
+    a successor listed twice is two edges, each counted once.
 
     One worklist pass over reverse edges, with a count of successors not yet
     good per node: O(nodes + edges), as in linear-time Horn satisfiability.
@@ -391,36 +427,79 @@ def alternating_accepts_oracle(automaton: TwoWayAutomaton, word: str) -> bool:
     with all of them accepted; in particular a dead non-accepting
     configuration of either kind is rejecting, and so is any loop.
 
-    The fixpoint is `and_or_reach` over the closure of (initial, 0): the
-    configurations reachable from it without stepping out of an accepting
-    leaf, with their successor lists and their accepting members as goals.
+    The fixpoint is `and_or_reach` over a contraction of the closure of
+    (initial, 0): the configurations reachable from it without stepping out
+    of an accepting leaf.  Its nodes are the start, the accepting
+    configurations (the goals, with no successors), the configurations
+    with 0 or at least 2 successors, and one configuration of each loop of
+    one-successor configurations.  Each successor of a node is replaced by
+    where its maximal chain of one-successor configurations ends: the first
+    node on it, or, if the chain closes on itself, the configuration where
+    it closes, which becomes a node whose one successor is itself.
+
     This is exact.  The least fixpoint is the union of rounds G_0 = goals,
     G_(i+1) = G_i plus every node whose rule holds over G_i, and the rule
     for a node reads only its own successors.  By induction on i, a node's
     membership in G_i depends only on the nodes it can reach, and every
     one of them is in the closure with the same successors; a leaf's
     successors are never read, since a goal is in every round.  So the
-    start is in the fixpoint over its closure exactly when it is in the
-    fixpoint over all n * (|w| + 2) configurations, and the cost is linear
-    in the closure, not in the whole configuration graph.
+    fixpoint L over the closure decides the start as the fixpoint over all
+    n * (|w| + 2) configurations does.  The contraction keeps L on its
+    nodes.  A non-accepting configuration x with one successor y enters
+    G_(i+1) exactly when y is in G_i, existential or universal alike; so a
+    chain is in L exactly when its end is, a loop of such configurations
+    never is, since no round adds the first of them, and neither is the
+    self-loop node that stands for it.  Then a node's rule holds over L
+    read through the original successors exactly when it holds read
+    through their chain ends, and by induction on the rounds of either
+    graph, a node added in one is in the fixpoint of the other.  The cost
+    is one step per configuration of the closure, with queue and graph
+    work only for the nodes.
     """
-    n, tape, get = _tape_rule(automaton, word)
+    n, tape, table = _tape_rule(automaton, word)
     accepting = automaton.accepting
     start = automaton.initial  # (initial, 0)
-    succs: dict[int, list[int]] = {start: []}
+    if start in accepting:  # a leaf
+        return True
+    succs: dict[int, list[int]] = {}
     goals = []
-    stack = [start]
+    # where the chain through each configuration ends: a node stands for
+    # itself, -1 marks a configuration not met yet, -2 one on the chain being chased
+    ends = [-1] * (n * len(tape))
+    ends[start] = start
+    stack = [(start, table[LEFT_ENDMARKER][start])]
+    path: list[int] = []
     while stack:
-        c = stack.pop()
-        head, state = divmod(c, n)
-        if state in accepting:
-            goals.append(c)  # a leaf
-            continue
-        out = succs[c] = [(head + d) * n + p for (p, d) in get((state, tape[head]), ())]
-        for succ in out:
-            if succ not in succs:
-                succs[succ] = []
-                stack.append(succ)
+        node, offsets = stack.pop()
+        out = succs[node] = []
+        for offset in offsets:
+            c = node + offset
+            while True:  # chase c's chain to its end
+                end = ends[c]
+                if end != -1:
+                    if end == -2:  # the chain closed on itself at c, which stands for its loop
+                        end = c
+                        succs[c] = [c]
+                    break
+                head, state = divmod(c, n)
+                if state in accepting:
+                    goals.append(c)
+                    succs[c] = []
+                    end = c
+                    break
+                row = table[tape[head]][state]
+                if len(row) != 1:
+                    stack.append((c, row))
+                    end = c
+                    break
+                ends[c] = -2
+                path.append(c)
+                c += row[0]
+            ends[c] = end
+            for x in path:
+                ends[x] = end
+            path.clear()
+            out.append(end)
     universal = automaton.universal
     return start in and_or_reach(succs, goals, lambda c: c % n in universal)
 

@@ -254,9 +254,17 @@ def svfa_run(automaton: TwoWayAutomaton, word: str, trace: Sequence[int]) -> Ver
     guessing the q-th port, and the keep-searching/emit decisions inside
     the backward searches, in execution order.  The run always halts, with one of the three verdicts;
     an out-of-range selector aborts in don't-know and a trace shorter than
-    the branch raises TraceUnderflow.
+    the branch raises TraceUnderflow.  The replay context depends on the
+    machine and the word alone, so the machine keeps the last word's and
+    the replays of one word share it; a new word builds it again through
+    the searches' gate.
     """
-    ctx = _SimContext(automaton, word, replay=True)
+    cached = automaton._replay
+    if cached is not None and cached[0] == word:
+        ctx = cached[1]
+    else:
+        ctx = _SimContext(automaton, word, replay=True)
+        automaton._replay = (word, ctx)
     state = _start(ctx)
     position = 0
     while not isinstance(state, Verdict):

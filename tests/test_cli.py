@@ -28,6 +28,7 @@ from conftest import (
     port_ring,
     random_nf_onfa,
     random_oafa,
+    universal_twin,
 )
 from reference import build_e1, build_e2, build_ea
 
@@ -40,7 +41,8 @@ def e1_file():
     return str(E1_FILE)
 
 
-# the machine files CI's cli-smoke job reads, by what they serialize
+# the machine files CI's cli-smoke job reads, by what they serialize; the
+# alternating ones are decided only by the oracle and agap
 COMMITTED = {
     "e1.2wa": build_e1,
     "mod_p_3_4.2wa": lambda: mod_p_sweeper((3, 4)),
@@ -48,12 +50,16 @@ COMMITTED = {
     "nf65.2wa": lambda: random_nf_onfa(65),
     "gap4.2wa": lambda: gap_machine(4),
 }
+COMMITTED_ALTERNATING = {
+    "mod_p_3_4_all.2wa": lambda: universal_twin(mod_p_sweeper((3, 4))),
+}
 
 
-@pytest.mark.parametrize("name", COMMITTED)
+@pytest.mark.parametrize("name", [*COMMITTED, *COMMITTED_ALTERNATING])
 def test_committed_machine_file_is_serialized(name):
     # CI reads the same bytes, so it runs the machines the tests build
-    assert (E1_FILE.parent / name).read_bytes() == serialize(COMMITTED[name]()).encode("utf-8")
+    build = {**COMMITTED, **COMMITTED_ALTERNATING}[name]
+    assert (E1_FILE.parent / name).read_bytes() == serialize(build()).encode("utf-8")
 
 
 @pytest.fixture()

@@ -316,6 +316,9 @@ def test_and_or_reach_small_cases():
     assert and_or_reach({0: [1, 2], 1: [], 2: []}, [1], universal) == {1}
     assert and_or_reach({0: [1, 2], 1: [], 2: []}, [1, 2], universal) == {0, 1, 2}
     assert and_or_reach({0: [1, 2], 1: [], 2: []}, [1], lambda v: False) == {0, 1}
+    # a successor listed twice is two edges, both needed by a universal node
+    assert and_or_reach({0: [1, 1], 1: []}, [1], universal) == {0, 1}
+    assert and_or_reach({0: [1, 1, 2], 1: [], 2: []}, [1], universal) == {1}
     # a dead universal node is good only when seeded as a goal
     assert and_or_reach({0: []}, [], universal) == set()
     assert and_or_reach({0: []}, [0], universal) == {0}
@@ -323,7 +326,8 @@ def test_and_or_reach_small_cases():
 
 def test_alternating_oracle_on_long_words(monkeypatch):
     # the re-scanning fixpoint took seconds per word at this length; the
-    # solver's work is bounded by the configuration graph's edge count
+    # solver's work is bounded by the contracted graph's edge count, and
+    # each counter's sweep is one edge from the start to where it ends
     periods = (3, 5, 7)
     machine = universal_twin(mod_p_sweeper(periods))
     real = core.and_or_reach
@@ -332,17 +336,19 @@ def test_alternating_oracle_on_long_words(monkeypatch):
     def counted(succs, goals, is_universal):
         calls = []
         good = real(succs, goals, lambda v: calls.append(v) or is_universal(v))
-        work.append((len(calls), sum(len(out) for out in succs.values())))
+        work.append((len(calls), sum(len(out) for out in succs.values()), len(succs)))
         return good
 
     monkeypatch.setattr(core, "and_or_reach", counted)
-    for length in (1050, 1005):  # 105 | 1050; 1005 is a multiple of 3 and 5 only
+    # 105 | 1050; 1005 is a multiple of 3 and 5 only; 1000 of 5 only
+    for length in (1050, 1005, 1000):
         word = "a" * length
         expected = all(length % p == 0 for p in periods)
         assert alternating_accepts_oracle(machine, word) == expected
         assert oafa_decide(machine, word) == expected
-    assert len(work) == 2
-    assert all(calls <= edges for calls, edges in work)
+    assert all(calls <= edges == len(periods) for calls, edges, _ in work)
+    # the start, (qF, 0) and one dead end per period that does not divide the length
+    assert [nodes for _, _, nodes in work] == [2, 3, 4]
 
 
 @pytest.mark.parametrize("oracle, machine, args", [

@@ -100,7 +100,7 @@ def test_controllers_are_pinned(nf_corpus, alt_nf_corpus, raw_corpus, raw_alt_co
     # moves to a next sibling, the ones E1's golden dump lacks
     siblings = len(re.findall(r"^  DONE_RIGHT\(\w+\) \S -> SCAN_LEFT", dumps, re.MULTILINE))
     assert (len(machines), siblings, hashlib.sha256(dumps.encode()).hexdigest()) == (
-        372, 713, "d9a8a63f0c08204d79f8db6dfaf96b0da65c135ba24e6626388d52b4791c7b0f")
+        373, 713, "7b2cfdc2b2a6a76ecf460913b5c1c28b36ad833cf562c24fbc08a1b6b71a88e2")
 
 
 def test_controller_shares_the_machines_launch_index(nf_corpus, alt_nf_corpus):

@@ -24,6 +24,7 @@ from outerfa import (
     svfa_run,
     svfa_state_accounting,
 )
+from outerfa import svfa
 from outerfa.normalform import NotNormalForm
 from outerfa.reach import _walk
 
@@ -136,6 +137,25 @@ def test_decide_matches_trace_replay_enumeration(nf_corpus):
             assert report.dont_know_count == tallies[Verdict.DONT_KNOW]
             assert report.branches_explored == sum(tallies.values())
     assert merged >= 1
+
+
+def test_replays_of_one_word_share_one_context(monkeypatch):
+    # the context walks the controller once per port; E1's 6 states are all
+    # ports, and a fresh machine keeps no context yet
+    walks = []
+    real = svfa._walk
+    monkeypatch.setattr(svfa, "_walk", lambda *args: walks.append(args[2]) or real(*args))
+    machine = build_e1()
+    tallies = exhaust(lambda trace: svfa_run(machine, "aa", trace))
+    assert tallies == {Verdict.ACCEPT: 1, Verdict.DONT_KNOW: 84}
+    assert walks == list(range(machine.n))
+    # a new word builds its own context, through the gate that rejects foreign letters
+    assert exhaust(lambda trace: svfa_run(machine, "ab", trace)) == \
+        {Verdict.REJECT: 1, Verdict.DONT_KNOW: 30}
+    assert len(walks) == 2 * machine.n
+    with pytest.raises(NotApplicable, match="'c'"):
+        svfa_run(machine, "ac", [0])
+    assert exhaust(lambda trace: svfa_run(machine, "aa", trace)) == tallies
 
 
 def test_complement_examples():
