@@ -184,11 +184,12 @@ def _cmd_segment_graph(args) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(dot)
+    edges = sorted(graph.edges)
     payload = {
         "vertices": graph.n,
-        "edges": len(graph.edges),
+        "edges": len(edges),
         "edge_list": " ".join(
-            f"{graph.state_names[p]}->{graph.state_names[q]}" for (p, q) in sorted(graph.edges)),
+            f"{graph.state_names[p]}->{graph.state_names[q]}" for (p, q) in edges),
     }
     if args.dot:
         payload["dot"] = args.dot

@@ -8,13 +8,14 @@ reachability, the least fixpoint of the usual and-or path predicate,
 computed by the linear worklist solver `core.and_or_reach` that the
 alternating oracle also runs.
 
-Both kinds of graph are read off the word's return table, one edge per
-left-endmarker choice.  Plain graphs omit self-loops: they cannot change
-reachability.  Partitioned graphs need more than the bare segment
-relation, because a universal state with a choice whose run never comes
-back to the left endmarker can never be part of an accepting tree.  Such a
-state gets a self-loop, which under the least fixpoint pins its and-clause
-to false; states whose choices all return get exactly their outcome edges.
+The graph is the word's return table as `reach.return_table` returns it:
+row p lists where each of p's left-endmarker choices ends, None for a
+choice whose run never comes back to the left endmarker.  Both deciders
+read the rows as they are.  A self-entry or a dead choice cannot change
+plain reachability.  Under the least fixpoint, a universal state with a
+dead choice, or with no choice at all, can never be part of an accepting
+tree, just as such a machine state never is.  The edge set is a view
+derived from the rows, for display.
 """
 
 from __future__ import annotations
@@ -30,10 +31,14 @@ from .reach import build_controller, reach  # noqa: F401  (perfbench/tracing.py 
 
 @dataclass(frozen=True)
 class SegmentGraph:
-    """Directed graph over the states of one machine on one fixed word."""
+    """Directed graph over the states of one machine on one fixed word.
+
+    Row p of `rows` holds one entry per choice of p: the state q of a
+    segment p -> q, or None for a choice with no segment.
+    """
 
     state_names: tuple[str, ...]
-    edges: frozenset[tuple[int, int]]
+    rows: tuple[tuple[int | None, ...], ...]
     universal: frozenset[int] | None  # None: no partition attached
     source: int
     target: int
@@ -42,28 +47,37 @@ class SegmentGraph:
     def n(self) -> int:
         return len(self.state_names)
 
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The rows as an edge set, for display.
+
+        A plain graph drops self-loops.  A partitioned graph keeps them and
+        locks each universal state with a dead or absent choice by a
+        self-loop, so that textbook alternating reachability over this set
+        agrees with `agap_decide`.
+        """
+        if self.universal is None:
+            return frozenset((p, q) for p, row in enumerate(self.rows) for q in row
+                             if q is not None and q != p)
+        edges = {(p, q) for p, row in enumerate(self.rows) for q in row if q is not None}
+        edges.update((p, p) for p in self.universal if not self.rows[p] or None in self.rows[p])
+        return frozenset(edges)
+
 
 def build_segment_graph(automaton: TwoWayAutomaton, word: str,
                         alternating: bool | None = None) -> SegmentGraph:
-    """Segment edges of the machine on `word`, one per left-endmarker choice.
+    """The machine's segment graph on `word`: its return table, with no pass over the rows.
 
-    Each choice of p adds the edge from p to the state its segment ends in,
-    as read off the word's return table.  Plain mode drops self-loops.
-    Partitioned mode keeps them and marks universal states owning a dead or
-    absent choice with a self-loop.  The machine must be in the relaxed
-    normal form.
+    Partitioned mode, the default for a machine with universal states,
+    attaches the universal set.  The machine must be in the relaxed normal
+    form.
     """
     if alternating is None:
         alternating = bool(automaton.universal)
     final = require_normal_form(automaton, alternating=True)
-    edges: set[tuple[int, int]] = set()
-    for p, outcomes in enumerate(return_table(automaton, word)):
-        edges.update((p, q) for q in outcomes if q is not None and (alternating or q != p))
-        if alternating and p in automaton.universal and (not outcomes or None in outcomes):
-            edges.add((p, p))
     return SegmentGraph(
         state_names=tuple(automaton.state_names),
-        edges=frozenset(edges),
+        rows=return_table(automaton, word),
         universal=automaton.universal if alternating else None,
         source=automaton.initial,
         target=final,
@@ -71,20 +85,21 @@ def build_segment_graph(automaton: TwoWayAutomaton, word: str,
 
 
 def gap_decide(graph: SegmentGraph) -> bool:
-    """Plain directed reachability from source to target (the empty path counts)."""
+    """Plain directed reachability from source to target (the empty path counts).
+
+    A breadth-first search over the rows; None starts out seen, so a dead
+    choice leads nowhere.  It reads a partitioned graph the same way.
+    """
     if graph.source == graph.target:
         return True
-    seen = {graph.source}
+    rows = graph.rows
+    seen = {None, graph.source}
     queue = deque([graph.source])
-    succs: dict[int, list[int]] = {}
-    for (p, q) in graph.edges:
-        succs.setdefault(p, []).append(q)
     while queue:
-        v = queue.popleft()
-        for q in succs.get(v, ()):
-            if q == graph.target:
-                return True
+        for q in rows[queue.popleft()]:
             if q not in seen:
+                if q == graph.target:
+                    return True
                 seen.add(q)
                 queue.append(q)
     return False
@@ -94,19 +109,15 @@ def agap_decide(graph: SegmentGraph) -> bool:
     """Alternating reachability: least fixpoint of the and-or path predicate.
 
     A vertex reaches the target if it is the target; an existential vertex
-    needs some successor that reaches it, a universal vertex needs every
-    successor to reach it, vacuously so when it has no successors at all.
-    Both the target and those vacuous vertices seed `and_or_reach`, which
-    takes time linear in the graph.
+    needs some choice that reaches it, a universal vertex needs at least
+    one choice, all of them reaching it.  A dead choice ends in None, which
+    never does.  `and_or_reach` solves this in time linear in the graph.
     """
     if graph.universal is None:
         raise ValueError("the graph carries no existential/universal partition")
-    succs: dict[int, list[int]] = {v: [] for v in range(graph.n)}
-    for (p, q) in graph.edges:
-        succs[p].append(q)
-    universal = graph.universal
-    goals = [graph.target, *(v for v in universal if not succs[v])]
-    return graph.source in and_or_reach(succs, goals, universal.__contains__)
+    succs = dict(enumerate(graph.rows))
+    succs[None] = ()
+    return graph.source in and_or_reach(succs, [graph.target], graph.universal.__contains__)
 
 
 def oafa_decide(automaton: TwoWayAutomaton, word: str) -> bool:

@@ -356,7 +356,7 @@ def test_alternating_oracle_on_long_words(monkeypatch):
     (reference_bounded_visits, E1, (3,)),
     (segment_exists_oracle, E1, (Q_I, Q_F)),
     (alternating_accepts_oracle, E2, ()),
-], ids=["accepts_oracle", "accepts_bounded_visits", "segment_exists_oracle",
+], ids=["accepts_oracle", "reference_bounded_visits", "segment_exists_oracle",
         "alternating_accepts_oracle"])
 def test_oracles_reject_foreign_letters(oracle, machine, args):
     for word in ("ac", "a<", ">"):

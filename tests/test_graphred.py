@@ -20,6 +20,7 @@ from outerfa import (
     segment_exists_oracle,
     segment_graph_to_dot,
 )
+from outerfa import graphred
 from outerfa.cli import METHODS, _decide
 from outerfa.normalform import NotNormalForm
 
@@ -57,7 +58,7 @@ def test_plain_edges_match_segment_oracle(nf_corpus):
 def test_gap_examples():
     assert gap_decide(build_segment_graph(E1, "aa"))
     assert not gap_decide(build_segment_graph(E1, "ab"))
-    loop = SegmentGraph(("s",), frozenset(), None, 0, 0)
+    loop = SegmentGraph(("s",), ((),), None, 0, 0)
     assert gap_decide(loop)  # source equals target: the empty path
 
 
@@ -68,22 +69,24 @@ def test_gap_matches_oracle(nf_corpus):
                 accepts_oracle(machine, word)
 
 
-def test_agap_base_and_vacuous_cases():
-    same = SegmentGraph(("a", "b"), frozenset({(0, 1)}), frozenset(), 1, 1)
+def test_agap_base_and_empty_row_cases():
+    same = SegmentGraph(("a", "b"), ((1,), ()), frozenset(), 1, 1)
     assert agap_decide(same)  # source equals target
-    # a universal vertex with no outgoing edges satisfies its clause vacuously
-    vacuous = SegmentGraph(("u", "t"), frozenset(), frozenset({0}), 0, 1)
-    assert agap_decide(vacuous)
+    # a universal vertex with an empty row rejects, as a universal machine
+    # state without a choice does; the edge view locks it with a self-loop
+    empty = SegmentGraph(("u", "t"), ((), ()), frozenset({0}), 0, 1)
+    assert not agap_decide(empty)
+    assert empty.edges == {(0, 0)}
     # requires a partition
     with pytest.raises(ValueError):
-        agap_decide(SegmentGraph(("a",), frozenset(), None, 0, 0))
+        agap_decide(SegmentGraph(("a",), ((),), None, 0, 0))
 
 
 def test_agap_on_all_existential_partition_equals_gap(nf_corpus):
     for machine in nf_corpus[:10]:
         for word in all_words(machine.alphabet, 3):
             plain = build_segment_graph(machine, word)
-            partitioned = SegmentGraph(plain.state_names, plain.edges,
+            partitioned = SegmentGraph(plain.state_names, plain.rows,
                                        frozenset(), plain.source, plain.target)
             assert agap_decide(partitioned) == gap_decide(plain)
 
@@ -97,6 +100,39 @@ def test_universal_vertex_with_dead_branch_gets_locked():
     graph_empty = build_segment_graph(E2, "", alternating=True)
     assert (Q_I, Q_I) not in graph_empty.edges
     assert agap_decide(graph_empty)
+
+
+def test_universal_state_without_a_choice_rejects():
+    # qI launches u by a stationary move, and u has no move at all: a dead
+    # universal configuration rejects, so only the p-branch, which accepts
+    # a*, can make qI accept
+    machine = parse("""type: oafa
+alphabet: a b
+states: qI u p r qF
+initial: qI
+accepting: qF
+universal: u
+trans: qI < u S
+trans: qI < p R
+trans: p a p R
+trans: p > r L
+trans: r a r L
+trans: r < qF S
+""")
+    graph = build_segment_graph(machine, "b")
+    assert graph.rows[0][0] == 1 and graph.rows[1] == ()
+    assert (1, 1) in graph.edges
+    for word in all_words(machine.alphabet, 3):
+        assert oafa_decide(machine, word) == alternating_accepts_oracle(machine, word) \
+            == ("b" not in word), word
+
+
+def test_rows_are_the_return_table(monkeypatch):
+    # the graph stores the table itself, with no pass over its rows
+    sentinel = object()
+    monkeypatch.setattr(graphred, "return_table", lambda machine, word: sentinel)
+    assert build_segment_graph(E1, "aa").rows is sentinel
+    assert build_segment_graph(E2, "aa").rows is sentinel
 
 
 def test_oafa_decide_examples():
@@ -200,3 +236,44 @@ def test_gap_machine_matches_bfs_on_the_decoded_graph(m):
         for method in METHODS:
             assert _decide(machine, word, method, None)[0] == expected, (m, word, method)
     assert 0 < accepted < len(words)
+
+
+def _textbook_agap(graph: SegmentGraph) -> bool:
+    """Round-robin least fixpoint over `graph.edges`, the vacuous rule included."""
+    succs = {v: [q for (p, q) in graph.edges if p == v] for v in range(graph.n)}
+    good, changed = {graph.target}, True
+    while changed:
+        changed = False
+        for v, out in succs.items():
+            if v not in good and (all if v in graph.universal else any)(q in good for q in out):
+                good.add(v)
+                changed = True
+    return graph.source in good
+
+
+def test_rows_deciders_match_textbook_reachability_over_edges():
+    """gap and agap on random rows graphs equal BFS and textbook AGAP over the edge view.
+
+    Rows of 0 to 3 entries drawn from the states and None; a universal
+    vertex with an empty row or a None entry carries the lock in `edges`,
+    so the vacuous rule never meets one.
+    """
+    rng = random.Random(33)
+    empty_universal = dead_universal = accepted = 0
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        rows = tuple(tuple(rng.choice([*range(n), None]) for _ in range(rng.randint(0, 3)))
+                     for _ in range(n))
+        universal = frozenset(v for v in range(n) if rng.random() < 0.5)
+        names = tuple(f"s{v}" for v in range(n))
+        source, target = rng.randrange(n), rng.randrange(n)
+        plain = SegmentGraph(names, rows, None, source, target)
+        partitioned = SegmentGraph(names, rows, universal, source, target)
+        expected = target in _reachable(plain.edges, source)
+        assert gap_decide(plain) == gap_decide(partitioned) == expected, rows
+        verdict = agap_decide(partitioned)
+        assert verdict == _textbook_agap(partitioned), (rows, universal, source, target)
+        accepted += verdict
+        empty_universal += any(not rows[v] for v in universal)
+        dead_universal += any(None in rows[v] for v in universal)
+    assert min(empty_universal, dead_universal, accepted, 2000 - accepted) >= 100
