@@ -42,7 +42,7 @@ from .normalform import (
     require_normal_form,
 )
 from .reach import build_controller  # noqa: F401  (perfbench/tracing.py wraps it here by name)
-from .reach import machine_index, reach
+from .reach import machine_index, reach, search_controller
 from .svfa import SVFA_BUDGET, svfa_decide, svfa_state_accounting
 
 EXIT_OK = 0
@@ -167,7 +167,7 @@ def _cmd_reach(args) -> int:
     automaton = _load(args.file)
     result = reach(automaton, args.word, _state_id(automaton, args.from_state),
                    _state_id(automaton, args.to_state))
-    controller = automaton._controller  # the one reach's gate built and keeps on the machine
+    controller = search_controller(automaton)  # the one the search built and the machine keeps
     payload = {"result": result, "controller_states": controller.state_count}
     if args.dump_controller and args.json:
         payload["controller"] = controller.dump()

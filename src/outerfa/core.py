@@ -24,6 +24,12 @@ instead of queueing it, and the and-or oracle contracts each chain of them
 into one edge, so both pay queue and graph work only for the
 configurations where a computation branches, halts or accepts.
 
+Every value the package derives of a machine alone is built on first use
+and kept in the machine's one memo, `derived`, keyed by its builder: the
+oracles' successor table, the symbols with a choice and the normal-form
+flags of both forms (one scan, `_structure`), and, for `reach`, the
+machine's move index and its backward-search controller.
+
 `and_or_reach` is the package's one and-or reachability solver: the least
 fixpoint of the and-or path predicate by a worklist over reverse edges, in
 time linear in nodes plus edges.  The alternating oracle runs it over the
@@ -101,6 +107,10 @@ class TwoWayAutomaton:
     Optional `rejecting` states make the machine self-verifying, optional
     `universal` states make it alternating.  Instances are treated as
     immutable after construction and may be shared freely across threads.
+    What the package derives of a machine alone, such as its normal-form
+    flags or its backward-search controller, is built on first use and
+    kept in the machine's one memo (`derived`); the constructor builds
+    none of it.
     """
 
     def __init__(
@@ -127,16 +137,7 @@ class TwoWayAutomaton:
             if succs
         }
         self._validate()
-        # the symbols some state has a choice on; `classify` and the normal-form flags read it
-        self._choice_symbols = frozenset(sym for (_, sym), succs in self._delta.items()
-                                         if len(succs) > 1)
-        self._form_flags: list = [None, None]  # normal-form flags, by `alternating`
-        # `reach.machine_index`: the moves, launch index and ports the controller, the
-        # return table and the deciders read, built on first use
-        self._index = None
-        self._controller = None  # `reach._check_call`: the searches' controller, built on first use
-        self._offsets = None  # `_tape_rule`: the oracles' successor table, built on first use
-        self._replay = None  # `svfa.svfa_run`: (word, context) of the last replayed word
+        self._derived: dict = {}  # `derived`: what the package builds of the machine, by builder
         self._letters = "".join(self.alphabet)  # for check_word; a set per machine slowed set-up
 
     @property
@@ -231,56 +232,90 @@ def _check_states(automaton: TwoWayAutomaton, *states: int) -> None:
             raise ValueError(f"unknown state id {q}: the machine has states 0 to {automaton.n - 1}")
 
 
-def _normal_form_flags(automaton: TwoWayAutomaton, alternating: bool) -> tuple[bool, bool, bool, bool]:
-    """The four structural normal-form properties, in order.
+T = TypeVar("T")
+
+
+def derived(automaton: TwoWayAutomaton, build: Callable[[TwoWayAutomaton], T]) -> T:
+    """`build(automaton)`, run on the machine's first call with this builder and then kept.
+
+    The machine's one memo of what the package derives of it alone, keyed
+    by the builder: the normal-form flags, the oracles' successor table,
+    `reach.machine_index` and the searches' controller.  Machines are
+    immutable, so a kept value never goes stale.  A build that raises
+    keeps nothing, so a machine a builder refuses is refused on every
+    call.  Threads may share a machine: two that race on a first call may
+    both build the value, the two builds are equal, and one is kept and
+    returned to both.
+    """
+    try:
+        return automaton._derived[build]
+    except KeyError:
+        pass  # built outside the handler, so a build's error is not chained to this one
+    return automaton._derived.setdefault(build, build(automaton))
+
+
+Flags = tuple[bool, bool, bool, bool]
+
+
+def _structure(automaton: TwoWayAutomaton) -> tuple[frozenset[str], tuple[Flags, Flags]]:
+    """The symbols some state has a choice on, and the normal-form flags, from one scan.
+
+    The flags are the four structural normal-form properties, in order,
+    strict form first, then relaxed:
 
     1. choices only while scanning the left endmarker;
     2. a unique accepting state that is halting;
     3. that state entered only at the left endmarker by stationary moves;
-    4. stationary moves only at the left endmarker (and, unless
-       `alternating`, only into the unique accepting state).
-
-    Machines are immutable, so each one computes its flags once per variant.
+    4. stationary moves only at the left endmarker (and, in the strict
+       form, only into the unique accepting state).
     """
-    flags = automaton._form_flags[alternating]
-    if flags is not None:
-        return flags
-    prop1 = automaton._choice_symbols <= {LEFT_ENDMARKER}
-
     unique_final = len(automaton.accepting) == 1
     q_final = next(iter(automaton.accepting)) if unique_final else None
     prop2 = unique_final and all(
         not automaton.successors(q_final, sym) for sym in automaton.symbols()
     )
-
+    choice = set()
     prop3 = unique_final
-    prop4 = True
-    for (q, sym), succs in automaton.delta.items():
+    strict4 = relaxed4 = True
+    for (q, sym), succs in automaton._delta.items():
+        if len(succs) > 1:
+            choice.add(sym)
         for (p, d) in succs:
-            if unique_final and p == q_final:
-                if sym != LEFT_ENDMARKER or d != STAY:
-                    prop3 = False
+            if p == q_final and (sym != LEFT_ENDMARKER or d != STAY):
+                prop3 = False
             if d == STAY:
                 if sym != LEFT_ENDMARKER:
-                    prop4 = False
-                elif not alternating and p != q_final:
-                    prop4 = False
-    flags = automaton._form_flags[alternating] = (prop1, prop2, prop3, prop4)
-    return flags
+                    strict4 = relaxed4 = False
+                elif p != q_final:
+                    strict4 = False
+    prop1 = choice <= {LEFT_ENDMARKER}
+    return frozenset(choice), ((prop1, prop2, prop3, strict4), (prop1, prop2, prop3, relaxed4))
+
+
+def _normal_form_flags(automaton: TwoWayAutomaton, alternating: bool) -> Flags:
+    """The normal-form flags of `_structure`, relaxed with `alternating`, else strict."""
+    return derived(automaton, _structure)[1][alternating]
 
 
 def classify(automaton: TwoWayAutomaton) -> FlavorReport:
     """Report where choice can occur, from the symbols some state has a choice on."""
-    choice = automaton._choice_symbols
+    choice, flags = derived(automaton, _structure)
     alternating = bool(automaton.universal)
-    flags = _normal_form_flags(automaton, alternating=alternating)
     return FlavorReport(
         is_deterministic=not choice,
         is_outer=choice.isdisjoint(automaton.alphabet),
         is_outer_left=choice <= {LEFT_ENDMARKER},
         is_alternating=alternating,
-        satisfies_normal_form=all(flags),
+        satisfies_normal_form=all(flags[alternating]),
     )
+
+
+def _offset_table(automaton: TwoWayAutomaton) -> dict[str, list[tuple[int, ...]]]:
+    """Row `[sym][q]` holds the offset d * n + p - q of each move (p, d) of q on sym."""
+    n = automaton.n
+    get = automaton._delta.get
+    return {sym: [tuple(d * n + p - q for (p, d) in get((q, sym), ())) for q in range(n)]
+            for sym in automaton.symbols()}
 
 
 def _tape_rule(automaton: TwoWayAutomaton, word: str) -> tuple[int, str, dict]:
@@ -292,19 +327,13 @@ def _tape_rule(automaton: TwoWayAutomaton, word: str) -> tuple[int, str, dict]:
     tuple of offsets d * n + p - q, one for each move (p, d) of q on sym,
     so the successors of c are c + offset for each offset in
     `table[tape[head]][state]`.  The table depends on the machine alone:
-    the machine's first oracle call builds it and keeps it on the machine,
-    so set-up does not pay for it.  Validation keeps every move on the
-    tape.  A letter outside the alphabet raises NotApplicable.
+    the machine's first oracle call builds it (`_offset_table`) and the
+    machine keeps it (`derived`), so set-up does not pay for it.
+    Validation keeps every move on the tape.  A letter outside the
+    alphabet raises NotApplicable.
     """
     check_word(automaton, word)
-    n = automaton.n
-    table = automaton._offsets
-    if table is None:
-        get = automaton._delta.get
-        table = automaton._offsets = {
-            sym: [tuple(d * n + p - q for (p, d) in get((q, sym), ())) for q in range(n)]
-            for sym in automaton.symbols()}
-    return n, LEFT_ENDMARKER + word + RIGHT_ENDMARKER, table
+    return automaton.n, LEFT_ENDMARKER + word + RIGHT_ENDMARKER, derived(automaton, _offset_table)
 
 
 def accepts_oracle(automaton: TwoWayAutomaton, word: str) -> bool:

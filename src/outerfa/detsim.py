@@ -46,8 +46,9 @@ from .core import (
     check_word,
 )
 from .normalform import require_normal_form
-from .reach import build_controller, machine_index, return_table
-from .reach import reach  # noqa: F401  (perfbench/tracing.py wraps it here by name)
+from .reach import machine_index, return_table, search_controller
+# perfbench/tracing.py wraps these here by name
+from .reach import build_controller, reach  # noqa: F401
 
 
 @dataclass
@@ -356,7 +357,7 @@ def materialize_dfa(automaton: TwoWayAutomaton, max_states: int = MAX_STATES) ->
     require_normal_form(automaton, alternating=False)
     if max_states < 2:  # acc and rej alone fill the ceiling
         raise BudgetExceeded(f"the machine needs more than {max_states} states")
-    controller = build_controller(automaton)
+    controller = search_controller(automaton)  # the searches' own, kept on the machine
     q_final, accept = controller.final_state, controller.accept
     index = machine_index(automaton)
     ports, port_of = index.ports, index.port_of

@@ -30,10 +30,10 @@ scan-left visit to the left endmarker.  The plain search (`segment_reach`)
 stops at the first point listing its q_from; the self-verifying
 simulation's replay takes every point as a choice.  The controller depends
 on the machine alone, so every search takes just the machine: its one gate,
-`_check_call`, builds the controller on the machine's first search and
-keeps it on the machine.  What the controller and the per-word pass read of
-a machine, its moves, launches and ports, is one index, `machine_index`,
-built once per machine.
+`_check_call`, hands out `search_controller`, which the machine's first
+search builds and the machine's memo (`core.derived`) keeps.  What the
+controller and the per-word pass read of a machine, its moves, launches
+and ports, is one index, `machine_index`, kept the same way.
 
 The controller is the paper's constant-memory device.  The deciders, which
 may spend memory linear in the tape, instead read the whole segment
@@ -63,7 +63,9 @@ from .core import (
     TwoWayAutomaton,
     _check_states,
     check_word,
+    derived,
 )
+from .fileformat import _DIR_TO_LETTER
 from .normalform import require_normal_form
 
 _KINDS = ("SCAN_LEFT", "DONE_LEFT", "SCAN_RIGHT", "DONE_RIGHT")
@@ -136,7 +138,6 @@ class ReachController:
     def dump(self) -> str:
         """Human-readable table, parameter-independent part first."""
         names = self.automaton.state_names
-        dirs = {LEFT: "L", STAY: "S", RIGHT: "R"}
         m = self.automaton.n - 1  # the SCAN_LEFT states are 0 ... m - 1
 
         def label(s: int) -> str:
@@ -147,12 +148,12 @@ class ReachController:
             for sym in sorted(self.column):
                 move = self.table[s * len(self.column) + self.column[sym]]
                 if move and not (s < m and sym == LEFT_ENDMARKER):
-                    lines.append(f"  {label(s)} {sym} -> {label(move[0])} {dirs[move[1]]}")
+                    lines.append(f"  {label(s)} {sym} -> {label(move[0])} {_DIR_TO_LETTER[move[1]]}")
         for q_from in range(self.automaton.n):
             lines.append(f"parameter q_from={names[q_from]}:")
             for s in range(m):
                 nxt, d = self.entry(s, LEFT_ENDMARKER, q_from)
-                lines.append(f"  {label(s)} {LEFT_ENDMARKER} -> {label(nxt)} {dirs[d]}")
+                lines.append(f"  {label(s)} {LEFT_ENDMARKER} -> {label(nxt)} {_DIR_TO_LETTER[d]}")
         return "\n".join(lines)
 
 
@@ -184,34 +185,36 @@ class MachineIndex(NamedTuple):
 
 
 def machine_index(automaton: TwoWayAutomaton) -> MachineIndex:
-    """The machine's `MachineIndex`, cached on the machine, which is immutable.
+    """The machine's `MachineIndex`, built on first use and kept on the machine (`derived`).
 
     `build_controller` and `return_table` take their moves and launches
     from it, the controller shares its launch index as `launchers`, and the
     divide-and-conquer stack machine and the self-verifying simulation
     guess among its ports.
     """
-    if automaton._index is None:
-        n = automaton.n
-        symbols = automaton.alphabet + (RIGHT_ENDMARKER,)
-        moves = {sym: [(automaton.successors(q, sym) or (None,))[0] for q in range(n)]
-                 for sym in symbols}
-        choices = tuple(automaton.successors(p, LEFT_ENDMARKER) for p in range(n))
-        launchers: dict[Move, list[int]] = {}
-        for p, row in enumerate(choices):
-            for move in row:
-                launchers.setdefault(move, []).append(p)
-        # one repeat per symbol: a backreference `(.)\1*` matched a long run 80 times slower
-        runs = re.compile("|".join(re.escape(sym) + "+" for sym in symbols))
-        launched = tuple(sorted(x for (x, d) in launchers if d == RIGHT))
-        ports = tuple(sorted({automaton.initial, *automaton.accepting,
-                              *(p for p, row in enumerate(choices) if row)}))
-        port_of: dict[int | None, int | None] = dict.fromkeys([*range(n), None])
-        port_of.update((q, i) for i, q in enumerate(ports))
-        automaton._index = MachineIndex(
-            moves, {move: tuple(ps) for move, ps in launchers.items()}, launched, choices, runs,
-            ports, port_of)
-    return automaton._index
+    return derived(automaton, _build_index)
+
+
+def _build_index(automaton: TwoWayAutomaton) -> MachineIndex:
+    """Build the `MachineIndex` that `machine_index` keeps."""
+    n = automaton.n
+    symbols = automaton.alphabet + (RIGHT_ENDMARKER,)
+    moves = {sym: [(automaton.successors(q, sym) or (None,))[0] for q in range(n)]
+             for sym in symbols}
+    choices = tuple(automaton.successors(p, LEFT_ENDMARKER) for p in range(n))
+    launchers: dict[Move, list[int]] = {}
+    for p, row in enumerate(choices):
+        for move in row:
+            launchers.setdefault(move, []).append(p)
+    # one repeat per symbol: a backreference `(.)\1*` matched a long run 80 times slower
+    runs = re.compile("|".join(re.escape(sym) + "+" for sym in symbols))
+    launched = tuple(sorted(x for (x, d) in launchers if d == RIGHT))
+    ports = tuple(sorted({automaton.initial, *automaton.accepting,
+                          *(p for p, row in enumerate(choices) if row)}))
+    port_of: dict[int | None, int | None] = dict.fromkeys([*range(n), None])
+    port_of.update((q, i) for i, q in enumerate(ports))
+    return MachineIndex(moves, {move: tuple(ps) for move, ps in launchers.items()}, launched,
+                        choices, runs, ports, port_of)
 
 
 def build_controller(automaton: TwoWayAutomaton) -> ReachController:
@@ -333,20 +336,27 @@ def _walk(controller: ReachController, word: str, q_to: int) -> Iterator[tuple[i
         f"backward search exceeded its {bound}-step termination bound on {controller.automaton!r}")
 
 
+def search_controller(automaton: TwoWayAutomaton) -> ReachController:
+    """The machine's one backward-search controller: built on first use, then kept.
+
+    `build_controller` checks the normal form, so a machine outside it
+    keeps none and fails on every call.  Every search takes the controller
+    from here, through `_check_call`, and so do the CLI's `reach` and
+    `detsim.materialize_dfa`, so each machine builds one.
+    `build_controller` itself builds anew on every call.
+    """
+    return derived(automaton, build_controller)
+
+
 def _check_call(automaton: TwoWayAutomaton, word: str, *states: int) -> ReachController:
     """The one gate of every search: the machine's controller, once the call checks out.
 
-    Rejects unknown state ids and foreign letters.  The controller depends
-    on the machine alone, so the machine's first search builds it, which
-    checks the normal form, and keeps it on the machine, which is
-    immutable; a machine outside the normal form keeps none and fails the
-    check on every call.
+    Rejects unknown state ids and foreign letters, then hands out the
+    machine's `search_controller`.
     """
     _check_states(automaton, *states)
     check_word(automaton, word)
-    if automaton._controller is None:
-        automaton._controller = build_controller(automaton)
-    return automaton._controller
+    return search_controller(automaton)
 
 
 def reach(automaton: TwoWayAutomaton, word: str, q_from: int, q_to: int) -> bool:

@@ -255,16 +255,15 @@ def svfa_run(automaton: TwoWayAutomaton, word: str, trace: Sequence[int]) -> Ver
     the backward searches, in execution order.  The run always halts, with one of the three verdicts;
     an out-of-range selector aborts in don't-know and a trace shorter than
     the branch raises TraceUnderflow.  The replay context depends on the
-    machine and the word alone, so the machine keeps the last word's and
-    the replays of one word share it; a new word builds it again through
-    the searches' gate.
+    machine and the word alone, so the machine's memo keeps the last
+    word's, under `_SimContext`, and the replays of one word share it; a
+    new word builds it again through the searches' gate.
     """
-    cached = automaton._replay
-    if cached is not None and cached[0] == word:
-        ctx = cached[1]
-    else:
-        ctx = _SimContext(automaton, word, replay=True)
-        automaton._replay = (word, ctx)
+    memo = automaton._derived  # the machine's memo; this key holds one (word, context) entry
+    cached = memo.get(_SimContext)
+    if cached is None or cached[0] != word:
+        cached = memo[_SimContext] = (word, _SimContext(automaton, word, replay=True))
+    ctx = cached[1]
     state = _start(ctx)
     position = 0
     while not isinstance(state, Verdict):

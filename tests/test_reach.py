@@ -2,8 +2,12 @@
 
 import dataclasses
 import hashlib
+import importlib
 import re
 import sys
+import threading
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -21,11 +25,14 @@ from outerfa import (
     TraceUnderflow,
     TwoWayAutomaton,
     Verdict,
+    accepts_oracle,
     all_words,
     build_controller,
     build_segment_graph,
+    classify,
     decide_det,
     gap_decide,
+    materialize_dfa,
     normalize_oafa,
     normalize_onfa,
     parse,
@@ -36,8 +43,9 @@ from outerfa import (
     svfa_decide,
     svfa_run,
 )
+from outerfa import cli, core, detsim, svfa
 from outerfa.normalform import NotNormalForm
-from outerfa.reach import _cross, _walk, machine_index
+from outerfa.reach import ReachController, _cross, _walk, machine_index
 from outerfa.svfa import _decider_scripts
 
 from conftest import accepting_at, chain_sweeper, mod_p_sweeper, random_nf_oafa, random_nf_onfa
@@ -54,6 +62,8 @@ from reference import (
     n_reach,
     t_reach,
 )
+
+reach_module = importlib.import_module("outerfa.reach")  # the package's `reach` is a function
 
 E1 = build_e1()
 
@@ -284,13 +294,92 @@ def test_each_machine_builds_one_controller(monkeypatch, first):
     for _ in range(2):
         assert [call() for call in calls] == SEARCH_ANSWERS[first:] + SEARCH_ANSWERS[:first]
     assert built == [machine]
-    assert machine._controller.automaton is machine
-    # a machine outside the relaxed normal form fails the gate on every call and keeps nothing
+    assert [kept.automaton for kept in _kept_controllers(machine)] == [machine]
+    # a machine outside the relaxed normal form fails the gate on every call and keeps no controller
     bent = bent_e1()
     for call in _searches(bent) * 2:
         with pytest.raises(NotNormalForm):
             call()
-        assert bent._controller is None
+        assert _kept_controllers(bent) == []
+
+
+def _kept_controllers(machine):
+    """The controllers the machine's memo keeps."""
+    return [kept for kept in machine._derived.values() if isinstance(kept, ReachController)]
+
+
+def test_one_machine_builds_each_derivation_once(monkeypatch):
+    """The searches, the svfa replay, the emitter and `classify` share what the machine keeps.
+
+    On a fresh machine, each builder of its memo runs once, the replay
+    context once per word, and `materialize_dfa` walks the searches'
+    controller rather than building its own.
+    """
+    builds = Counter()
+
+    def counting(module, name):
+        build = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            builds[name] += 1
+            return build(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(core, "_structure", counting(core, "_structure"))
+    monkeypatch.setattr(reach_module, "_build_index", counting(reach_module, "_build_index"))
+    monkeypatch.setattr(svfa, "_SimContext", counting(svfa, "_SimContext"))
+    # the emitter and the CLI hold the builder under its own name too (perfbench wraps it there)
+    controller_builds = counting(reach_module, "build_controller")
+    for module in (reach_module, detsim, cli):
+        monkeypatch.setattr(module, "build_controller", controller_builds)
+    machine = build_e1()  # fresh: nothing derived yet
+    for _ in range(2):
+        assert reach(machine, "aa", P_A, R_A)
+        assert not segment_reach(machine, "ba", Q_I, R_B)
+    for word, trace, verdict in (("aa", (0,) * 6 + (3, 0, 1) * 6, Verdict.ACCEPT),
+                                 ("ab", (0,) * 6, Verdict.REJECT)):
+        for _ in range(2):
+            assert svfa_run(machine, word, trace) is verdict
+    emitted = materialize_dfa(machine)
+    assert emitted.n == 1120
+    assert classify(machine).satisfies_normal_form
+    assert builds == {"_structure": 1, "_build_index": 1, "build_controller": 1, "_SimContext": 2}
+    assert len(_kept_controllers(machine)) == 1
+    assert emitted._derived == {}  # a machine's constructor derives nothing
+
+
+def test_a_shared_machine_gives_every_thread_the_sequential_verdicts():
+    """Machines may be shared across threads: four threads on one fresh machine agree with one."""
+    traces = {"aa": (0,) * 6 + (3, 0, 1) * 6, "ab": (0,) * 6}
+
+    def verdicts(machine, words):
+        return ([reach(machine, w, p, q) for w in ("aa", "ab", "ba") for p in range(machine.n)
+                 for q in range(machine.n)],
+                [segment_reach(machine, "aab", p, R_A) for p in range(machine.n)],
+                [svfa_run(machine, word, traces[word]) for word in words],
+                materialize_dfa(machine), classify(machine),
+                [accepts_oracle(machine, w) for w in all_words(machine.alphabet, 3)])
+
+    words = ["aa", "ab"] * 50  # alternated, so the replay context changes hands
+    expected = verdicts(build_e1(), words)
+    shared = build_e1()
+    start = threading.Barrier(4, timeout=60)
+
+    def worker(turn):
+        start.wait()
+        return verdicts(shared, words[turn % 2:] + words[:turn % 2])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that first calls race
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(worker, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for turn, result in enumerate(results):
+        assert result[:2] == expected[:2] and result[3:] == expected[3:]
+        assert result[2] == expected[2][turn % 2:] + expected[2][:turn % 2]
+    assert len(_kept_controllers(shared)) == 1
 
 
 def test_t_reach_matches_chain_oracle(nf_corpus, alt_nf_corpus):
