@@ -20,7 +20,6 @@ from .core import (
     and_or_reach,
     check_word,
     classify,
-    segment_exists_oracle,
 )
 from .detsim import (
     BoundReport,

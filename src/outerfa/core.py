@@ -9,15 +9,13 @@ entry simply halts that computation path.
 
 Besides the data model, this module holds the executable ground truth the
 rest of the package is checked against: an acceptance oracle over the
-(finite) configuration graph, an and-or oracle for machines with universal
-states, and a restricted-path oracle for computation segments (left
-endmarker to left endmarker, with no left-endmarker visit in between; the
-right endmarker may be crossed freely).  Every oracle rejects a word with a
-letter outside the machine's alphabet (`check_word`).  The oracles index a
-configuration (state, head) as the integer head * n + state on the
-endmarked tape and step it through one successor table per machine, whose
-row for (symbol, state) holds the offsets from a configuration's id to its
-successors' (`_tape_rule`).  The machines of the paper choose only at the
+(finite) configuration graph and an and-or oracle for machines with
+universal states.  Every oracle rejects a word with a letter outside the
+machine's alphabet (`check_word`).  The oracles index a configuration
+(state, head) as the integer head * n + state on the endmarked tape and
+step it through one successor table per machine, whose row for (symbol,
+state) holds the offsets from a configuration's id to its successors'
+(`_tape_rule`).  The machines of the paper choose only at the
 endmarkers, so away from them almost every configuration has exactly one
 successor.  The acceptance oracle follows such a configuration at once
 instead of queueing it, and the and-or oracle contracts each chain of them
@@ -376,36 +374,6 @@ def accepts_oracle(automaton: TwoWayAutomaton, word: str) -> bool:
             if seen[c]:
                 break
             seen[c] = 1
-    return False
-
-
-def segment_exists_oracle(automaton: TwoWayAutomaton, word: str,
-                          p: int, q: int) -> bool:
-    """Is there a computation segment from p to q on `word`?
-
-    A segment is a path of at least one step from (p, 0) to (q, 0) whose
-    intermediate configurations never sit at position 0.  Crossing or
-    turning at the right endmarker in the middle is allowed.  A single
-    stationary move at the left endmarker is the shortest possible segment.
-    The existential/universal partition is ignored; only delta matters.
-    """
-    n, tape, table = _tape_rule(automaton, word)
-    _check_states(automaton, p, q)
-    # (p, 0) and (q, 0) are the ids p and q; an id below n sits at position 0
-    seen = bytearray(n * len(tape))
-    stack = [p]
-    while stack:
-        c = stack.pop()
-        head, state = divmod(c, n)
-        for offset in table[tape[head]][state]:
-            succ = c + offset
-            if succ < n:
-                if succ == q:
-                    return True
-                continue  # touching the left endmarker mid-path is not a segment
-            if not seen[succ]:
-                seen[succ] = 1
-                stack.append(succ)
     return False
 
 

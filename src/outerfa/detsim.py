@@ -192,8 +192,6 @@ def _divide(stack: list[list[int]], height: int, rows: _BaseRows, answer: bool |
                 q, p, r, phase = frame
                 depth = len(stack)
                 if depth < height:
-                    if depth > top:
-                        top = depth  # the height of halvings after this push
                     stack.append([q, r, 0, 1] if phase == 1 else [r, p, 0, 1])
                     continue
                 if depth == height:  # a next-to-bottom frame: scan its midpoints from r

@@ -7,14 +7,16 @@ that model, which the integer-id oracles of `outerfa.core` are compared
 with.  The step-based oracles build a set of `Configuration` tuples per
 step, and the alternating one runs the and-or solver over all
 n * (|w| + 2) configurations, reachable or not.  The visit-bounded oracle
-exists only here, and so does the branch-by-branch walk of the
-self-verifying simulation's tree (`reference_svfa_tree`), which
-`svfa_decide`'s pass over distinct snapshots is checked against.  The
-guessing chain searches over the backward controller's walk (`_chain`,
-`n_reach` and its iterated form `t_reach`, driven by choice traces) are the
-reference for the chain check inside `svfa._advance`.  `exhaust` runs a
-trace-driven search (`n_reach`, `t_reach`, `svfa_run`) over every choice
-trace and counts each result.
+exists only here, and so do the suite's one segment search
+(`reference_segment_ends`: every end of a segment from one source, the
+relation the return table and the controller compute) and the
+branch-by-branch walk of the self-verifying simulation's tree
+(`reference_svfa_tree`), which `svfa_decide`'s pass over distinct
+snapshots is checked against.  The guessing chain searches over the
+backward controller's walk (`_chain`, `n_reach` and its iterated form
+`t_reach`, driven by choice traces) are the reference for the chain check
+inside `svfa._advance`.  `exhaust` runs a trace-driven search (`n_reach`,
+`t_reach`, `svfa_run`) over every choice trace and counts each result.
 """
 
 from collections import Counter, deque
@@ -222,29 +224,33 @@ def reference_bounded_visits(automaton, word, k):
     return False
 
 
-def reference_segment(automaton, word, p, q):
+def reference_segment_ends(automaton, word, p):
+    """Every state q with a computation segment from p to q on `word`.
+
+    A segment is a path of at least one step from (p, 0) to (q, 0) whose
+    intermediate configurations never sit at position 0; it may cross or
+    turn at the right endmarker.  A single stationary move at the left
+    endmarker is the shortest segment, and a path of no steps is none.
+    Only the transitions matter: universal states step like any other.
+    One breadth-first search from (p, 0) that ends each path at its first
+    return to position 0.  An unknown state id raises ValueError and a
+    letter outside the alphabet NotApplicable.
+    """
     check_word(automaton, word)
-    end = Configuration(q, 0)
-    frontier = deque()
+    _check_states(automaton, p)
+    ends = set()
     seen = set()
-    for succ in step(automaton, Configuration(p, 0), word):
-        if succ.head == 0:
-            if succ == end:
-                return True
-        elif succ not in seen:
-            seen.add(succ)
-            frontier.append(succ)
-    while frontier:
-        config = frontier.popleft()
-        for succ in step(automaton, config, word):
-            if succ.head == 0:
-                if succ == end:
-                    return True
-                continue
-            if succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
-    return False
+    queue = deque([(p, 0)])
+    while queue:
+        state, head = queue.popleft()
+        for (succ, d) in automaton.successors(state, symbol_at(word, head)):
+            config = (succ, head + d)
+            if head + d == 0:  # the first return to the left endmarker ends the path
+                ends.add(succ)
+            elif config not in seen:
+                seen.add(config)
+                queue.append(config)
+    return ends
 
 
 def reference_alternating(automaton, word):

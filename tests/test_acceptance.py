@@ -27,7 +27,6 @@ from outerfa import (
     oafa_decide,
     parse,
     reach,
-    segment_exists_oracle,
     segment_graph_to_dot,
     serialize,
     svfa_decide,
@@ -43,6 +42,7 @@ from reference import (
     build_trivial_all,
     build_trivial_empty,
     reference_bounded_visits,
+    reference_segment_ends,
 )
 
 
@@ -79,22 +79,18 @@ def test_criterion_2_reach_suite(raw_corpus, nf_corpus):
     for machine in sweep_machines:
         n = machine.n
         for word in all_words(machine.alphabet, 5):
-            oracle = [
-                [segment_exists_oracle(machine, word, p, q) for q in range(n)]
-                for p in range(n)
-            ]
             for p in range(n):
+                ends = reference_segment_ends(machine, word, p)
                 for q in range(n):
-                    expected = p == q or oracle[p][q]
-                    assert reach(machine, word, p, q) == expected
+                    assert reach(machine, word, p, q) == (p == q or q in ends)
                     checked += 1
     for machine in normalized[:40]:
         n = machine.n
         for word in all_words(machine.alphabet, 4):
             for p in range(n):
+                ends = reference_segment_ends(machine, word, p)
                 for q in range(n):
-                    expected = p == q or segment_exists_oracle(machine, word, p, q)
-                    assert reach(machine, word, p, q) == expected
+                    assert reach(machine, word, p, q) == (p == q or q in ends)
                     checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 120
@@ -165,8 +161,8 @@ def test_criterion_6_graph_reduction_suite(nf_corpus, alt_nf_corpus):
             expected = {
                 (p, q)
                 for p in range(n)
-                for q in range(n)
-                if p != q and segment_exists_oracle(machine, word, p, q)
+                for q in reference_segment_ends(machine, word, p)
+                if p != q
             }
             assert graph.edges == frozenset(expected)
             edges_checked += len(expected)

@@ -20,14 +20,13 @@ from outerfa import (
     materialize_dfa,
     normalize_onfa,
     parse,
-    segment_exists_oracle,
     serialize,
 )
 from outerfa.detsim import _base_rows, _ceil_log2, _divide, _stack_height
 from outerfa.reach import machine_index, return_table
 
 from conftest import INITIAL_ACCEPTING, chain_sweeper, mod_p_sweeper, port_ring, random_nf_onfa
-from reference import build_e1, build_ea, build_trivial_empty
+from reference import build_e1, build_ea, build_trivial_empty, reference_segment_ends
 
 E1 = build_e1()
 EA = build_ea()
@@ -39,13 +38,14 @@ def word_rows(machine, word):
     return _base_rows(index.ports, index.port_of, return_table(machine, word))
 
 
-def chain_reachable(machine, word, q, p, t):
-    """Oracle: membership in the <=t-step closure of the segment relation."""
-    n = machine.n
-    seg = [[segment_exists_oracle(machine, word, a, b) for b in range(n)] for a in range(n)]
+def chain_reachable(ends, q, p, t):
+    """Oracle: membership in the <=t-step closure of the segment relation.
+
+    `ends[a]` is the set of every end of a segment from a on the word.
+    """
     frontier = {q}
     for _ in range(t):
-        frontier |= {b for a in frontier for b in range(n) if seg[a][b]}
+        frontier |= {b for a in frontier for b in ends[a]}
     return p in frontier
 
 
@@ -219,11 +219,12 @@ def test_reachable_matches_chain_oracle(nf_corpus):
         ports = machine_index(machine).ports
         for word in all_words(machine.alphabet, max_len):
             rows = word_rows(machine, word)
+            ends = [reference_segment_ends(machine, word, a) for a in range(machine.n)]
             for e in range(_stack_height(machine.n) + 1):
                 for q, a in enumerate(ports):
                     for p, b in enumerate(ports):
                         assert _divide([[q, p, q, 2]], e, rows) == \
-                            chain_reachable(machine, word, a, b, 2**e), (machine, word, e, a, b)
+                            chain_reachable(ends, a, b, 2**e), (machine, word, e, a, b)
 
 
 def test_decide_det_examples():
@@ -314,9 +315,10 @@ def test_emitted_base_cases_agree_with_the_segment_oracle(nf_corpus, monkeypatch
         ports = machine_index(machine).ports
         assert len(true_rows) == len(ports)
         words = list(all_words(machine.alphabet, 4))
+        ends = [[reference_segment_ends(machine, word, q) for q in ports] for word in words]
         for a, q in enumerate(ports):
             for b, p in enumerate(ports):
-                segments = [segment_exists_oracle(machine, word, q, p) for word in words]
+                segments = [p in row[a] for row in ends]
                 if true_rows[a] >> b & 1:
                     assert q == p or all(segments), (machine, q, p)
                 elif not open_rows[a] >> b & 1:

@@ -38,7 +38,6 @@ from outerfa import (
     parse,
     reach,
     return_table,
-    segment_exists_oracle,
     segment_reach,
     svfa_decide,
     svfa_run,
@@ -60,6 +59,7 @@ from reference import (
     build_trivial_empty,
     exhaust,
     n_reach,
+    reference_segment_ends,
     t_reach,
 )
 
@@ -177,18 +177,18 @@ def test_reach_wrapper_cases():
 def test_reach_agrees_with_segment_oracle_on_e1():
     for word in all_words("ab", 5):
         for p in range(E1.n):
+            ends = reference_segment_ends(E1, word, p)
             for q in range(E1.n):
-                expected = p == q or segment_exists_oracle(E1, word, p, q)
-                assert reach(E1, word, p, q) == expected
+                assert reach(E1, word, p, q) == (p == q or q in ends)
 
 
 def test_reach_agreement_on_corpus(nf_corpus):
     for machine in nf_corpus[:12]:
         for word in all_words(machine.alphabet, 4):
             for p in range(machine.n):
+                ends = reference_segment_ends(machine, word, p)
                 for q in range(machine.n):
-                    expected = p == q or segment_exists_oracle(machine, word, p, q)
-                    assert reach(machine, word, p, q) == expected
+                    assert reach(machine, word, p, q) == (p == q or q in ends)
 
 
 def test_n_reach_examples():
@@ -218,7 +218,7 @@ def test_n_reach_examples():
         q_i, [q_f],
     )
     for word in ("", "a", "aa"):
-        assert segment_exists_oracle(machine, word, q_i, p)
+        assert p in reference_segment_ends(machine, word, q_i)
         assert segment_reach(machine, word, q_i, p)
         outcomes = exhaust(lambda tr: n_reach(machine, word, p, tr))
         assert set(outcomes) == {q_i, Verdict.DONT_KNOW}
@@ -235,15 +235,12 @@ def test_n_reach_trace_underflow():
 def test_n_reach_outcomes_match_segment_oracle(nf_corpus, alt_nf_corpus):
     for machine in list(nf_corpus[:10]) + list(alt_nf_corpus[:10]) + [E1]:
         for word in all_words(machine.alphabet, 3):
+            ends = [reference_segment_ends(machine, word, p) for p in range(machine.n)]
             for q_to in range(machine.n):
                 outcomes = exhaust(
                     lambda tr: n_reach(machine, word, q_to, tr))
                 emitted = {v for v in outcomes if isinstance(v, int)}
-                expected = {
-                    p for p in range(machine.n)
-                    if segment_exists_oracle(machine, word, p, q_to)
-                }
-                assert emitted == expected
+                assert emitted == {p for p in range(machine.n) if q_to in ends[p]}
 
 
 def test_t_reach_examples():
@@ -386,14 +383,11 @@ def test_t_reach_matches_chain_oracle(nf_corpus, alt_nf_corpus):
     for machine in list(nf_corpus[:8]) + list(alt_nf_corpus[:8]):
         n = machine.n
         for word in all_words(machine.alphabet, 3):
-            seg = [
-                [segment_exists_oracle(machine, word, p, q) for q in range(n)]
-                for p in range(n)
-            ]
+            ends = [reference_segment_ends(machine, word, p) for p in range(n)]
             chain = {machine.initial}  # states with a chain of exactly t segments
             for t in range(3):
                 if t:
-                    chain = {q for q in range(n) if any(seg[p][q] for p in chain)}
+                    chain = {q for p in chain for q in ends[p]}
                 for q in range(n):
                     outcomes = exhaust(
                         lambda tr: t_reach(machine, word, q, t, tr))
@@ -456,7 +450,7 @@ def launch_fate(machine, tape, x):
 
 
 def assert_table_matches(machine, words):
-    """Each row entry is its launch's fate; the relation equals the controller's and the path oracle's."""
+    """Each row entry is its launch's fate; the relation equals the controller's and the reference's."""
     launches = [machine.successors(p, LEFT_ENDMARKER) for p in range(machine.n)]
     for word in words:
         table = return_table(machine, word)
@@ -466,10 +460,10 @@ def assert_table_matches(machine, words):
             outcomes = table[p]
             assert outcomes == tuple(x if d == STAY else fates[x] for (x, d) in launches[p]), (
                 machine, word, p)
+            ends = reference_segment_ends(machine, word, p)
+            assert set(outcomes) - {None} == ends, (machine, word, p)
             for q in range(machine.n):
-                expected = segment_exists_oracle(machine, word, p, q)
-                assert (q in outcomes) == expected, (machine, word, p, q)
-                assert segment_reach(machine, word, p, q) == expected
+                assert segment_reach(machine, word, p, q) == (q in ends), (machine, word, p, q)
 
 
 def test_return_table_on_normal_form_corpora(nf_corpus, alt_nf_corpus):

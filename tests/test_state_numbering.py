@@ -14,14 +14,13 @@ from outerfa import (
     all_words,
     build_controller,
     materialize_dfa,
-    segment_exists_oracle,
     segment_reach,
     svfa_decide,
     svfa_run,
 )
 
 from conftest import accepting_at, mod_p_sweeper
-from reference import build_e1, exhaust, n_reach, t_reach
+from reference import build_e1, exhaust, n_reach, reference_segment_ends, t_reach
 
 
 @pytest.fixture(scope="module")
@@ -42,25 +41,24 @@ def test_segment_reach_matches_the_oracle(moved):
         assert build_controller(machine).final_state != machine.n - 1
         for word in all_words(machine.alphabet, 3):
             for p in range(machine.n):
+                ends = reference_segment_ends(machine, word, p)
                 for q in range(machine.n):
-                    assert (segment_reach(machine, word, p, q)
-                            == segment_exists_oracle(machine, word, p, q)), (machine, word, p, q)
+                    assert segment_reach(machine, word, p, q) == (q in ends), (machine, word, p, q)
 
 
 def test_guessing_searches_match_the_oracle(moved):
     for machine in moved:
         n = machine.n
         for word in all_words(machine.alphabet, 3):
-            seg = [[segment_exists_oracle(machine, word, p, q) for q in range(n)]
-                   for p in range(n)]
+            ends = [reference_segment_ends(machine, word, p) for p in range(n)]
             for q in range(n):
                 emitted = {v for v in exhaust(lambda tr: n_reach(machine, word, q, tr))
                            if isinstance(v, int)}
-                assert emitted == {p for p in range(n) if seg[p][q]}, (machine, word, q)
+                assert emitted == {p for p in range(n) if q in ends[p]}, (machine, word, q)
             chain = {machine.initial}  # states with a chain of exactly t segments
             for t in range(3):
                 if t:
-                    chain = {q for q in range(n) if any(seg[p][q] for p in chain)}
+                    chain = {q for p in chain for q in ends[p]}
                 for q in range(n):
                     outcomes = exhaust(lambda tr: t_reach(machine, word, q, t, tr))
                     assert (True in outcomes) == (q in chain), (machine, word, q, t)
